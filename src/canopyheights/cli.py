@@ -16,7 +16,6 @@ import glob
 import logging
 import os
 import sys
-from multiprocessing.pool import ThreadPool
 
 import numpy as np
 
@@ -88,11 +87,13 @@ def read_dataset(dataset_dir: str) -> list:
     return tiles
 
 
-def _samples(tiles, size: int, seed: int) -> list:
-    """One deterministic crop (with flips) per tile at the model size."""
-    rng = np.random.default_rng(seed)
+def _samples(cfg) -> list:
+    """One deterministic crop (with flips) per dataset tile at the model
+    size; train, eval and gsi all see the same crops."""
+    size = cfg.get("model", "input_size")
+    rng = np.random.default_rng(cfg.get("run", "seed") + 17)
     out = []
-    for t in tiles:
+    for t in read_dataset(cfg.get("data", "dataset_dir")):
         (s2, s1, th, m), _ = dp.sample_patch(
             [t.s2, t.s1, t.target, np.asarray(t.mask, dtype=float)],
             size, rng)
@@ -102,7 +103,7 @@ def _samples(tiles, size: int, seed: int) -> list:
 
 # -- subcommands ------------------------------------------------------
 
-def cmd_synth(cfg, out_dir: str, workers: int) -> None:
+def cmd_synth(cfg, out_dir: str) -> None:
     seed = cfg.get("run", "seed")
     tiles = dp.synth_dataset(cfg.get("data", "n_tiles"),
                              cfg.get("data", "tile_size"), seed,
@@ -123,7 +124,7 @@ def cmd_synth(cfg, out_dir: str, workers: int) -> None:
     log.info("wrote %d tiles to %s", len(tiles), out_dir)
 
 
-def cmd_filter(cfg, out_dir: str, workers: int) -> None:
+def cmd_filter(cfg, out_dir: str) -> None:
     shots = dp.shots_from_csv(
         os.path.join(cfg.get("data", "dataset_dir"), "shots.csv"))
     retained, counts = dp.filter_gedi(shots)
@@ -138,7 +139,7 @@ def cmd_filter(cfg, out_dir: str, workers: int) -> None:
     log.info("retained %d of %d shots", len(retained), len(shots))
 
 
-def cmd_composite(cfg, out_dir: str, workers: int) -> None:
+def cmd_composite(cfg, out_dir: str) -> None:
     stack_dir = os.path.join(cfg.get("data", "dataset_dir"), "stack")
     frames = sorted(glob.glob(os.path.join(stack_dir, "frame_*.tnsr")))
     if not frames:
@@ -157,7 +158,7 @@ def cmd_composite(cfg, out_dir: str, workers: int) -> None:
     log.info("composited %d frames, %d missing pixels", len(frames), missing)
 
 
-def cmd_grid(cfg, out_dir: str, workers: int) -> None:
+def cmd_grid(cfg, out_dir: str) -> None:
     shots = dp.shots_from_csv(
         os.path.join(cfg.get("data", "dataset_dir"), "shots.csv"))
     cell = cfg.get("data", "cell_size_m")
@@ -216,10 +217,8 @@ def _hytec_config(cfg) -> HyTecConfig:
                        bins=_bins_from_config(cfg))
 
 
-def cmd_train(cfg, out_dir: str, workers: int, resume: bool = False) -> None:
-    tiles = read_dataset(cfg.get("data", "dataset_dir"))
-    samples = _samples(tiles, cfg.get("model", "input_size"),
-                       cfg.get("run", "seed") + 17)
+def cmd_train(cfg, out_dir: str, resume: bool = False) -> None:
+    samples = _samples(cfg)
     os.makedirs(out_dir, exist_ok=True)
     settings = _settings_from_config(cfg, out_dir)
     arch = settings.arch
@@ -260,25 +259,14 @@ def _restore_model(cfg):
     return params, mcfg
 
 
-def cmd_eval(cfg, out_dir: str, workers: int) -> None:
-    tiles = read_dataset(cfg.get("data", "dataset_dir"))
-    samples = _samples(tiles, cfg.get("model", "input_size"),
-                       cfg.get("run", "seed") + 17)
+def cmd_eval(cfg, out_dir: str) -> None:
+    samples = _samples(cfg)
     params, mcfg = _restore_model(cfg)
     os.makedirs(out_dir, exist_ok=True)
-
-    def run_one(sample):
-        return tr.predict_heights(params, mcfg, sample)
-
-    if workers > 1:
-        with ThreadPool(workers) as pool:
-            preds = pool.map(run_one, samples)
-    else:
-        preds = [run_one(s) for s in samples]
-
     ys, yhats = [], []
     gsi_rows = []
-    for i, (sample, pred) in enumerate(zip(samples, preds)):
+    for i, sample in enumerate(samples):
+        pred = tr.predict_heights(params, mcfg, sample)
         save_tensor(os.path.join(out_dir, f"pred_{i:03d}.tnsr"), pred)
         sel = sample.mask > 0
         ys.append(sample.target_h[sel])
@@ -310,14 +298,12 @@ def cmd_eval(cfg, out_dir: str, workers: int) -> None:
     log.info("evaluated %d tiles: rmse %.3f m", len(samples), overall.rmse)
 
 
-def cmd_gsi(cfg, out_dir: str, workers: int) -> None:
+def cmd_gsi(cfg, out_dir: str) -> None:
     pred_dir = cfg.get("eval", "pred_dir")
     preds = sorted(glob.glob(os.path.join(pred_dir, "pred_*.tnsr")))
     if not preds:
         raise FileNotFoundError(f"no predictions under {pred_dir}")
-    tiles = read_dataset(cfg.get("data", "dataset_dir"))
-    samples = _samples(tiles, cfg.get("model", "input_size"),
-                       cfg.get("run", "seed") + 17)
+    samples = _samples(cfg)
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for i, p in enumerate(preds):
@@ -356,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--seed", type=int, default=None,
                        help="override the configured seed")
-        p.add_argument("--workers", type=int, default=None,
-                       help="parallel workers for data-side stages")
         p.add_argument("--out", default=".", help="output directory")
         if name == "train":
             p.add_argument("--resume", action="store_true",
@@ -374,14 +358,11 @@ def main(argv=None) -> int:
         cfg = cfgmod.load(args.config) if args.config else cfgmod.RunConfig()
         if args.seed is not None:
             cfg.set("run", "seed", args.seed)
-        if args.workers is not None:
-            cfg.set("run", "workers", args.workers)
         cfg.validate()
         kwargs = {}
         if args.command == "train":
             kwargs["resume"] = args.resume
-        COMMANDS[args.command](cfg, args.out, cfg.get("run", "workers"),
-                               **kwargs)
+        COMMANDS[args.command](cfg, args.out, **kwargs)
     except Exception as exc:       # noqa: BLE001 - CLI boundary
         log.error("%s", exc)
         if os.environ.get("CANOPY_LOG", "").upper() == "DEBUG":

@@ -16,7 +16,6 @@ SCHEMA = {
     "run": {
         "seed": (int, 0),
         "arch": (str, "2mou"),
-        "workers": (int, 1),
     },
     "data": {
         "dataset_dir": (str, ""),
@@ -40,7 +39,6 @@ SCHEMA = {
         "taps": (str, "3,6,9,12"),
     },
     "optimizer": {
-        "kind": (str, "sgd"),
         "lr": (float, 1e-2),
         "lr_adaptive": (float, 1e-5),
         "lr_start": (float, 1e-6),
@@ -109,10 +107,6 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.get("run", "arch") not in VALID_ARCHS:
             raise ValueError(f"unknown arch {self.get('run', 'arch')!r}")
-        if self.get("optimizer", "kind") not in ("sgd", "adamw"):
-            raise ValueError("optimizer kind must be sgd or adamw")
-        if self.get("run", "workers") < 1:
-            raise ValueError("workers must be >= 1")
         return self
 
 

@@ -100,6 +100,13 @@ class SGD:
         for t in self.params.values():
             t.grad = None
 
+    def state_arrays(self) -> dict:
+        """Checkpoint arrays of the optimizer's own state (SGD has none)."""
+        return {}
+
+    def load_state(self, arrays: dict) -> None:
+        pass
+
 
 class AdamW:
     """Adam with decoupled weight decay."""
@@ -133,6 +140,24 @@ class AdamW:
     def zero_grad(self):
         for t in self.params.values():
             t.grad = None
+
+    def state_arrays(self) -> dict:
+        """Moments as ``adam_m.<name>``/``adam_v.<name>``, step as ``adam_t``."""
+        out = {f"adam_m.{k}": v for k, v in self.m.items()}
+        out.update({f"adam_v.{k}": v for k, v in self.v.items()})
+        out["adam_t"] = np.asarray(self.t)
+        return out
+
+    def load_state(self, arrays: dict) -> None:
+        """Restore what ``state_arrays`` wrote; other names are ignored."""
+        for name, arr in arrays.items():
+            kind, _, key = name.partition(".")
+            if kind == "adam_t":
+                self.t = int(arr)
+            elif kind == "adam_m":
+                self.m[key] = arr.copy()
+            elif kind == "adam_v":
+                self.v[key] = arr.copy()
 
 
 def cosine_lr(epoch: float, max_epochs: int, base_lr: float) -> float:

@@ -217,7 +217,10 @@ class Tensor:
         return Tensor.from_op(np.asarray(data), (self,), grad_fn)
 
     def mean(self, axis=None, keepdims: bool = False):
-        n = self.size if axis is None else self.shape[axis]
+        if axis is None:
+            n = self.size
+        else:
+            n = int(np.prod([self.shape[a] for a in np.atleast_1d(axis)]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     # -- linear algebra -----------------------------------------------
@@ -302,21 +305,6 @@ def tpow(a: Tensor, b: Tensor) -> Tensor:
     return Tensor.from_op(data, (a, b), lambda g: (
         Tensor._unbroadcast(g * b.data * a.data ** (b.data - 1.0), a.shape),
         Tensor._unbroadcast(g * data * np.log(a.data), b.shape)))
-
-
-def elementwise(op: str, a: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """Dispatch table for the primitive elementwise operations."""
-    unary = {"neg": Tensor.__neg__, "exp": Tensor.exp, "log": Tensor.log,
-             "abs": Tensor.abs}
-    binary = {"add": Tensor.__add__, "sub": Tensor.__sub__,
-              "mul": Tensor.__mul__, "div": Tensor.__truediv__}
-    if op in unary:
-        return unary[op](a)
-    if op == "clamp_min":
-        return a.clamp_min(float(b.data) if isinstance(b, Tensor) else float(b))
-    if op in binary:
-        return binary[op](a, b)
-    raise ValueError(f"unknown elementwise op {op!r}")
 
 
 class Tape:
@@ -443,13 +431,20 @@ def load_tensor(path) -> np.ndarray:
         magic = fh.read(4)
         if magic != _TNSR_MAGIC:
             raise ValueError(f"not a TNSR file: {path}")
-        version, code = struct.unpack("<BB", fh.read(2))
-        if version != 1:
-            raise ValueError(f"unsupported TNSR version {version}")
-        if code not in _DTYPE_CODES:
-            raise ValueError(f"unknown dtype code {code}")
-        (rank,) = struct.unpack("<I", fh.read(4))
-        shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+        try:
+            version, code = struct.unpack("<BB", fh.read(2))
+            if version != 1:
+                raise ValueError(f"unsupported TNSR version {version}")
+            if code not in _DTYPE_CODES:
+                raise ValueError(f"unknown dtype code {code}")
+            (rank,) = struct.unpack("<I", fh.read(4))
+            shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+        except struct.error:
+            raise ValueError(f"{path}: truncated TNSR header") from None
         payload = fh.read()
-    arr = np.frombuffer(payload, dtype=_DTYPE_CODES[code]).reshape(shape)
-    return arr.copy()
+    dtype = _DTYPE_CODES[code]
+    want = int(np.prod(shape)) * dtype.itemsize
+    if len(payload) != want:
+        raise ValueError(f"{path}: payload is {len(payload)} bytes, "
+                         f"shape {shape} needs {want}")
+    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()

@@ -4,8 +4,10 @@ model.
 Convolutional variants train with SGD plus cosine decay; the hybrid model
 trains with AdamW under a linear warmup followed by cosine decay, against
 a mix of sparse LiDAR targets and consensus maps from two frozen
-single-modality teachers.  Loops emit a per-step loss trace, checkpoint
-every epoch with a rolling keep-last window, and abort on non-finite loss.
+single-modality teachers.  Both run one shared loop that emits a
+per-step loss trace, checkpoints every epoch with a rolling keep-last
+window (the trace included, so a resumed run keeps its history), and
+aborts on non-finite loss.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 import re
 import shutil
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .losses import (AdaptiveLossState, ClassTarget, HyTecLossConfig,
                      hytec_total_loss, kd_teacher_consensus)
 from .tensor import Tape, Tensor, backward
 from .unet import (DualHeadOutput, UNetConfig, UNetParams, init_unet,
-                   teacher_config, unet_forward)
+                   teacher_config, teacher_forward, unet_forward)
 
 UNET_ARCHS = ("2mou", "2mdu", "a2mdu", "teacher_s1", "teacher_s2")
 TRACE_COLUMNS = ["step", "lr", "total", "aux1", "aux2", "aux3", "ce", "reg"]
@@ -103,12 +105,15 @@ def make_unet(arch: str, rng: np.random.Generator,
     return init_unet(rng, cfg), cfg
 
 
-def _model_input(sample: Sample, arch: str, cfg) -> tuple:
-    if arch == "teacher_s1":
-        return Tensor(sample.s1), None
-    if arch == "teacher_s2":
+def _model_input(sample: Sample, cfg: UNetConfig) -> tuple:
+    """The (first-encoder, second-encoder) inputs a U-Net takes from a
+    sample.  A single-encoder model reads the modality whose channel count
+    its encoder was built for."""
+    if cfg.dual_modality:
+        return Tensor(sample.s2), Tensor(sample.s1)
+    if cfg.in_channels_s2 == sample.s2.shape[-1]:
         return Tensor(sample.s2), None
-    return Tensor(sample.s2), Tensor(sample.s1)
+    return Tensor(sample.s1), None
 
 
 def unet_sample_loss(sample: Sample, params: UNetParams, cfg: UNetConfig,
@@ -116,7 +121,7 @@ def unet_sample_loss(sample: Sample, params: UNetParams, cfg: UNetConfig,
                      adaptive: Optional[AdaptiveLossState],
                      parts: Optional[dict] = None) -> Tensor:
     """Per-sample loss matching the variant's head and loss pairing."""
-    x2, x1 = _model_input(sample, arch, cfg)
+    x2, x1 = _model_input(sample, cfg)
     out = unet_forward(x2, x1, params, cfg)
     if isinstance(out, DualHeadOutput):
         target = bin_assign_map(sample.target_h, sample.mask > 0, cfg.bins)
@@ -194,10 +199,11 @@ def write_trace(rows: Sequence[Sequence], path: str) -> None:
         w = csv.writer(fh)
         w.writerow(TRACE_COLUMNS)
         for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            w.writerow([repr(float(v)) if isinstance(v, float) else v
+                        for v in row])
 
 
-# -- convolutional training loop --------------------------------------
+# -- the shared training loop -----------------------------------------
 
 def _check_finite(value: float, step: int, parts: dict) -> None:
     if not np.isfinite(value):
@@ -205,6 +211,68 @@ def _check_finite(value: float, step: int, parts: dict) -> None:
                  for k, v in parts.items() if isinstance(v, np.ndarray)}
         raise TrainingDiverged(
             f"non-finite loss {value} at step {step}; output ranges {stats}")
+
+
+def _fit(samples: Sequence[Sample], settings: TrainSettings, resume: bool,
+         model, adaptive: Optional[AdaptiveLossState], optimizers: list,
+         lr_at: Callable[[int], float],
+         sample_loss: Callable[[Sample, dict], Tensor]) -> list:
+    """Train ``model`` in place and return the trace.
+
+    Each epoch sets the first optimizer's lr from ``lr_at``, walks a
+    seeded shuffle in batches, backpropagates each sample's loss scaled by
+    the batch size, steps every optimizer, and checkpoints the model, the
+    adaptive loss, the optimizers' state and the trace so far.  A resumed
+    run restores all of these and replays the shuffle history, so it
+    continues exactly where the uninterrupted run would be.
+    """
+    start_epoch, trace = 0, []
+    if resume and settings.checkpoint_dir:
+        found = latest_checkpoint(settings.checkpoint_dir)
+        if found:
+            start_epoch = found[0] + 1
+            extra = load_checkpoint(found[1], model, adaptive)
+            for opt in optimizers:
+                opt.load_state(extra)
+            if "trace" in extra:
+                trace = [[int(row[0]), *map(float, row[1:])] for row in
+                         extra["trace"].reshape(-1, len(TRACE_COLUMNS))]
+
+    order_rng = np.random.default_rng(settings.seed + 1)
+    # replay the shuffle history so a resumed run sees the same stream
+    for _ in range(start_epoch):
+        order_rng.permutation(len(samples))
+
+    step = start_epoch * max(1, int(np.ceil(len(samples) / settings.batch_size)))
+    for epoch in range(start_epoch, settings.epochs):
+        lr = optimizers[0].lr = float(lr_at(epoch))
+        order = order_rng.permutation(len(samples))
+        for lo in range(0, len(order), settings.batch_size):
+            batch = order[lo:lo + settings.batch_size]
+            for opt in optimizers:
+                opt.zero_grad()
+            total = 0.0
+            agg = dict.fromkeys(TRACE_COLUMNS[3:], 0.0)
+            for k in batch:
+                parts: dict = {}
+                loss = sample_loss(samples[k], parts)
+                scaled = loss * (1.0 / len(batch))
+                backward(Tape.from_root(scaled), scaled)
+                total += float(scaled.data)
+                for key in agg:
+                    agg[key] += parts.get(key, 0.0) / len(batch)
+                _check_finite(float(loss.data), step, parts)
+            for opt in optimizers:
+                opt.step()
+            trace.append([step, lr, total, *agg.values()])
+            step += 1
+        if settings.checkpoint_dir:
+            extra = {"trace": np.asarray(trace, dtype=float)}
+            for opt in optimizers:
+                extra.update(opt.state_arrays())
+            save_checkpoint(settings.checkpoint_dir, epoch, model, adaptive,
+                            extra=extra, keep_last=settings.keep_last)
+    return trace
 
 
 def train_unet(samples: Sequence[Sample], settings: TrainSettings,
@@ -217,63 +285,22 @@ def train_unet(samples: Sequence[Sample], settings: TrainSettings,
                             settings.bins)
     adaptive = AdaptiveLossState.create() if settings.arch == "a2mdu" else None
 
-    registry = optim.collect_tensors(params)
     base_lr = settings.base_lr if settings.base_lr is not None else 1e-2
-    opt = optim.SGD(registry, base_lr)
-    opt_loss = None
+    optimizers = [optim.SGD(optim.collect_tensors(params), base_lr)]
     if adaptive is not None:
-        opt_loss = optim.SGD({"adaptive.alpha": adaptive.alpha,
-                              "adaptive.c_raw": adaptive.c_raw},
-                             settings.adaptive_lr)
+        optimizers.append(optim.SGD({"adaptive.alpha": adaptive.alpha,
+                                     "adaptive.c_raw": adaptive.c_raw},
+                                    settings.adaptive_lr))
 
-    start_epoch = 0
-    if resume and settings.checkpoint_dir:
-        found = latest_checkpoint(settings.checkpoint_dir)
-        if found:
-            start_epoch = found[0] + 1
-            load_checkpoint(found[1], params, adaptive)
-
-    order_rng = np.random.default_rng(settings.seed + 1)
-    # replay the shuffle history so a resumed run sees the same stream
-    for _ in range(start_epoch):
-        order_rng.permutation(len(samples))
-
-    trace = []
-    step = start_epoch * max(1, int(np.ceil(len(samples) / settings.batch_size)))
-    for epoch in range(start_epoch, settings.epochs):
-        opt.lr = optim.cosine_lr(epoch, settings.epochs, base_lr)
-        order = order_rng.permutation(len(samples))
-        for lo in range(0, len(order), settings.batch_size):
-            batch = order[lo:lo + settings.batch_size]
-            opt.zero_grad()
-            if opt_loss is not None:
-                opt_loss.zero_grad()
-            total = 0.0
-            ce_part = reg_part = 0.0
-            for k in batch:
-                parts: dict = {}
-                loss = unet_sample_loss(samples[k], params, cfg,
-                                        settings.arch, settings.loss,
-                                        adaptive, parts)
-                scaled = loss * (1.0 / len(batch))
-                backward(Tape.from_root(scaled), scaled)
-                total += float(scaled.data)
-                ce_part += parts.get("ce", 0.0) / len(batch)
-                reg_part += parts.get("reg", 0.0) / len(batch)
-                _check_finite(float(loss.data), step, parts)
-            opt.step()
-            if opt_loss is not None:
-                opt_loss.step()
-            trace.append([step, opt.lr, total, 0.0, 0.0, 0.0,
-                          ce_part, reg_part])
-            step += 1
-        if settings.checkpoint_dir:
-            save_checkpoint(settings.checkpoint_dir, epoch, params, adaptive,
-                            keep_last=settings.keep_last)
+    trace = _fit(samples, settings, resume, params, adaptive, optimizers,
+                 lambda epoch: optim.cosine_lr(epoch, settings.epochs, base_lr),
+                 lambda sample, parts: unet_sample_loss(
+                     sample, params, cfg, settings.arch, settings.loss,
+                     adaptive, parts))
     return TrainResult(params, cfg, adaptive, trace, settings.epochs)
 
 
-# -- distillation training loop ---------------------------------------
+# -- distillation -----------------------------------------------------
 
 @dataclass
 class Teacher:
@@ -284,9 +311,7 @@ class Teacher:
 
 def teacher_heights(teacher: Teacher, sample: Sample) -> np.ndarray:
     """Frozen-teacher inference as a plain array (no gradient)."""
-    from .unet import teacher_forward
-
-    x = Tensor(sample.s1 if teacher.modality == "s1" else sample.s2)
+    x, _ = _model_input(sample, teacher.config)
     optim.set_bn_mode(teacher.params, "eval")
     return teacher_forward(x, teacher.params, teacher.config).data
 
@@ -350,59 +375,13 @@ def train_hytec(samples: Sequence[Sample], teachers: Sequence[Teacher],
     opt = optim.AdamW(registry, lr=settings.lr_peak,
                       weight_decay=settings.weight_decay)
 
-    start_epoch = 0
-    if resume and settings.checkpoint_dir:
-        found = latest_checkpoint(settings.checkpoint_dir)
-        if found:
-            start_epoch = found[0] + 1
-            extra = load_checkpoint(found[1], params, adaptive)
-            for name, arr in extra.items():
-                if name == "adam_t":
-                    opt.t = int(arr)
-                    continue
-                kind, key = name.split(".", 1)
-                if kind == "adam_m":
-                    opt.m[key] = arr.copy()
-                elif kind == "adam_v":
-                    opt.v[key] = arr.copy()
-
-    order_rng = np.random.default_rng(settings.seed + 1)
-    for _ in range(start_epoch):
-        order_rng.permutation(len(samples))
-
-    trace = []
-    step = start_epoch * max(1, int(np.ceil(len(samples) / settings.batch_size)))
-    for epoch in range(start_epoch, settings.epochs):
-        opt.lr = optim.warmup_cosine_lr(epoch, settings.warmup_epochs,
-                                        settings.lr_start, settings.lr_peak,
-                                        settings.epochs)
-        order = order_rng.permutation(len(samples))
-        for lo in range(0, len(order), settings.batch_size):
-            batch = order[lo:lo + settings.batch_size]
-            opt.zero_grad()
-            total = 0.0
-            agg = {"aux1": 0.0, "aux2": 0.0, "aux3": 0.0,
-                   "ce": 0.0, "reg": 0.0}
-            for k in batch:
-                parts: dict = {}
-                loss = hytec_sample_loss(samples[k], params, cfg, teachers,
-                                         settings.loss, adaptive, parts)
-                scaled = loss * (1.0 / len(batch))
-                backward(Tape.from_root(scaled), scaled)
-                total += float(scaled.data)
-                for key in agg:
-                    agg[key] += parts.get(key, 0.0) / len(batch)
-                _check_finite(float(loss.data), step, parts)
-            opt.step()
-            trace.append([step, opt.lr, total, agg["aux1"], agg["aux2"],
-                          agg["aux3"], agg["ce"], agg["reg"]])
-            step += 1
-        if settings.checkpoint_dir:
-            extra = {f"adam_m.{k}": v for k, v in opt.m.items()}
-            extra.update({f"adam_v.{k}": v for k, v in opt.v.items()})
-            extra["adam_t"] = np.asarray(opt.t)
-            save_checkpoint(settings.checkpoint_dir, epoch, params, adaptive,
-                            extra=extra, keep_last=settings.keep_last)
+    trace = _fit(samples, settings, resume, params, adaptive, [opt],
+                 lambda epoch: optim.warmup_cosine_lr(
+                     epoch, settings.warmup_epochs, settings.lr_start,
+                     settings.lr_peak, settings.epochs),
+                 lambda sample, parts: hytec_sample_loss(
+                     sample, params, cfg, teachers, settings.loss, adaptive,
+                     parts))
     return TrainResult(params, cfg, adaptive, trace, settings.epochs)
 
 
@@ -411,10 +390,5 @@ def predict_heights(params, cfg, sample: Sample) -> np.ndarray:
     optim.set_bn_mode(params, "eval")
     if isinstance(cfg, HyTecConfig):
         return hytec_forward(Tensor(sample.s2), params, cfg).main.height.data
-    if cfg.dual_modality:
-        out = unet_forward(Tensor(sample.s2), Tensor(sample.s1), params, cfg)
-    elif cfg.in_channels_s2 == 2:
-        out = unet_forward(Tensor(sample.s1), None, params, cfg)
-    else:
-        out = unet_forward(Tensor(sample.s2), None, params, cfg)
+    out = unet_forward(*_model_input(sample, cfg), params, cfg)
     return out.height.data if isinstance(out, DualHeadOutput) else out.data

@@ -1,7 +1,6 @@
 """End-to-end command-line pipeline: every subcommand in a temp workspace."""
 
 import csv
-import filecmp
 import os
 
 import numpy as np
@@ -151,16 +150,17 @@ class TestTrainEvalGsi:
         assert os.path.exists(os.path.join(out, "binned.csv"))
         assert os.path.exists(os.path.join(out, "gsi.csv"))
 
-    def test_eval_workers_match_single_thread(self, workspace, evaluated,
-                                              tmp_path_factory):
-        root, _, _ = workspace
-        cfg, single = evaluated
-        out = str(tmp_path_factory.mktemp("eval_mt"))
-        assert run(cfg, ["eval", "--workers", "3", "--out", out], root,
-                   name="eval_mt.ini") == 0
-        for name in ("overall.csv", "binned.csv", "gsi.csv", "pred_000.tnsr"):
-            assert filecmp.cmp(os.path.join(single, name),
-                               os.path.join(out, name), shallow=False)
+    def test_resume_keeps_the_whole_trace(self, workspace, tmp_path):
+        root, cfg, _ = workspace
+        out = str(tmp_path / "run")
+        assert run(cfg, ["train", "--out", out], tmp_path) == 0
+        cfg = cfg.copy()
+        cfg.set("optimizer", "max_epochs", 4)
+        assert run(cfg, ["train", "--out", out, "--resume"], tmp_path) == 0
+        with open(os.path.join(out, "trace.csv")) as fh:
+            steps = [int(r[0]) for r in list(csv.reader(fh))[1:]]
+        # 3 tiles in batches of 2: two steps per epoch
+        assert steps == list(range(4 * 2))
 
     def test_gsi_command(self, workspace, evaluated, tmp_path_factory):
         root, _, _ = workspace
@@ -192,6 +192,5 @@ class TestErrors:
     def test_invalid_config_value_returns_one(self, tmp_path, monkeypatch):
         monkeypatch.delenv("CANOPY_LOG", raising=False)
         cfg = small_cfg()
-        cfg.set("run", "arch", "hytec")
-        cfg.set("optimizer", "kind", "nonesuch")
+        cfg.set("run", "arch", "nonesuch")
         assert run(cfg, ["synth", "--out", str(tmp_path)], tmp_path) == 1

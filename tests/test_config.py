@@ -63,15 +63,3 @@ class TestValidation:
         cfg.set("run", "arch", "resnet")
         with pytest.raises(ValueError):
             cfg.validate()
-
-    def test_bad_optimizer_rejected(self):
-        cfg = cf.RunConfig()
-        cfg.set("optimizer", "kind", "lion")
-        with pytest.raises(ValueError):
-            cfg.validate()
-
-    def test_bad_workers_rejected(self):
-        cfg = cf.RunConfig()
-        cfg.set("run", "workers", 0)
-        with pytest.raises(ValueError):
-            cfg.validate()

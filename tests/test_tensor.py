@@ -33,11 +33,19 @@ class TestPrimitiveGradients:
         (lambda x: x.T.mean(), False),
         (lambda x: x[1:3, ::2].sum(), False),
         (lambda x: x.sum(axis=1, keepdims=True).mean(), False),
+        (lambda x: (x * x).reshape(2, 3, 4).mean(axis=(0, 1)).sum(), False),
+        (lambda x: (x * x).reshape(2, 3, 4).mean(axis=(-1, 0)).sum(), False),
     ])
     def test_elementwise_and_shape_ops(self, f, positive):
         x = rand((4, 6), lo=0.5 if positive else -1.0,
                  hi=2.0 if positive else 1.0)
         assert grad_check(f, x) < TOL
+
+    def test_mean_over_axes_matches_numpy(self):
+        x = np.random.default_rng(0).normal(size=(2, 3, 4))
+        for axis in ((0, 1), (-1, 0), -2, None):
+            np.testing.assert_allclose(Tensor(x).mean(axis=axis).data,
+                                       x.mean(axis=axis))
 
     def test_matmul_both_sides(self):
         b = rand((5, 3), seed=1)
@@ -150,6 +158,14 @@ class TestPersistence:
         out = load_tensor(p)
         assert out.dtype == np.float32
         np.testing.assert_array_equal(out, arr)
+
+    @pytest.mark.parametrize("keep", [12, -8])    # inside header, payload
+    def test_truncated_tnsr_names_the_file(self, tmp_path, keep):
+        p = tmp_path / "t.tnsr"
+        save_tensor(p, np.arange(16.0).reshape(4, 4))
+        p.write_bytes(p.read_bytes()[:keep])
+        with pytest.raises(ValueError, match="t.tnsr"):
+            load_tensor(p)
 
     def test_tnsr_bytes_deterministic(self, tmp_path):
         arr = np.random.default_rng(2).normal(size=(4, 4))

@@ -108,6 +108,19 @@ class TestCheckpointing:
         for k in ef:
             np.testing.assert_array_equal(ef[k], er[k])
 
+    def test_resume_keeps_the_whole_trace(self, tmp_path):
+        samples = tiny_samples()
+        st = tiny_settings(epochs=4, checkpoint_dir=str(tmp_path),
+                           keep_last=10)
+        full = tr.train_unet(samples, st)
+        import shutil
+        for late in ("epoch_0002", "epoch_0003"):
+            shutil.rmtree(tmp_path / late)
+        resumed = tr.train_unet(samples, st, resume=True)
+        assert resumed.trace == full.trace
+        assert all(type(row[0]) is int for row in resumed.trace)
+        assert all(type(v) is float for row in resumed.trace for v in row[1:])
+
     def test_adamw_resume_is_bit_exact(self, tmp_path):
         samples = tiny_samples(n_tiles=2)
         teachers = _make_teachers(samples)
@@ -137,6 +150,10 @@ class TestCheckpointing:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ",".join(tr.TRACE_COLUMNS)
         assert len(lines) == len(res.trace) + 1
+        for line, row in zip(lines[1:], res.trace):
+            cells = line.split(",")
+            assert int(cells[0]) == row[0]
+            assert [float(c) for c in cells[1:]] == row[1:]
 
 
 def _make_teachers(samples):
