@@ -237,8 +237,12 @@ def hytec_forward(s2: Tensor, params: HyTecParams, cfg: HyTecConfig) -> HyTecOut
         raise ValueError("input must be square and divisible by the patch size")
     if c != cfg.group1_bands + cfg.group2_bands:
         raise ValueError(f"expected {cfg.group1_bands + cfg.group2_bands} bands, got {c}")
+    if h != cfg.image_size:
+        # the positional rows of group 2 start at tokens_per_group
+        raise ValueError(f"input is {h} px but the model is configured for "
+                         f"{cfg.image_size} px")
 
-    n = cfg.tokens_per_group if cfg.image_size == h else (h // cfg.patch) ** 2
+    n = cfg.tokens_per_group
     g = h // cfg.patch
     t1 = patch_embed(s2[:, :, :cfg.group1_bands], params.embed1, params.pos[:n], cfg.patch)
     t2 = patch_embed(s2[:, :, cfg.group1_bands:], params.embed2, params.pos[n:2 * n], cfg.patch)

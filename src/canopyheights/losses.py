@@ -79,11 +79,24 @@ def bin_assign(h: float, bins: HeightBinning) -> np.ndarray:
 
 def bin_assign_map(heights: np.ndarray, mask: np.ndarray,
                    bins: HeightBinning) -> "ClassTarget":
-    """Rasterized bin assignment for a sparse height target map."""
+    """Rasterized bin assignment for a sparse height target map.
+
+    Every nonzero-mask pixel gets exactly what ``bin_assign`` gives its
+    height; the pixels are assigned in one broadcast test.
+    """
     w, h = heights.shape
+    valid = np.asarray(mask) != 0
+    hv = np.asarray(heights, dtype=float)[valid]
+    if np.any(hv < 0):
+        raise ValueError("height must be non-negative")
+    hc = np.minimum(hv, bins.base_edges[-1] - 1e-9)[:, None]
+    iv = bins.expanded_intervals()
+    member = (iv[:, 0] <= hc) & (hc < iv[:, 1])
+    # above every expanded interval: clamp rule
+    member[~member.any(axis=1), -1] = True
+    out = member.astype(float)
     t = np.zeros((w, h, bins.k))
-    for i, j in zip(*np.nonzero(mask)):
-        t[i, j] = bin_assign(float(heights[i, j]), bins)
+    t[valid] = out / out.sum(axis=1, keepdims=True)
     return ClassTarget(t=t, mask=mask.astype(float))
 
 

@@ -11,6 +11,8 @@ headroom; 32-bit can be selected per tensor for speed.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import struct
 from typing import Callable, Optional, Sequence
@@ -20,6 +22,19 @@ import numpy as np
 DEFAULT_DTYPE = np.float64
 
 _id_counter = itertools.count()
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block: results of ops keep no parents and
+    no gradient function, so inference holds no tape.  Nests, and restores
+    the previous setting on exit, on an exception too."""
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
 
 
 class Tensor:
@@ -42,10 +57,12 @@ class Tensor:
     @staticmethod
     def from_op(data: np.ndarray, parents: Sequence["Tensor"],
                 grad_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> "Tensor":
-        """Create a non-leaf tensor produced by a differentiable op."""
+        """Create a non-leaf tensor produced by a differentiable op; inside
+        ``no_grad`` it is a constant."""
         out = Tensor.__new__(Tensor)
         out.data = data
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = (_grad_enabled.get()
+                             and any(p.requires_grad for p in parents))
         out.grad = None
         if out.requires_grad:
             out._parents = tuple(parents)

@@ -4,10 +4,10 @@ model.
 Convolutional variants train with SGD plus cosine decay; the hybrid model
 trains with AdamW under a linear warmup followed by cosine decay, against
 a mix of sparse LiDAR targets and consensus maps from two frozen
-single-modality teachers.  Both run one shared loop that emits a
-per-step loss trace, checkpoints every epoch with a rolling keep-last
-window (the trace included, so a resumed run keeps its history), and
-aborts on non-finite loss.
+single-modality teachers.  Both run one shared loop that builds each
+sample's targets once per run, emits a per-step loss trace, checkpoints
+every epoch with a rolling keep-last window (the trace included, so a
+resumed run keeps its history), and aborts on non-finite loss.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .hytec import HyTecConfig, HyTecParams, hytec_forward, init_hytec
 from .losses import (AdaptiveLossState, ClassTarget, HyTecLossConfig,
                      bin_assign_map, combined_cr_loss, huber,
                      hytec_total_loss, kd_teacher_consensus)
-from .tensor import Tape, Tensor, backward
+from .tensor import Tape, Tensor, backward, no_grad
 from .unet import (DualHeadOutput, UNetConfig, UNetParams, init_unet,
                    teacher_config, teacher_forward, unet_forward)
 
@@ -116,15 +116,24 @@ def _model_input(sample: Sample, cfg: UNetConfig) -> tuple:
     return Tensor(sample.s1), None
 
 
-def unet_sample_loss(sample: Sample, params: UNetParams, cfg: UNetConfig,
+def unet_sample_target(sample: Sample, cfg: UNetConfig) -> Optional[ClassTarget]:
+    """The class target a dual-head model trains against; None for a
+    single head."""
+    if cfg.head_kind != "dual":
+        return None
+    return bin_assign_map(sample.target_h, sample.mask > 0, cfg.bins)
+
+
+def unet_sample_loss(sample: Sample, target: Optional[ClassTarget],
+                     params: UNetParams, cfg: UNetConfig,
                      arch: str, loss_cfg: HyTecLossConfig,
                      adaptive: Optional[AdaptiveLossState],
                      parts: Optional[dict] = None) -> Tensor:
-    """Per-sample loss matching the variant's head and loss pairing."""
+    """Per-sample loss matching the variant's head and loss pairing;
+    ``target`` comes from ``unet_sample_target``."""
     x2, x1 = _model_input(sample, cfg)
     out = unet_forward(x2, x1, params, cfg)
     if isinstance(out, DualHeadOutput):
-        target = bin_assign_map(sample.target_h, sample.mask > 0, cfg.bins)
         kind = "adaptive" if arch == "a2mdu" else "huber"
         loss = combined_cr_loss(out.probs, out.height, target,
                                 sample.target_h, loss_cfg, reg_kind=kind,
@@ -216,9 +225,13 @@ def _check_finite(value: float, step: int, parts: dict) -> None:
 def _fit(samples: Sequence[Sample], settings: TrainSettings, resume: bool,
          model, adaptive: Optional[AdaptiveLossState], optimizers: list,
          lr_at: Callable[[int], float],
-         sample_loss: Callable[[Sample, dict], Tensor]) -> list:
+         sample_targets: Callable[[Sample], object],
+         sample_loss: Callable[[Sample, object, dict], Tensor]) -> list:
     """Train ``model`` in place and return the trace.
 
+    The samples and whatever their targets derive from are fixed for the
+    run, so ``sample_targets`` builds each sample's targets once, before
+    the first epoch, and every step hands them to ``sample_loss``.
     Each epoch sets the first optimizer's lr from ``lr_at``, walks a
     seeded shuffle in batches, backpropagates each sample's loss scaled by
     the batch size, steps every optimizer, and checkpoints the model, the
@@ -243,6 +256,7 @@ def _fit(samples: Sequence[Sample], settings: TrainSettings, resume: bool,
     for _ in range(start_epoch):
         order_rng.permutation(len(samples))
 
+    targets = [sample_targets(s) for s in samples]
     step = start_epoch * max(1, int(np.ceil(len(samples) / settings.batch_size)))
     for epoch in range(start_epoch, settings.epochs):
         lr = optimizers[0].lr = float(lr_at(epoch))
@@ -255,7 +269,7 @@ def _fit(samples: Sequence[Sample], settings: TrainSettings, resume: bool,
             agg = dict.fromkeys(TRACE_COLUMNS[3:], 0.0)
             for k in batch:
                 parts: dict = {}
-                loss = sample_loss(samples[k], parts)
+                loss = sample_loss(samples[k], targets[k], parts)
                 scaled = loss * (1.0 / len(batch))
                 backward(Tape.from_root(scaled), scaled)
                 total += float(scaled.data)
@@ -294,9 +308,10 @@ def train_unet(samples: Sequence[Sample], settings: TrainSettings,
 
     trace = _fit(samples, settings, resume, params, adaptive, optimizers,
                  lambda epoch: optim.cosine_lr(epoch, settings.epochs, base_lr),
-                 lambda sample, parts: unet_sample_loss(
-                     sample, params, cfg, settings.arch, settings.loss,
-                     adaptive, parts))
+                 lambda sample: unet_sample_target(sample, cfg),
+                 lambda sample, target, parts: unet_sample_loss(
+                     sample, target, params, cfg, settings.arch,
+                     settings.loss, adaptive, parts))
     return TrainResult(params, cfg, adaptive, trace, settings.epochs)
 
 
@@ -313,7 +328,8 @@ def teacher_heights(teacher: Teacher, sample: Sample) -> np.ndarray:
     """Frozen-teacher inference as a plain array (no gradient)."""
     x, _ = _model_input(sample, teacher.config)
     optim.set_bn_mode(teacher.params, "eval")
-    return teacher_forward(x, teacher.params, teacher.config).data
+    with no_grad():
+        return teacher_forward(x, teacher.params, teacher.config).data
 
 
 def _block_reduce(value: np.ndarray, mask: np.ndarray, factor: int) -> tuple:
@@ -339,16 +355,25 @@ def aux_targets_from_teachers(t1_map: np.ndarray, t2_map: np.ndarray,
     return out
 
 
-def hytec_sample_loss(sample: Sample, params: HyTecParams, cfg: HyTecConfig,
-                      teachers: Sequence[Teacher],
-                      loss_cfg: HyTecLossConfig,
-                      adaptive: AdaptiveLossState,
-                      parts: Optional[dict] = None) -> Tensor:
+def hytec_sample_targets(sample: Sample, cfg: HyTecConfig,
+                         teachers: Sequence[Teacher],
+                         loss_cfg: HyTecLossConfig) -> tuple:
+    """(aux consensus targets, class target) of one sample: the frozen
+    teachers' pooled agreement and the binned LiDAR heights."""
     t_maps = [teacher_heights(t, sample) for t in teachers]
     aux_t = aux_targets_from_teachers(t_maps[0], t_maps[1], cfg.patch,
                                       loss_cfg.consensus_tol)
+    return aux_t, bin_assign_map(sample.target_h, sample.mask > 0, cfg.bins)
+
+
+def hytec_sample_loss(sample: Sample, targets: tuple, params: HyTecParams,
+                      cfg: HyTecConfig, loss_cfg: HyTecLossConfig,
+                      adaptive: AdaptiveLossState,
+                      parts: Optional[dict] = None) -> Tensor:
+    """Distillation loss of one sample; ``targets`` comes from
+    ``hytec_sample_targets``."""
+    aux_t, target = targets
     out = hytec_forward(Tensor(sample.s2), params, cfg)
-    target = bin_assign_map(sample.target_h, sample.mask > 0, cfg.bins)
     loss = hytec_total_loss(out.aux, aux_t, out.main.probs, out.main.height,
                             target, sample.target_h, loss_cfg,
                             adaptive_state=adaptive, parts=parts)
@@ -379,8 +404,10 @@ def train_hytec(samples: Sequence[Sample], teachers: Sequence[Teacher],
                  lambda epoch: optim.warmup_cosine_lr(
                      epoch, settings.warmup_epochs, settings.lr_start,
                      settings.lr_peak, settings.epochs),
-                 lambda sample, parts: hytec_sample_loss(
-                     sample, params, cfg, teachers, settings.loss, adaptive,
+                 lambda sample: hytec_sample_targets(
+                     sample, cfg, teachers, settings.loss),
+                 lambda sample, targets, parts: hytec_sample_loss(
+                     sample, targets, params, cfg, settings.loss, adaptive,
                      parts))
     return TrainResult(params, cfg, adaptive, trace, settings.epochs)
 
@@ -388,7 +415,8 @@ def train_hytec(samples: Sequence[Sample], teachers: Sequence[Teacher],
 def predict_heights(params, cfg, sample: Sample) -> np.ndarray:
     """Inference: the model's height map for one sample, eval-mode."""
     optim.set_bn_mode(params, "eval")
-    if isinstance(cfg, HyTecConfig):
-        return hytec_forward(Tensor(sample.s2), params, cfg).main.height.data
-    out = unet_forward(*_model_input(sample, cfg), params, cfg)
+    with no_grad():
+        if isinstance(cfg, HyTecConfig):
+            return hytec_forward(Tensor(sample.s2), params, cfg).main.height.data
+        out = unet_forward(*_model_input(sample, cfg), params, cfg)
     return out.height.data if isinstance(out, DualHeadOutput) else out.data

@@ -154,6 +154,12 @@ class TestFullForward:
         with pytest.raises(ValueError):
             hytec_forward(Tensor(np.zeros((32, 32, 7))), params, cfg)
 
+    def test_off_size_input_rejected(self):
+        cfg = mini_cfg(image_size=32)
+        params = init_hytec(RNG(20), cfg)
+        with pytest.raises(ValueError, match="16 px.*32 px"):
+            hytec_forward(Tensor(np.zeros((16, 16, 10))), params, cfg)
+
     def test_miniature_model_grad(self):
         cfg = mini_cfg()
         params = init_hytec(RNG(18), cfg)

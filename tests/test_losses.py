@@ -55,6 +55,35 @@ class TestBinning:
         assert tgt.n_valid == 2
         assert tgt.t[0, 1].sum() == 0.0
 
+    def test_bin_assign_map_equals_per_pixel_bin_assign(self):
+        b = HeightBinning.default()
+        iv = b.expanded_intervals()
+        edges = np.concatenate([b.base_edges, iv.ravel()])
+        special = np.concatenate([edges, np.nextafter(edges, -1.0),
+                                  np.nextafter(edges, 100.0),
+                                  [0.0, 60.0 - 1e-9, 61.5, 200.0]])
+        h = np.abs(np.concatenate([special, np.random.default_rng(3).uniform(
+            0.0, 80.0, 400 - special.size)])).reshape(20, 20)
+        m = np.random.default_rng(4).random((20, 20)) < 0.9
+        m.flat[:special.size] = True
+        want = np.zeros((20, 20, b.k))
+        for i, j in zip(*np.nonzero(m)):
+            want[i, j] = bin_assign(float(h[i, j]), b)
+        tgt = bin_assign_map(h, m, b)
+        assert np.array_equal(tgt.t, want)
+        assert np.array_equal(tgt.mask, m.astype(float))
+        empty = bin_assign_map(h, np.zeros((20, 20), dtype=bool), b)
+        assert np.array_equal(empty.t, np.zeros((20, 20, b.k)))
+
+    def test_bin_assign_map_rejects_negative_height(self):
+        h = np.array([[9.0, -0.1], [-5.0, 21.0]])
+        with pytest.raises(ValueError, match="non-negative"):
+            bin_assign_map(h, np.array([[1, 1], [0, 1]], dtype=bool),
+                           HeightBinning.default())
+        # a negative height outside the mask is never assigned
+        bin_assign_map(h, np.array([[1, 0], [0, 1]], dtype=bool),
+                       HeightBinning.default())
+
 
 class TestHuber:
     def test_c1_continuity_at_delta(self):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from canopyheights.tensor import (Tensor, Tape, backward, concat, grad_check,
-                                  load_tensor, matmul, save_tensor, tpow)
+                                  load_tensor, matmul, no_grad, save_tensor,
+                                  tpow)
 
 TOL = 1e-4
 
@@ -120,6 +121,26 @@ class TestTapeMechanics:
     def test_assert_finite_raises(self):
         with pytest.raises(FloatingPointError):
             Tensor(np.array([1.0, np.nan])).assert_finite("here")
+
+    def test_no_grad_builds_no_graph_and_nests(self):
+        x = rand((3, 4))
+        with no_grad():
+            with no_grad():
+                y = (x * 2.0).exp()
+            z = concat([y, x], axis=0).sum()
+        assert not y.requires_grad and y._grad_fn is None and y._parents == ()
+        assert not z.requires_grad and z._grad_fn is None
+        np.testing.assert_array_equal(y.data, np.exp(x.data * 2.0))
+        # the graph is recorded again after the block
+        (x * 3.0).sum().backward()
+        np.testing.assert_array_equal(x.grad, np.full((3, 4), 3.0))
+
+    def test_no_grad_restored_after_exception(self):
+        x = rand((2,))
+        with pytest.raises(ZeroDivisionError):
+            with no_grad():
+                x / 0.0
+        assert (x * 1.0)._grad_fn is not None
 
 
 class TestDtypeAndChecks:

@@ -9,6 +9,8 @@ from canopyheights import datapipe as dp
 from canopyheights import optim
 from canopyheights import train as tr
 from canopyheights.hytec import HyTecConfig
+from canopyheights.tensor import Tensor
+from canopyheights.unet import unet_forward
 
 
 def tiny_samples(n_tiles=3, size=32, seed=21, shots=60):
@@ -141,6 +143,9 @@ class TestCheckpointing:
                   optim.export_arrays(resumed.params))
         for k in ef:
             np.testing.assert_array_equal(ef[k], er[k])
+        assert resumed.trace == full.trace
+        assert resumed.adaptive.alpha_value == full.adaptive.alpha_value
+        assert resumed.adaptive.c_value == full.adaptive.c_value
 
     def test_trace_csv_roundtrip(self, tmp_path):
         samples = tiny_samples()
@@ -199,6 +204,56 @@ class TestDistillation:
         samples = tiny_samples(n_tiles=1)
         with pytest.raises(ValueError):
             tr.train_hytec(samples, [], tr.TrainSettings(arch="hytec"))
+
+    def test_targets_built_once_per_run(self, monkeypatch, tmp_path):
+        samples = tiny_samples(n_tiles=3)
+        teachers = _make_teachers(samples)
+        calls = {"teacher": 0, "bins": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(tr, "teacher_heights",
+                            counted("teacher", tr.teacher_heights))
+        monkeypatch.setattr(tr, "bin_assign_map",
+                            counted("bins", tr.bin_assign_map))
+        cfg = HyTecConfig.desk_scale(image_size=32, patch=8, embed_dim=16,
+                                     blocks=4, heads=2, l_hat=16)
+        st = tr.TrainSettings(arch="hytec", epochs=3, batch_size=2, seed=4,
+                              warmup_epochs=1, lr_peak=1e-3,
+                              checkpoint_dir=str(tmp_path))
+        tr.train_hytec(samples, teachers, st, cfg=cfg)
+        assert calls == {"teacher": 2 * 3, "bins": 3}
+        # a resumed run rebuilds the targets the same way
+        tr.train_hytec(samples, teachers, st, cfg=cfg, resume=True)
+        assert calls == {"teacher": 2 * 3 * 2, "bins": 3 * 2}
+
+        calls.update(teacher=0, bins=0)
+        tr.train_unet(samples, tiny_settings(arch="a2mdu", epochs=3))
+        assert calls == {"teacher": 0, "bins": 3}
+
+    def test_inference_builds_no_graph(self, monkeypatch):
+        samples = tiny_samples(n_tiles=1)
+        s = samples[0]
+        res = tr.train_unet(samples, tiny_settings(arch="a2mdu", epochs=1))
+        optim.set_bn_mode(res.params, "eval")
+        graph = unet_forward(Tensor(s.s2), Tensor(s.s1), res.params,
+                             res.config)
+        assert graph.height._grad_fn is not None
+        nodes = []
+        from_op = Tensor.from_op
+
+        def recording(data, parents, grad_fn):
+            out = from_op(data, parents, grad_fn)
+            nodes.append(out)
+            return out
+        monkeypatch.setattr(Tensor, "from_op", staticmethod(recording))
+        pred = tr.predict_heights(res.params, res.config, s)
+        assert np.array_equal(pred, graph.height.data)
+        assert nodes and all(n._grad_fn is None and not n._parents
+                             for n in nodes)
 
     def test_predict_heights_positive_for_all_models(self):
         samples = tiny_samples(n_tiles=1)
