@@ -178,11 +178,6 @@ def cmd_grid(cfg, out_dir: str) -> None:
 def _load_teacher(path: str, modality: str, stem_width: int) -> tr.Teacher:
     if not path:
         raise FileNotFoundError(f"missing teacher checkpoint for {modality}")
-    if not os.path.exists(os.path.join(path, "manifest.txt")):
-        found = tr.latest_checkpoint(path)
-        if found is None:
-            raise FileNotFoundError(f"no checkpoint under {path}")
-        path = found[1]
     params, cfg = tr.make_unet(f"teacher_{modality}",
                                np.random.default_rng(0), stem_width)
     tr.load_checkpoint(path, params)
@@ -242,11 +237,6 @@ def _restore_model(cfg):
     ckpt = cfg.get("eval", "checkpoint")
     if not ckpt:
         raise FileNotFoundError("eval.checkpoint is not set")
-    if not os.path.exists(os.path.join(ckpt, "manifest.txt")):
-        found = tr.latest_checkpoint(ckpt)
-        if found is None:
-            raise FileNotFoundError(f"no checkpoint under {ckpt}")
-        ckpt = found[1]
     rng = np.random.default_rng(0)
     if arch == "hytec":
         from .hytec import init_hytec
@@ -259,21 +249,33 @@ def _restore_model(cfg):
     return params, mcfg
 
 
+GSI_COLUMNS = ["patch", "si_output", "si_reference", "gsi",
+               "effective_resolution_m"]
+
+
+def _write_gsi_csv(path: str, reports: list, tail=()) -> None:
+    """One row per sharpness report (exact ``repr`` floats), then ``tail``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(GSI_COLUMNS)
+        w.writerows([i, repr(r.si_output), repr(r.si_reference), repr(r.gsi),
+                     repr(r.effective_resolution_m)]
+                    for i, r in enumerate(reports))
+        w.writerows(tail)
+
+
 def cmd_eval(cfg, out_dir: str) -> None:
     samples = _samples(cfg)
     params, mcfg = _restore_model(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    ys, yhats = [], []
-    gsi_rows = []
+    ys, yhats, reports = [], [], []
     for i, sample in enumerate(samples):
         pred = tr.predict_heights(params, mcfg, sample)
         save_tensor(os.path.join(out_dir, f"pred_{i:03d}.tnsr"), pred)
         sel = sample.mask > 0
         ys.append(sample.target_h[sel])
         yhats.append(pred[sel])
-        rep = mt.gsi(pred, sample.s2)
-        gsi_rows.append([i, repr(rep.si_output), repr(rep.si_reference),
-                         repr(rep.gsi), repr(rep.effective_resolution_m)])
+        reports.append(mt.gsi(pred, sample.s2))
     y = np.concatenate(ys)
     yhat = np.concatenate(yhats)
 
@@ -290,11 +292,7 @@ def cmd_eval(cfg, out_dir: str) -> None:
     edges = np.arange(0.0, cfg.get("eval", "range_max") + step, step)
     mt.report_to_csv(mt.binned_report(y, yhat, edges),
                      os.path.join(out_dir, "binned.csv"))
-    with open(os.path.join(out_dir, "gsi.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["patch", "si_output", "si_reference", "gsi",
-                    "effective_resolution_m"])
-        w.writerows(gsi_rows)
+    _write_gsi_csv(os.path.join(out_dir, "gsi.csv"), reports)
     log.info("evaluated %d tiles: rmse %.3f m", len(samples), overall.rmse)
 
 
@@ -305,20 +303,13 @@ def cmd_gsi(cfg, out_dir: str) -> None:
         raise FileNotFoundError(f"no predictions under {pred_dir}")
     samples = _samples(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    for i, p in enumerate(preds):
-        rep = mt.gsi(load_tensor(p), samples[i].s2)
-        rows.append([i, repr(rep.si_output), repr(rep.si_reference),
-                     repr(rep.gsi), repr(rep.effective_resolution_m)])
-    mean_gsi = float(np.mean([float(r[3]) for r in rows]))
-    with open(os.path.join(out_dir, "gsi.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["patch", "si_output", "si_reference", "gsi",
-                    "effective_resolution_m"])
-        w.writerows(rows)
-        w.writerow(["mean", "", "", repr(mean_gsi),
-                    repr(mt.resolution_from_gsi(mean_gsi))])
-    log.info("mean gsi %.3f over %d patches", mean_gsi, len(rows))
+    reports = [mt.gsi(load_tensor(p), samples[i].s2)
+               for i, p in enumerate(preds)]
+    mean_gsi = float(np.mean([r.gsi for r in reports]))
+    _write_gsi_csv(os.path.join(out_dir, "gsi.csv"), reports,
+                   [["mean", "", "", repr(mean_gsi),
+                     repr(mt.resolution_from_gsi(mean_gsi))]])
+    log.info("mean gsi %.3f over %d patches", mean_gsi, len(reports))
 
 
 COMMANDS = {

@@ -262,21 +262,18 @@ class HyTecLossConfig:
 
 def combined_cr_loss(probs: Tensor, reg: Tensor, target: ClassTarget,
                      target_h: np.ndarray, cfg: HyTecLossConfig,
-                     reg_kind: str = "huber",
                      adaptive_state: Optional[AdaptiveLossState] = None,
                      parts: Optional[dict] = None) -> Tensor:
-    """Discrete/continuous loss: weighted CE plus a scaled regression term."""
+    """Discrete/continuous loss (Eq. 5): weighted CE plus a scaled
+    regression term, the adaptive robust loss when ``adaptive_state`` is
+    given and Huber otherwise."""
     w = batch_class_weights(target)
     ce = weighted_cross_entropy(probs, target, w)
-    if reg_kind == "huber":
-        reg_loss = huber(reg, target_h, target.mask, cfg.delta)
-    elif reg_kind == "adaptive":
-        if adaptive_state is None:
-            raise ValueError("adaptive regression requires an AdaptiveLossState")
+    if adaptive_state is not None:
         residual = reg - Tensor(np.asarray(target_h, dtype=float))
         reg_loss = adaptive_loss(residual, adaptive_state, mask=target.mask)
     else:
-        raise ValueError(f"unknown regression kind {reg_kind!r}")
+        reg_loss = huber(reg, target_h, target.mask, cfg.delta)
     if parts is not None:
         parts["ce"] = float(ce.data)
         parts["reg"] = float(reg_loss.data)
@@ -329,16 +326,9 @@ def hytec_total_loss(aux_preds: Sequence[Tensor],
         part_vals[f"aux{i + 1}"] = float(term.data)
         total = term if total is None else total + term
 
-    w = batch_class_weights(target)
-    ce = weighted_cross_entropy(main_probs, target, w)
-    if adaptive_state is not None:
-        residual = main_reg - Tensor(np.asarray(target_h, dtype=float))
-        reg_loss = adaptive_loss(residual, adaptive_state, mask=target.mask)
-    else:
-        reg_loss = huber(main_reg, target_h, target.mask, cfg.delta)
-    main = cfg.betas[3] * (ce + cfg.alpha_cr * reg_loss)
-    part_vals["ce"] = float(ce.data)
-    part_vals["reg"] = float(reg_loss.data)
+    main = cfg.betas[3] * combined_cr_loss(main_probs, main_reg, target,
+                                           target_h, cfg, adaptive_state,
+                                           part_vals)
     total = main if total is None else total + main
     if parts is not None:
         parts.update(part_vals)

@@ -3,20 +3,19 @@
 Convolutions, transposed convolutions, normalizations, activations,
 multi-head self-attention, and bilinear resampling.  Every op here carries
 an exact shape contract (asserted on call) and a hand-written backward.
-The tile layout is rows x cols x channels.
+The tile layout is rows x cols x channels.  Parameters live in plain
+dataclass containers; ``train`` saves and restores them as checkpoints.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
-from .tensor import Tensor, concat, load_tensor, matmul, save_tensor
+from .tensor import Tensor, concat, matmul
 
 
 # -- parameter containers ---------------------------------------------
@@ -333,23 +332,6 @@ def mhsa(tokens: Tensor, p: MhsaParams) -> Tensor:
     return linear(merged, p.wo)
 
 
-def mhsa_attention_weights(tokens: Tensor, p: MhsaParams) -> np.ndarray:
-    """Attention matrices per head (heads x N x N), for inspection/tests."""
-    n, d = tokens.shape
-    dh = d // p.heads
-    scale = 1.0 / np.sqrt(dh)
-    q = linear(tokens, p.wq).data
-    k = linear(tokens, p.wk).data
-    ws = []
-    for h in range(p.heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        logits = q[:, sl] @ k[:, sl].T * scale
-        logits -= logits.max(axis=-1, keepdims=True)
-        e = np.exp(logits)
-        ws.append(e / e.sum(axis=-1, keepdims=True))
-    return np.stack(ws)
-
-
 # -- resampling -------------------------------------------------------
 
 def _bilinear_weights(n_in: int, n_out: int):
@@ -389,42 +371,3 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
         return (gx,)
 
     return Tensor.from_op(out, (x,), grad_fn)
-
-
-def bilinear_resize_array(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Non-differentiable bilinear resize for plain arrays (2-D or 3-D)."""
-    squeeze = arr.ndim == 2
-    if squeeze:
-        arr = arr[:, :, None]
-    out = bilinear_resize(Tensor(arr), out_h, out_w).data
-    return out[:, :, 0] if squeeze else out
-
-
-# -- checkpoint manifest ----------------------------------------------
-
-def save_params(directory, params: dict) -> None:
-    """Persist named tensors as TNSR/1 files plus a plain-text manifest."""
-    os.makedirs(directory, exist_ok=True)
-    lines = []
-    for name in sorted(params):
-        t = params[name]
-        arr = t.data if isinstance(t, Tensor) else np.asarray(t)
-        fname = name.replace("/", "__") + ".tnsr"
-        save_tensor(os.path.join(directory, fname), arr)
-        shape = "x".join(str(s) for s in arr.shape) if arr.ndim else "scalar"
-        lines.append(f"{name}\t{fname}\t{shape}")
-    with open(os.path.join(directory, "manifest.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_params(directory) -> dict:
-    """Load a checkpoint manifest back into a name -> array mapping."""
-    out = {}
-    with open(os.path.join(directory, "manifest.txt")) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            name, fname, _shape = line.split("\t")
-            out[name] = load_tensor(os.path.join(directory, fname))
-    return out

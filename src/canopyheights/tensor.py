@@ -428,40 +428,54 @@ _DTYPE_CODES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
 _CODE_FOR = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
 
 
-def save_tensor(path, t) -> None:
-    """Write an array in the TNSR/1 binary format (little-endian)."""
+def write_record(fh, t) -> None:
+    """Write an array to an open binary file as one TNSR/1 record
+    (little-endian; dtypes other than f8/f4 are stored as f8)."""
     arr = t.data if isinstance(t, Tensor) else np.asarray(t)
     if arr.dtype not in _CODE_FOR:
         arr = arr.astype(np.float64)
     code = _CODE_FOR[arr.dtype]
+    fh.write(_TNSR_MAGIC)
+    fh.write(struct.pack("<BB", 1, code))
+    fh.write(struct.pack("<I", arr.ndim))
+    fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+    fh.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes())
+
+
+def read_record(fh, path) -> np.ndarray:
+    """Read the next TNSR/1 record from an open binary file; every error
+    names ``path``, the file being read."""
+    if fh.read(4) != _TNSR_MAGIC:
+        raise ValueError(f"{path}: not a TNSR record")
+    try:
+        version, code, rank = struct.unpack("<BBI", fh.read(6))
+        shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+    except struct.error:
+        raise ValueError(f"{path}: truncated TNSR header") from None
+    if version != 1:
+        raise ValueError(f"{path}: unsupported TNSR version {version}")
+    if code not in _DTYPE_CODES:
+        raise ValueError(f"{path}: unknown dtype code {code}")
+    dtype = _DTYPE_CODES[code]
+    want = int(np.prod(shape)) * dtype.itemsize
+    payload = fh.read(want)
+    if len(payload) != want:
+        raise ValueError(f"{path}: payload is {len(payload)} bytes, "
+                         f"shape {shape} needs {want}")
+    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+
+
+def save_tensor(path, t) -> None:
+    """Write an array as a TNSR/1 file: one record."""
     with open(path, "wb") as fh:
-        fh.write(_TNSR_MAGIC)
-        fh.write(struct.pack("<BB", 1, code))
-        fh.write(struct.pack("<I", arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes())
+        write_record(fh, t)
 
 
 def load_tensor(path) -> np.ndarray:
     """Read a TNSR/1 file back into a numpy array."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _TNSR_MAGIC:
-            raise ValueError(f"not a TNSR file: {path}")
-        try:
-            version, code = struct.unpack("<BB", fh.read(2))
-            if version != 1:
-                raise ValueError(f"unsupported TNSR version {version}")
-            if code not in _DTYPE_CODES:
-                raise ValueError(f"unknown dtype code {code}")
-            (rank,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
-        except struct.error:
-            raise ValueError(f"{path}: truncated TNSR header") from None
-        payload = fh.read()
-    dtype = _DTYPE_CODES[code]
-    want = int(np.prod(shape)) * dtype.itemsize
-    if len(payload) != want:
-        raise ValueError(f"{path}: payload is {len(payload)} bytes, "
-                         f"shape {shape} needs {want}")
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        arr = read_record(fh, path)
+        extra = len(fh.read())
+    if extra:
+        raise ValueError(f"{path}: {extra} bytes after the TNSR payload")
+    return arr

@@ -8,6 +8,12 @@ single-modality teachers.  Both run one shared loop that builds each
 sample's targets once per run, emits a per-step loss trace, checkpoints
 every epoch with a rolling keep-last window (the trace included, so a
 resumed run keeps its history), and aborts on non-finite loss.
+
+This module alone knows the checkpoint format.  Each epoch is one file,
+``epoch_NNNN.ckpt``: a ``CKPT/1 <count>`` line, then per array its name on
+one UTF-8 line followed by a TNSR/1 record.  A save writes
+``epoch_NNNN.ckpt.tmp`` and renames it into place, so a crash part-way
+through leaves the previous epoch as the newest checkpoint.
 """
 
 from __future__ import annotations
@@ -15,18 +21,18 @@ from __future__ import annotations
 import csv
 import os
 import re
-import shutil
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import nn, optim
+from . import optim
 from .hytec import HyTecConfig, HyTecParams, hytec_forward, init_hytec
 from .losses import (AdaptiveLossState, ClassTarget, HyTecLossConfig,
                      bin_assign_map, combined_cr_loss, huber,
                      hytec_total_loss, kd_teacher_consensus)
-from .tensor import Tape, Tensor, backward, no_grad
+from .tensor import (Tape, Tensor, backward, no_grad, read_record,
+                     write_record)
 from .unet import (DualHeadOutput, UNetConfig, UNetParams, init_unet,
                    teacher_config, teacher_forward, unet_forward)
 
@@ -126,17 +132,17 @@ def unet_sample_target(sample: Sample, cfg: UNetConfig) -> Optional[ClassTarget]
 
 def unet_sample_loss(sample: Sample, target: Optional[ClassTarget],
                      params: UNetParams, cfg: UNetConfig,
-                     arch: str, loss_cfg: HyTecLossConfig,
+                     loss_cfg: HyTecLossConfig,
                      adaptive: Optional[AdaptiveLossState],
                      parts: Optional[dict] = None) -> Tensor:
     """Per-sample loss matching the variant's head and loss pairing;
-    ``target`` comes from ``unet_sample_target``."""
+    ``target`` comes from ``unet_sample_target``.  A dual head regresses
+    with the adaptive loss when ``adaptive`` is given, else with Huber."""
     x2, x1 = _model_input(sample, cfg)
     out = unet_forward(x2, x1, params, cfg)
     if isinstance(out, DualHeadOutput):
-        kind = "adaptive" if arch == "a2mdu" else "huber"
         loss = combined_cr_loss(out.probs, out.height, target,
-                                sample.target_h, loss_cfg, reg_kind=kind,
+                                sample.target_h, loss_cfg,
                                 adaptive_state=adaptive, parts=parts)
         if parts is not None:
             parts["height"] = out.height.data
@@ -150,7 +156,8 @@ def unet_sample_loss(sample: Sample, target: Optional[ClassTarget],
 
 # -- checkpointing ----------------------------------------------------
 
-_EPOCH_RE = re.compile(r"^epoch_(\d{4})$")
+_EPOCH_RE = re.compile(r"^epoch_(\d{4})\.ckpt$")
+_HEADER_RE = re.compile(rb"CKPT/1 (\d+)\n")
 
 
 def _checkpoint_arrays(model, adaptive, extra: Optional[dict] = None) -> dict:
@@ -163,21 +170,52 @@ def _checkpoint_arrays(model, adaptive, extra: Optional[dict] = None) -> dict:
     return arrays
 
 
+def _epoch_files(directory: str) -> list:
+    return sorted(f for f in os.listdir(directory) if _EPOCH_RE.match(f))
+
+
+def _write_arrays(path: str, arrays: dict) -> None:
+    with open(path, "wb") as fh:
+        fh.write(b"CKPT/1 %d\n" % len(arrays))
+        for name in sorted(arrays):
+            fh.write(name.encode("utf-8") + b"\n")
+            write_record(fh, arrays[name])
+
+
+def _read_arrays(path: str) -> dict:
+    with open(path, "rb") as fh:
+        header = _HEADER_RE.fullmatch(fh.readline())
+        if header is None:
+            raise ValueError(f"{path}: not a checkpoint file")
+        count = int(header.group(1))
+        arrays = {}
+        for i in range(count):
+            name = fh.readline()
+            if not name.endswith(b"\n"):
+                raise ValueError(f"{path}: truncated after {i} of {count} "
+                                 f"arrays")
+            arrays[name[:-1].decode("utf-8")] = read_record(fh, path)
+    return arrays
+
+
 def save_checkpoint(directory: str, epoch: int, model, adaptive,
                     extra: Optional[dict] = None, keep_last: int = 3) -> str:
-    path = os.path.join(directory, f"epoch_{epoch:04d}")
-    nn.save_params(path, _checkpoint_arrays(model, adaptive, extra))
-    old = sorted(d for d in os.listdir(directory) if _EPOCH_RE.match(d))
-    for d in old[:-keep_last]:
-        shutil.rmtree(os.path.join(directory, d))
+    """Write ``epoch_NNNN.ckpt`` under ``directory`` and return its path,
+    then delete all but the newest ``keep_last`` epoch files."""
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, f"epoch_{epoch:04d}.ckpt")
+    _write_arrays(path + ".tmp", _checkpoint_arrays(model, adaptive, extra))
+    os.replace(path + ".tmp", path)
+    for old in _epoch_files(directory)[:-keep_last]:
+        os.remove(os.path.join(directory, old))
     return path
 
 
 def latest_checkpoint(directory: str) -> Optional[tuple]:
-    """(epoch, path) of the newest checkpoint, or None."""
+    """(epoch, path) of the newest complete checkpoint, or None."""
     if not os.path.isdir(directory):
         return None
-    found = sorted(d for d in os.listdir(directory) if _EPOCH_RE.match(d))
+    found = _epoch_files(directory)
     if not found:
         return None
     last = found[-1]
@@ -185,12 +223,18 @@ def latest_checkpoint(directory: str) -> Optional[tuple]:
 
 
 def load_checkpoint(path: str, model, adaptive=None) -> dict:
-    """Restore model (and adaptive loss) arrays; returns leftover arrays."""
-    arrays = nn.load_params(path)
+    """Restore model (and adaptive loss) arrays from one ``.ckpt`` file, or
+    from the newest one in a checkpoints directory; returns leftover
+    arrays."""
+    if os.path.isdir(path):
+        found = latest_checkpoint(path)
+        if found is None:
+            raise FileNotFoundError(f"no checkpoint under {path}")
+        path = found[1]
     known = {}
     extra = {}
     model_names = set(optim.export_arrays(model))
-    for name, arr in arrays.items():
+    for name, arr in _read_arrays(path).items():
         if name in model_names:
             known[name] = arr
         elif adaptive is not None and name == "adaptive.alpha":
@@ -310,8 +354,8 @@ def train_unet(samples: Sequence[Sample], settings: TrainSettings,
                  lambda epoch: optim.cosine_lr(epoch, settings.epochs, base_lr),
                  lambda sample: unet_sample_target(sample, cfg),
                  lambda sample, target, parts: unet_sample_loss(
-                     sample, target, params, cfg, settings.arch,
-                     settings.loss, adaptive, parts))
+                     sample, target, params, cfg, settings.loss, adaptive,
+                     parts))
     return TrainResult(params, cfg, adaptive, trace, settings.epochs)
 
 

@@ -308,8 +308,7 @@ class TestLossIdentities:
                       [(np.zeros((8, 8)), np.ones((8, 8)))] * 2
         total = hytec_total_loss(aux_preds, aux_targets, probs, reg, tgt, h,
                                  cfg, adaptive_state=state)
-        base = combined_cr_loss(probs, reg, tgt, h, cfg, reg_kind="adaptive",
-                                adaptive_state=state)
+        base = combined_cr_loss(probs, reg, tgt, h, cfg, adaptive_state=state)
         assert total.item() == base.item()
 
 

@@ -150,6 +150,21 @@ class TestTrainEvalGsi:
         assert os.path.exists(os.path.join(out, "binned.csv"))
         assert os.path.exists(os.path.join(out, "gsi.csv"))
 
+    def test_eval_from_one_checkpoint_file(self, workspace, trained,
+                                           evaluated, tmp_path):
+        root, cfg, _ = workspace
+        _, by_dir = evaluated
+        cfg = cfg.copy()
+        cfg.set("eval", "checkpoint",
+                os.path.join(trained, "checkpoints", "epoch_0001.ckpt"))
+        out = str(tmp_path / "eval")
+        assert run(cfg, ["eval", "--out", out], tmp_path) == 0
+        for i in range(3):
+            name = f"pred_{i:03d}.tnsr"
+            with open(os.path.join(out, name), "rb") as a, \
+                    open(os.path.join(by_dir, name), "rb") as b:
+                assert a.read() == b.read()
+
     def test_resume_keeps_the_whole_trace(self, workspace, tmp_path):
         root, cfg, _ = workspace
         out = str(tmp_path / "run")

@@ -252,8 +252,7 @@ class TestCombinedAndTotal:
                       [(np.zeros((8, 8)), np.ones((8, 8)))] * 2
         total = hytec_total_loss(aux_preds, aux_targets, probs, reg, tgt, h,
                                  cfg, adaptive_state=state)
-        eq5 = combined_cr_loss(probs, reg, tgt, h, cfg, reg_kind="adaptive",
-                               adaptive_state=state)
+        eq5 = combined_cr_loss(probs, reg, tgt, h, cfg, adaptive_state=state)
         assert total.item() == eq5.item()   # bit-exact
 
     def test_total_loss_grad(self):

@@ -136,11 +136,6 @@ class TestAttentionAndLinear:
         assert nn.mhsa(x, p).shape == (6, 8)
         assert grad_check(lambda v: nn.mhsa(v, p).sum(), x, max_coords=24) < TOL
 
-    def test_attention_weights_rows_sum_one(self):
-        p = nn.init_mhsa(RNG(24), 8, heads=2)
-        w = nn.mhsa_attention_weights(t((5, 8), seed=25), p)
-        np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-10)
-
 
 class TestResizeAndPersistence:
     def test_bilinear_identity(self):
@@ -151,19 +146,3 @@ class TestResizeAndPersistence:
     def test_bilinear_grad(self):
         assert grad_check(lambda v: nn.bilinear_resize(v, 6, 6).sum(),
                           t((3, 3, 2), seed=27)) < TOL
-
-    def test_bilinear_array_matches_tensor_path(self):
-        x = RNG(28).normal(size=(4, 4))
-        a = nn.bilinear_resize_array(x, 8, 8)
-        b = nn.bilinear_resize(Tensor(x[:, :, None]), 8, 8).data[:, :, 0]
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_save_load_params_roundtrip(self, tmp_path):
-        arrays = {"stem.w": RNG(29).normal(size=(3, 3, 2, 4)),
-                  "head.b": RNG(30).normal(size=(4,))}
-        d = tmp_path / "ckpt"
-        nn.save_params(d, arrays)
-        out = nn.load_params(d)
-        assert set(out) == set(arrays)
-        for k in arrays:
-            np.testing.assert_array_equal(out[k], arrays[k])

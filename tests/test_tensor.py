@@ -188,6 +188,13 @@ class TestPersistence:
         with pytest.raises(ValueError, match="t.tnsr"):
             load_tensor(p)
 
+    def test_trailing_bytes_name_the_file(self, tmp_path):
+        p = tmp_path / "t.tnsr"
+        save_tensor(p, np.arange(4.0))
+        p.write_bytes(p.read_bytes() + b"\0" * 8)
+        with pytest.raises(ValueError, match="t.tnsr"):
+            load_tensor(p)
+
     def test_tnsr_bytes_deterministic(self, tmp_path):
         arr = np.random.default_rng(2).normal(size=(4, 4))
         p1, p2 = tmp_path / "c1.tnsr", tmp_path / "c2.tnsr"

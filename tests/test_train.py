@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from canopyheights import datapipe as dp
-from canopyheights import optim
+from canopyheights import nn, optim
 from canopyheights import train as tr
 from canopyheights.hytec import HyTecConfig
+from canopyheights.losses import AdaptiveLossState
 from canopyheights.tensor import Tensor
 from canopyheights.unet import unet_forward
 
@@ -82,13 +83,101 @@ class TestUnetTraining:
             tr.train_unet(samples, tiny_settings(epochs=1))
 
 
+def _small_checkpoint(directory, epoch=0):
+    """A batch-norm state as the model, an adaptive loss and extra arrays
+    of each rank a training checkpoint holds, saved as one epoch."""
+    model = nn.init_bn(3)
+    model.gamma.data[...] = [0.5, 1.5, 2.5]
+    model.running_var[...] = [3.0, 4.0, 5.0]
+    adaptive = AdaptiveLossState.create(alpha=1.25)
+    extra = {"adam_t": np.asarray(7),
+             "adam_m.gamma": np.arange(3.0),
+             "trace": np.arange(16.0).reshape(2, len(tr.TRACE_COLUMNS))}
+    path = tr.save_checkpoint(str(directory), epoch, model, adaptive,
+                              extra=extra)
+    return path, model, adaptive, extra
+
+
 class TestCheckpointing:
     def test_keep_last_three(self, tmp_path):
         samples = tiny_samples()
         st = tiny_settings(epochs=5, checkpoint_dir=str(tmp_path))
         tr.train_unet(samples, st)
-        dirs = sorted(os.listdir(tmp_path))
-        assert dirs == ["epoch_0002", "epoch_0003", "epoch_0004"]
+        files = sorted(os.listdir(tmp_path))
+        assert files == ["epoch_0002.ckpt", "epoch_0003.ckpt",
+                         "epoch_0004.ckpt"]
+
+    def test_checkpoint_roundtrip(self, tmp_path):
+        path, model, adaptive, extra = _small_checkpoint(tmp_path)
+        assert path == str(tmp_path / "epoch_0000.ckpt")
+        fresh, fresh_adaptive = nn.init_bn(3), AdaptiveLossState.create()
+        left = tr.load_checkpoint(path, fresh, fresh_adaptive)
+        for name, arr in optim.export_arrays(model).items():
+            np.testing.assert_array_equal(optim.export_arrays(fresh)[name],
+                                          arr)
+        assert fresh_adaptive.alpha.data.shape == ()
+        assert fresh_adaptive.alpha_value == adaptive.alpha_value
+        assert fresh_adaptive.c_value == adaptive.c_value
+        assert set(left) == set(extra)
+        for name, arr in extra.items():
+            assert left[name].shape == arr.shape
+            np.testing.assert_array_equal(left[name], arr)
+
+    def test_load_from_directory_takes_newest_epoch(self, tmp_path):
+        _small_checkpoint(tmp_path, epoch=0)
+        _, model, _, _ = _small_checkpoint(tmp_path, epoch=1)
+        model.beta.data[...] = 9.0
+        tr.save_checkpoint(str(tmp_path), 2, model, None)
+        fresh = nn.init_bn(3)
+        tr.load_checkpoint(str(tmp_path), fresh)
+        np.testing.assert_array_equal(fresh.beta.data, 9.0)
+        (tmp_path / "empty").mkdir()
+        with pytest.raises(FileNotFoundError, match="no checkpoint"):
+            tr.load_checkpoint(str(tmp_path / "empty"), fresh)
+
+    def test_truncated_checkpoint_names_the_file(self, tmp_path):
+        _small_checkpoint(tmp_path)
+        path = tmp_path / "epoch_0000.ckpt"
+        whole = path.read_bytes()
+        # every proper prefix, including cuts between two arrays
+        for keep in range(len(whole)):
+            path.write_bytes(whole[:keep])
+            with pytest.raises(ValueError, match="epoch_0000.ckpt"):
+                tr.load_checkpoint(str(path), nn.init_bn(3),
+                                   AdaptiveLossState.create())
+
+    def test_failed_save_keeps_the_previous_epoch(self, tmp_path,
+                                                  monkeypatch):
+        samples = tiny_samples()
+        full = tr.train_unet(samples, tiny_settings(
+            arch="a2mdu", epochs=4, checkpoint_dir=str(tmp_path / "full")))
+        part = tmp_path / "part"
+        write_record = tr.write_record
+
+        def failing(fh, arr):
+            if fh.name.endswith("epoch_0002.ckpt.tmp") and fh.tell() > 4096:
+                raise OSError("no space left on device")
+            write_record(fh, arr)
+        monkeypatch.setattr(tr, "write_record", failing)
+        st = tiny_settings(arch="a2mdu", epochs=4, checkpoint_dir=str(part))
+        with pytest.raises(OSError):
+            tr.train_unet(samples, st)
+        assert (part / "epoch_0002.ckpt.tmp").stat().st_size > 4096
+        assert tr.latest_checkpoint(str(part)) == (
+            1, str(part / "epoch_0001.ckpt"))
+
+        monkeypatch.setattr(tr, "write_record", write_record)
+        resumed = tr.train_unet(samples, st, resume=True)
+        assert resumed.trace == full.trace
+        ef, er = (optim.export_arrays(full.params),
+                  optim.export_arrays(resumed.params))
+        for k in ef:
+            np.testing.assert_array_equal(ef[k], er[k])
+        assert resumed.adaptive.alpha_value == full.adaptive.alpha_value
+        assert resumed.adaptive.c_value == full.adaptive.c_value
+        assert sorted(os.listdir(part)) == ["epoch_0001.ckpt",
+                                            "epoch_0002.ckpt",
+                                            "epoch_0003.ckpt"]
 
     def test_resume_is_bit_exact(self, tmp_path):
         samples = tiny_samples()
@@ -99,9 +188,8 @@ class TestCheckpointing:
         # checkpoint directory and resuming from it
         tr.train_unet(samples, tiny_settings(
             epochs=4, checkpoint_dir=str(part_dir), keep_last=10))
-        import shutil
-        for late in ("epoch_0002", "epoch_0003"):
-            shutil.rmtree(part_dir / late)
+        for late in ("epoch_0002.ckpt", "epoch_0003.ckpt"):
+            os.remove(part_dir / late)
         resumed = tr.train_unet(samples, tiny_settings(
             epochs=4, checkpoint_dir=str(part_dir), keep_last=10),
             resume=True)
@@ -115,9 +203,8 @@ class TestCheckpointing:
         st = tiny_settings(epochs=4, checkpoint_dir=str(tmp_path),
                            keep_last=10)
         full = tr.train_unet(samples, st)
-        import shutil
-        for late in ("epoch_0002", "epoch_0003"):
-            shutil.rmtree(tmp_path / late)
+        for late in ("epoch_0002.ckpt", "epoch_0003.ckpt"):
+            os.remove(tmp_path / late)
         resumed = tr.train_unet(samples, st, resume=True)
         assert resumed.trace == full.trace
         assert all(type(row[0]) is int for row in resumed.trace)
@@ -134,8 +221,7 @@ class TestCheckpointing:
             **base, checkpoint_dir=str(tmp_path / "full")), cfg=cfg)
         tr.train_hytec(samples, teachers, tr.TrainSettings(
             **base, checkpoint_dir=str(tmp_path / "part")), cfg=cfg)
-        import shutil
-        shutil.rmtree(tmp_path / "part" / "epoch_0002")
+        os.remove(tmp_path / "part" / "epoch_0002.ckpt")
         resumed = tr.train_hytec(samples, teachers, tr.TrainSettings(
             **base, checkpoint_dir=str(tmp_path / "part")), cfg=cfg,
             resume=True)
