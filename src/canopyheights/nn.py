@@ -5,6 +5,22 @@ multi-head self-attention, and bilinear resampling.  Every op here carries
 an exact shape contract (asserted on call) and a hand-written backward.
 The tile layout is rows x cols x channels.  Parameters live in plain
 dataclass containers; ``train`` saves and restores them as checkpoints.
+
+Convolutions are matrix products (im2col + GEMM).  A conv kernel is
+k x k x C_in x C_out, so ``kmat = kernel.reshape(k*k*C_in, C_out)`` has
+its rows in (ki, kj, c) order.  The padded tile is unrolled into an
+(oh*ow) x (k*k*C_in) patch matrix with its columns in that same order:
+one strided view of the tile, reshaped, which is free for 1x1 stride 1
+and one copy otherwise.  The forward is ``patches @ kmat + bias``.  The
+backward rebuilds the patch matrix from the padded tile (so the graph
+holds the tile, not a k*k-times larger matrix) and takes the kernel
+gradient as ``patches.T @ g``.  The input gradient is ``g @ kmat.T``
+folded back onto the tile (col2im): a reshape/transpose where windows
+tile the input (k = stride), and k*k strided slice-adds of per-tap
+blocks where they overlap.  The transposed conv requires k = stride, so
+each input pixel owns one k x k output block: its forward is one GEMM
+against ``kernel.reshape(k*k*C_out, C_in).T`` followed by a
+reshape/transpose, and its backward the inverse reshape and two GEMMs.
 """
 
 from __future__ import annotations
@@ -12,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf
 
 from .tensor import Tensor, concat, matmul
@@ -141,6 +157,51 @@ def init_mhsa(rng, d: int, heads: int) -> MhsaParams:
 
 # -- convolution ------------------------------------------------------
 
+def _pad(x: np.ndarray, pad: int) -> np.ndarray:
+    """Zero border of ``pad`` rows/cols (``np.pad`` costs ~10x more here)."""
+    if not pad:
+        return x
+    h, w, c = x.shape
+    xp = np.zeros((h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp[pad:pad + h, pad:pad + w] = x
+    return xp
+
+
+def _patches(xp: np.ndarray, k: int, s: int, oh: int, ow: int) -> np.ndarray:
+    """(oh*ow) x (k*k*C) patch matrix of a padded tile, columns in the
+    kernel's (ki, kj, c) order: a view for 1x1 stride 1, one copy else."""
+    s0, s1, s2 = xp.strides
+    win = as_strided(xp, (oh, ow, k, k, xp.shape[2]),
+                     (s * s0, s * s1, s0, s1, s2), writeable=False)
+    return win.reshape(oh * ow, -1)
+
+
+def _col2im(g2: np.ndarray, kernel: np.ndarray, shape, s: int, oh: int,
+            ow: int) -> np.ndarray:
+    """Gradient on the padded tile of ``shape``: ``g2 @ kmat.T`` summed
+    back over the windows."""
+    k, _, c_in, c_out = kernel.shape
+    if k == s:  # windows tile the input: the sum is a reshape
+        blocks = (g2 @ kernel.reshape(-1, c_out).T).reshape(oh, ow, k, k, c_in)
+        gxp = blocks.transpose(0, 2, 1, 3, 4).reshape(oh * k, ow * k, c_in)
+        if gxp.shape == shape:
+            return gxp
+        full = np.zeros(shape, dtype=gxp.dtype)
+        full[:oh * k, :ow * k] = gxp
+        return full
+    # the same product laid out one contiguous (oh*ow) x C_in block per tap;
+    # a contiguous stack of kernel taps keeps the batched product on BLAS
+    ktaps = np.ascontiguousarray(
+        kernel.reshape(k * k, c_in, c_out).transpose(0, 2, 1))
+    taps = np.matmul(g2, ktaps)
+    gxp = np.zeros(shape, dtype=taps.dtype)
+    taps = taps.reshape(k, k, oh, ow, c_in)
+    for ki in range(k):
+        for kj in range(k):
+            gxp[ki:ki + s * oh:s, kj:kj + s * ow:s] += taps[ki, kj]
+    return gxp
+
+
 def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     """Cross-correlation plus bias over a rows x cols x C_in tile."""
     h, w, c_in = x.shape
@@ -152,48 +213,45 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
         raise ValueError("kernel larger than padded input")
     oh = (h + 2 * pad - k) // s + 1
     ow = (w + 2 * pad - k) // s + 1
+    c_out = p.kernel.shape[3]
 
-    xp = np.pad(x.data, ((pad, pad), (pad, pad), (0, 0))) if pad else x.data
-    win = sliding_window_view(xp, (k, k), axis=(0, 1))[::s, ::s]  # oh,ow,Cin,k,k
-    out = np.einsum("ijckl,klcf->ijf", win, p.kernel.data, optimize=True)
+    xp = _pad(x.data, pad)
+    out = _patches(xp, k, s, oh, ow) @ p.kernel.data.reshape(-1, c_out)
     out += p.bias.data
-    assert out.shape[:2] == (oh, ow)
 
     def grad_fn(g):
-        gk = np.einsum("ijckl,ijf->klcf", win, g, optimize=True)
-        gb = g.sum(axis=(0, 1))
-        contrib = np.einsum("ijf,klcf->ijklc", g, p.kernel.data, optimize=True)
-        gxp = np.zeros_like(xp)
-        for ki in range(k):
-            for kj in range(k):
-                gxp[ki:ki + s * oh:s, kj:kj + s * ow:s] += contrib[:, :, ki, kj]
+        # the patch matrix is rebuilt, not kept alive by the graph
+        g2 = g.reshape(oh * ow, c_out)
+        gk = (_patches(xp, k, s, oh, ow).T @ g2).reshape(p.kernel.shape)
+        gb = g2.sum(axis=0)
+        gxp = _col2im(g2, p.kernel.data, xp.shape, s, oh, ow)
         gx = gxp[pad:pad + h, pad:pad + w] if pad else gxp
         return (gx, gk, gb)
 
-    return Tensor.from_op(out, (x, p.kernel, p.bias), grad_fn)
+    return Tensor.from_op(out.reshape(oh, ow, c_out), (x, p.kernel, p.bias),
+                          grad_fn)
 
 
 def conv2d_transpose(x: Tensor, p: ConvT2dParams) -> Tensor:
     """Adjoint of the matched strided conv2d; output extent = stride * input."""
     h, w, c_in = x.shape
     k = p.kernel.shape[0]
-    s = p.stride
     if p.kernel.shape[3] != c_in:
         raise ValueError(f"channel mismatch: input {c_in}, kernel {p.kernel.shape[3]}")
     c_out = p.kernel.shape[2]
-    oh, ow = s * h, s * w
 
-    contrib = np.einsum("ijc,klfc->ijklf", x.data, p.kernel.data, optimize=True)
-    out = np.zeros((oh, ow, c_out), dtype=x.data.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            out[ki:ki + s * h:s, kj:kj + s * w:s] += contrib[:, :, ki, kj]
+    # k = stride, so every input pixel owns one k x k output block
+    x2 = x.data.reshape(h * w, c_in)
+    kmat = p.kernel.data.reshape(k * k * c_out, c_in)
+    blocks = (x2 @ kmat.T).reshape(h, w, k, k, c_out)
+    out = blocks.transpose(0, 2, 1, 3, 4).reshape(h * k, w * k, c_out)
     out += p.bias.data
 
     def grad_fn(g):
-        win = sliding_window_view(g, (k, k), axis=(0, 1))[::s, ::s]  # h,w,Cout,k,k
-        gx = np.einsum("ijfkl,klfc->ijc", win, p.kernel.data, optimize=True)
-        gk = np.einsum("ijc,ijfkl->klfc", x.data, win, optimize=True)
+        gcols = g.reshape(h, k, w, k, c_out).transpose(0, 2, 1, 3, 4)
+        gcols = gcols.reshape(h * w, k * k * c_out)
+        gx = (gcols @ kmat).reshape(h, w, c_in)
+        gk = (gcols.T @ x2).reshape(p.kernel.shape)
         gb = g.sum(axis=(0, 1))
         return (gx, gk, gb)
 

@@ -204,7 +204,12 @@ def save_checkpoint(directory: str, epoch: int, model, adaptive,
     then delete all but the newest ``keep_last`` epoch files."""
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"epoch_{epoch:04d}.ckpt")
-    _write_arrays(path + ".tmp", _checkpoint_arrays(model, adaptive, extra))
+    try:
+        _write_arrays(path + ".tmp", _checkpoint_arrays(model, adaptive, extra))
+    except BaseException:
+        if os.path.exists(path + ".tmp"):
+            os.remove(path + ".tmp")
+        raise
     os.replace(path + ".tmp", path)
     for old in _epoch_files(directory)[:-keep_last]:
         os.remove(os.path.join(directory, old))
@@ -225,25 +230,24 @@ def latest_checkpoint(directory: str) -> Optional[tuple]:
 def load_checkpoint(path: str, model, adaptive=None) -> dict:
     """Restore model (and adaptive loss) arrays from one ``.ckpt`` file, or
     from the newest one in a checkpoints directory; returns leftover
-    arrays."""
+    arrays.  A file that lacks any of the model's arrays (say, one trained
+    for another arch) raises ``ValueError`` before anything is restored."""
     if os.path.isdir(path):
         found = latest_checkpoint(path)
         if found is None:
             raise FileNotFoundError(f"no checkpoint under {path}")
         path = found[1]
-    known = {}
-    extra = {}
+    extra = _read_arrays(path)
     model_names = set(optim.export_arrays(model))
-    for name, arr in _read_arrays(path).items():
-        if name in model_names:
-            known[name] = arr
-        elif adaptive is not None and name == "adaptive.alpha":
-            adaptive.alpha.data[...] = arr
-        elif adaptive is not None and name == "adaptive.c_raw":
-            adaptive.c_raw.data[...] = arr
-        else:
-            extra[name] = arr
-    optim.load_into(model, known)
+    missing = sorted(model_names - set(extra))
+    if missing:
+        raise ValueError(f"{path}: lacks {len(missing)} model arrays: "
+                         f"{', '.join(missing)}")
+    optim.load_into(model, {name: extra.pop(name) for name in model_names})
+    if adaptive is not None:
+        for name in ("alpha", "c_raw"):
+            if f"adaptive.{name}" in extra:
+                getattr(adaptive, name).data[...] = extra.pop(f"adaptive.{name}")
     return extra
 
 

@@ -165,6 +165,17 @@ class TestTrainEvalGsi:
                     open(os.path.join(by_dir, name), "rb") as b:
                 assert a.read() == b.read()
 
+    def test_eval_with_another_arch_returns_one(self, workspace, trained,
+                                                tmp_path, monkeypatch):
+        monkeypatch.delenv("CANOPY_LOG", raising=False)
+        root, cfg, _ = workspace
+        cfg = cfg.copy()
+        cfg.set("run", "arch", "2mdu")      # trained as 2mou
+        cfg.set("eval", "checkpoint", os.path.join(trained, "checkpoints"))
+        out = str(tmp_path / "eval")
+        assert run(cfg, ["eval", "--out", out], tmp_path) == 1
+        assert not os.path.exists(os.path.join(out, "pred_000.tnsr"))
+
     def test_resume_keeps_the_whole_trace(self, workspace, tmp_path):
         root, cfg, _ = workspace
         out = str(tmp_path / "run")

@@ -58,6 +58,67 @@ class TestConv:
         assert nn.conv2d_transpose(nn.conv2d(x, down), up).shape == x.shape
 
 
+class TestConvLayout:
+    """Weighted objectives ``(out * w).sum()`` seed the backward with
+    distinct values, so a grad_fn that misplaces its incoming gradient
+    fails; ``.sum()`` seeds all ones and cannot tell.  Tiles are not
+    square, so a rows/cols swap shows too."""
+
+    @pytest.mark.parametrize("k,s,pad", [(1, 1, 0), (2, 2, 0), (3, 1, 1),
+                                         (3, 2, 1)])
+    def test_conv2d_weighted_grads(self, k, s, pad):
+        p = nn.init_conv(RNG(30), k, 3, 4, stride=s, padding=pad)
+        x = t((7, 6, 3), seed=31)
+        w = Tensor(RNG(32).normal(size=nn.conv2d(x, p).shape))
+        assert grad_check(lambda v: (nn.conv2d(v, p) * w).sum(), x) < TOL
+
+        def fk(kernel):
+            q = nn.Conv2dParams(kernel, p.bias, stride=s, padding=pad)
+            return (nn.conv2d(x, q) * w).sum()
+        assert grad_check(fk, p.kernel) < TOL
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_convt_weighted_grads(self, k):
+        p = nn.init_convt(RNG(33), k, 3, 2)
+        x = t((3, 2, 3), seed=34)
+        w = Tensor(RNG(35).normal(size=(3 * k, 2 * k, 2)))
+        assert grad_check(lambda v: (nn.conv2d_transpose(v, p) * w).sum(),
+                          x) < TOL
+
+        def fk(kernel):
+            q = nn.ConvT2dParams(kernel, p.bias, stride=k)
+            return (nn.conv2d_transpose(x, q) * w).sum()
+        assert grad_check(fk, p.kernel) < TOL
+
+    @pytest.mark.parametrize("s,pad", [(1, 1), (2, 0), (2, 1)])
+    def test_conv2d_3x3_matches_nested_loop(self, s, pad):
+        p = nn.init_conv(RNG(36), 3, 2, 3, stride=s, padding=pad)
+        p.bias.data[...] = RNG(37).normal(size=3)
+        x = RNG(38).normal(size=(7, 6, 2))
+        xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
+        kern = p.kernel.data
+        ref = np.zeros(((7 + 2 * pad - 3) // s + 1, (6 + 2 * pad - 3) // s + 1,
+                        3))
+        for i, j, f in np.ndindex(*ref.shape):
+            ref[i, j, f] = p.bias.data[f] + sum(
+                xp[s * i + ki, s * j + kj, c] * kern[ki, kj, c, f]
+                for ki in range(3) for kj in range(3) for c in range(2))
+        np.testing.assert_allclose(nn.conv2d(Tensor(x), p).data, ref,
+                                   atol=1e-12)
+
+    def test_convt_matches_nested_loop(self):
+        p = nn.init_convt(RNG(39), 2, 3, 2)
+        p.bias.data[...] = RNG(40).normal(size=2)
+        x = RNG(41).normal(size=(3, 2, 3))
+        kern = p.kernel.data
+        ref = np.zeros((6, 4, 2))
+        for i, j, ki, kj, f in np.ndindex(3, 2, 2, 2, 2):
+            ref[2 * i + ki, 2 * j + kj, f] = p.bias.data[f] + sum(
+                x[i, j, c] * kern[ki, kj, f, c] for c in range(3))
+        np.testing.assert_allclose(nn.conv2d_transpose(Tensor(x), p).data,
+                                   ref, atol=1e-12)
+
+
 class TestNorms:
     def test_batch_norm_train_normalizes(self):
         s = nn.init_bn(3)
