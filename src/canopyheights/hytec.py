@@ -7,6 +7,10 @@ Four tapped block outputs are reprojected onto the patch grid at four
 resolutions, fused along an upsampling pathway with auxiliary height heads
 at the three coarse resolutions, and finished by a decoder block plus the
 dual classification/regression head at full resolution.
+
+Every forward takes a batch of ``tiles`` tiles stacked along rows (see
+``nn``): token matrices stack each tile's rows of tokens, grids each
+tile's rows of patches.
 """
 
 from __future__ import annotations
@@ -152,44 +156,50 @@ def init_hytec(rng: np.random.Generator, cfg: HyTecConfig) -> HyTecParams:
 # -- forward pieces ---------------------------------------------------
 
 def patch_embed(img_group: Tensor, proj: nn.LinearParams, pos: Tensor,
-                patch: int) -> Tensor:
-    """Flatten non-overlapping P x P patches row-major and project to D."""
-    h, w, b = img_group.shape
+                patch: int, tiles: int = 1) -> Tensor:
+    """Flatten non-overlapping P x P patches row-major, project to D and
+    add each tile's positional rows ``pos``."""
+    rows, w, b = img_group.shape
+    h = nn.tile_rows(rows, tiles)
     if h % patch or w % patch:
         raise ValueError("image extent not divisible by the patch size")
     gh, gw = h // patch, w // patch
-    # (gh, P, gw, P, B) -> (gh, gw, P, P, B) -> (N, P*P*B)
-    x = img_group.reshape(gh, patch, gw, patch, b)
-    x = x.permute(0, 2, 1, 3, 4).reshape(gh * gw, patch * patch * b)
-    return nn.linear(x, proj) + pos
+    # (tiles*gh, P, gw, P, B) -> (tiles*gh, gw, P, P, B) -> (tiles*N, P*P*B)
+    x = img_group.reshape(tiles * gh, patch, gw, patch, b)
+    x = x.permute(0, 2, 1, 3, 4).reshape(tiles * gh * gw, patch * patch * b)
+    x = nn.linear(x, proj)
+    return (x.reshape(tiles, gh * gw, -1) + pos).reshape(tiles * gh * gw, -1)
 
 
-def transformer_block(x: Tensor, p: TransformerBlockParams) -> Tensor:
+def transformer_block(x: Tensor, p: TransformerBlockParams,
+                      tiles: int = 1) -> Tensor:
     """Pre-norm block: attention residual then GELU MLP residual."""
-    x = x + nn.mhsa(nn.layer_norm(x, p.ln1), p.attn)
+    x = x + nn.mhsa(nn.layer_norm(x, p.ln1), p.attn, tiles=tiles)
     x = x + nn.linear(nn.gelu(nn.linear(nn.layer_norm(x, p.ln2), p.mlp_in)), p.mlp_out)
     return x
 
 
-def encoder_forward(tokens: Tensor, blocks: Sequence[TransformerBlockParams]) -> list:
+def encoder_forward(tokens: Tensor, blocks: Sequence[TransformerBlockParams],
+                    tiles: int = 1) -> list:
     """Run the block stack, retaining every intermediate output."""
     outs = []
     x = tokens
     for blk in blocks:
-        x = transformer_block(x, blk)
+        x = transformer_block(x, blk, tiles)
         outs.append(x)
     return outs
 
 
-def spatial_concat(tokens: Tensor, grid: int) -> Tensor:
-    """Row-major reshape of an N x D token matrix onto the G x G patch grid."""
+def spatial_concat(tokens: Tensor, grid: int, tiles: int = 1) -> Tensor:
+    """Row-major reshape of an N x D token matrix onto the G x G patch grid
+    (of each tile's N rows onto its own grid)."""
     n, d = tokens.shape
-    if n != grid * grid:
-        raise ValueError(f"{n} tokens do not form a {grid}x{grid} grid")
-    return tokens.reshape(grid, grid, d)
+    if n != tiles * grid * grid:
+        raise ValueError(f"{n} tokens do not form {tiles} {grid}x{grid} grids")
+    return tokens.reshape(tiles * grid, grid, d)
 
 
-def rb_forward(f: Tensor, stage: int, p: RbParams) -> Tensor:
+def rb_forward(f: Tensor, stage: int, p: RbParams, tiles: int = 1) -> Tensor:
     """Reproject a G x G x D grid to the stage resolution with l_hat channels.
 
     Stage 1 halves the grid, stage 2 keeps it, stages 3 and 4 upsample by
@@ -198,7 +208,7 @@ def rb_forward(f: Tensor, stage: int, p: RbParams) -> Tensor:
     if stage not in (1, 2, 3, 4):
         raise ValueError(f"invalid reprojection stage {stage}")
     y = nn.conv2d(f, p.proj)
-    g = f.shape[0]
+    g = f.shape[1]
     if stage == 1:
         y = nn.conv2d(y, p.resample)
         expect = g // 2
@@ -210,29 +220,33 @@ def rb_forward(f: Tensor, stage: int, p: RbParams) -> Tensor:
     else:
         y = nn.conv2d_transpose(y, p.resample)
         expect = 4 * g
-    assert y.shape[:2] == (expect, expect), f"reprojection shape law violated: {y.shape}"
+    assert y.shape[:2] == (tiles * expect, expect), \
+        f"reprojection shape law violated: {y.shape}"
     return y
 
 
 def db_forward(f: Tensor, conv1: nn.Conv2dParams, conv2: nn.Conv2dParams,
-               up: nn.ConvT2dParams) -> Tensor:
+               up: nn.ConvT2dParams, tiles: int = 1) -> Tensor:
     """Decoder block: two 3x3 convs then a transpose conv that multiplies the
     spatial extent by its stride and divides the channels by eight."""
     h, w, c = f.shape
     if c % 8:
         raise ValueError("decoder block needs channels divisible by 8")
-    y = nn.conv2d(nn.conv2d(f, conv1), conv2)
+    y = nn.conv2d(nn.conv2d(f, conv1, tiles=tiles), conv2, tiles=tiles)
     y = nn.conv2d_transpose(y, up)
     s = up.stride
     assert y.shape == (s * h, s * w, c // 8), f"decoder shape law violated: {y.shape}"
     return y
 
 
-def hytec_forward(s2: Tensor, params: HyTecParams, cfg: HyTecConfig) -> HyTecOutputs:
-    """Full forward from a 10-band optical tile to main + auxiliary outputs."""
+def hytec_forward(s2: Tensor, params: HyTecParams, cfg: HyTecConfig,
+                  tiles: int = 1) -> HyTecOutputs:
+    """Full forward from ``tiles`` row-stacked 10-band optical tiles to main
+    + auxiliary outputs."""
     from .unet import head_dual
 
-    h, w, c = s2.shape
+    rows, w, c = s2.shape
+    h = nn.tile_rows(rows, tiles)
     if h != w or h % cfg.patch:
         raise ValueError("input must be square and divisible by the patch size")
     if c != cfg.group1_bands + cfg.group2_bands:
@@ -242,19 +256,22 @@ def hytec_forward(s2: Tensor, params: HyTecParams, cfg: HyTecConfig) -> HyTecOut
         raise ValueError(f"input is {h} px but the model is configured for "
                          f"{cfg.image_size} px")
 
-    n = cfg.tokens_per_group
+    n, d = cfg.tokens_per_group, cfg.embed_dim
     g = h // cfg.patch
-    t1 = patch_embed(s2[:, :, :cfg.group1_bands], params.embed1, params.pos[:n], cfg.patch)
-    t2 = patch_embed(s2[:, :, cfg.group1_bands:], params.embed2, params.pos[n:2 * n], cfg.patch)
-    tokens = concat([t1, t2], axis=0)
-
-    layer_outs = encoder_forward(tokens, params.blocks)
+    b1 = cfg.group1_bands
+    t1 = patch_embed(s2[:, :, :b1], params.embed1, params.pos[:n], cfg.patch, tiles)
+    t2 = patch_embed(s2[:, :, b1:], params.embed2, params.pos[n:2 * n], cfg.patch, tiles)
+    # each tile's token rows: its group-1 tokens, then its group-2 tokens
+    tokens = concat([t1.reshape(tiles, n, d), t2.reshape(tiles, n, d)], axis=1)
+    layer_outs = encoder_forward(tokens.reshape(tiles * 2 * n, d), params.blocks,
+                                 tiles)
 
     # only the group-1 tokens feed the decoder
     reproj = []
     for stage, tap in enumerate(cfg.taps, start=1):
-        tapped = layer_outs[tap - 1][:n, :]
-        reproj.append(rb_forward(spatial_concat(tapped, g), stage, params.rbs[stage - 1]))
+        tapped = layer_outs[tap - 1].reshape(tiles, 2 * n, d)[:, :n]
+        grid = spatial_concat(tapped.reshape(tiles * n, d), g, tiles)
+        reproj.append(rb_forward(grid, stage, params.rbs[stage - 1], tiles))
 
     # fusion pathway: upsample each level by 2 and add the next reprojection
     aux = []
@@ -264,7 +281,7 @@ def hytec_forward(s2: Tensor, params: HyTecParams, cfg: HyTecConfig) -> HyTecOut
         aux_map = nn.softplus(nn.conv2d(fused, params.aux_heads[i]))
         aux.append(aux_map.reshape(aux_map.shape[0], aux_map.shape[1]))
 
-    full = db_forward(fused, params.db_conv1, params.db_conv2, params.db_up)
-    assert full.shape[:2] == (h, w), "main output must match the input extent"
+    full = db_forward(fused, params.db_conv1, params.db_conv2, params.db_up, tiles)
+    assert full.shape[:2] == (rows, w), "main output must match the input extent"
     main = head_dual(full, params.head)
     return HyTecOutputs(main=main, aux=aux)

@@ -6,21 +6,37 @@ an exact shape contract (asserted on call) and a hand-written backward.
 The tile layout is rows x cols x channels.  Parameters live in plain
 dataclass containers; ``train`` saves and restores them as checkpoints.
 
+A batch of n tiles is one (n*rows) x cols x channels array, the tiles
+stacked along rows: the same bytes as n x rows x cols x channels, and
+every op keeps its 3-D shape contract.  Elementwise ops, ``layer_norm``,
+``softmax``, ``linear``, channel concats, ``conv2d_transpose`` and convs
+with k = stride never reach across a row boundary between tiles, so they
+run on the stack as on one tall tile.  The three ops that would reach
+across one take the tile count as ``tiles`` (default 1): ``conv2d`` pads
+each tile on its own, ``batch_norm`` normalizes each tile by its own
+statistics and updates the running estimates once per tile, in tile
+order, and ``mhsa`` attends within each tile's block of token rows.
+
+The graph keeps no array that a backward can rebuild from what it holds
+already (Chen et al. 2016, arXiv 1604.06174): ``leaky_relu`` rebuilds its
+mask from its input, train-mode ``batch_norm`` its normalized input from
+the input and the statistics, and ``conv2d`` its padded tiles.
+
 Convolutions are matrix products (im2col + GEMM).  A conv kernel is
 k x k x C_in x C_out, so ``kmat = kernel.reshape(k*k*C_in, C_out)`` has
 its rows in (ki, kj, c) order.  The padded tile is unrolled into an
 (oh*ow) x (k*k*C_in) patch matrix with its columns in that same order:
 one strided view of the tile, reshaped, which is free for 1x1 stride 1
 and one copy otherwise.  The forward is ``patches @ kmat + bias``.  The
-backward rebuilds the patch matrix from the padded tile (so the graph
-holds the tile, not a k*k-times larger matrix) and takes the kernel
-gradient as ``patches.T @ g``.  The input gradient is ``g @ kmat.T``
-folded back onto the tile (col2im): a reshape/transpose where windows
-tile the input (k = stride), and k*k strided slice-adds of per-tap
-blocks where they overlap.  The transposed conv requires k = stride, so
-each input pixel owns one k x k output block: its forward is one GEMM
-against ``kernel.reshape(k*k*C_out, C_in).T`` followed by a
-reshape/transpose, and its backward the inverse reshape and two GEMMs.
+backward rebuilds the padded tile and the patch matrix from the input
+and takes the kernel gradient as ``patches.T @ g``.  The input gradient
+is ``g @ kmat.T`` folded back onto the tile (col2im): a
+reshape/transpose where windows tile the input (k = stride), and k*k
+strided slice-adds of per-tap blocks where they overlap.  The transposed
+conv requires k = stride, so each input pixel owns one k x k output
+block: its forward is one GEMM against ``kernel.reshape(k*k*C_out,
+C_in).T`` followed by a reshape/transpose, and its backward the inverse
+reshape and two GEMMs.
 """
 
 from __future__ import annotations
@@ -157,54 +173,70 @@ def init_mhsa(rng, d: int, heads: int) -> MhsaParams:
 
 # -- convolution ------------------------------------------------------
 
-def _pad(x: np.ndarray, pad: int) -> np.ndarray:
-    """Zero border of ``pad`` rows/cols (``np.pad`` costs ~10x more here)."""
+def tile_rows(rows: int, tiles: int) -> int:
+    """Rows per tile of a stack of ``tiles`` tiles with ``rows`` rows."""
+    if tiles < 1 or rows % tiles:
+        raise ValueError(f"{rows} rows do not split into {tiles} tiles")
+    return rows // tiles
+
+
+def _pad(x: np.ndarray, pad: int, tiles: int) -> np.ndarray:
+    """The tiles of a row-stacked array as a tiles x rows x cols x C block,
+    each given its own zero border of ``pad`` rows/cols (``np.pad`` costs
+    ~10x more here)."""
+    rows, w, c = x.shape
+    h = rows // tiles
+    x = x.reshape(tiles, h, w, c)
     if not pad:
         return x
-    h, w, c = x.shape
-    xp = np.zeros((h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-    xp[pad:pad + h, pad:pad + w] = x
+    xp = np.zeros((tiles, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = x
     return xp
 
 
 def _patches(xp: np.ndarray, k: int, s: int, oh: int, ow: int) -> np.ndarray:
-    """(oh*ow) x (k*k*C) patch matrix of a padded tile, columns in the
-    kernel's (ki, kj, c) order: a view for 1x1 stride 1, one copy else."""
-    s0, s1, s2 = xp.strides
-    win = as_strided(xp, (oh, ow, k, k, xp.shape[2]),
-                     (s * s0, s * s1, s0, s1, s2), writeable=False)
-    return win.reshape(oh * ow, -1)
+    """(tiles*oh*ow) x (k*k*C) patch matrix of a block of padded tiles,
+    columns in the kernel's (ki, kj, c) order: a view for 1x1 stride 1,
+    one copy else."""
+    s0, s1, s2, s3 = xp.strides
+    win = as_strided(xp, (xp.shape[0], oh, ow, k, k, xp.shape[3]),
+                     (s0, s * s1, s * s2, s1, s2, s3), writeable=False)
+    return win.reshape(-1, k * k * xp.shape[3])
 
 
 def _col2im(g2: np.ndarray, kernel: np.ndarray, shape, s: int, oh: int,
             ow: int) -> np.ndarray:
-    """Gradient on the padded tile of ``shape``: ``g2 @ kmat.T`` summed
-    back over the windows."""
+    """Gradient on the block of padded tiles of ``shape``: ``g2 @ kmat.T``
+    summed back over each tile's windows."""
+    n = shape[0]
     k, _, c_in, c_out = kernel.shape
     if k == s:  # windows tile the input: the sum is a reshape
-        blocks = (g2 @ kernel.reshape(-1, c_out).T).reshape(oh, ow, k, k, c_in)
-        gxp = blocks.transpose(0, 2, 1, 3, 4).reshape(oh * k, ow * k, c_in)
+        blocks = g2 @ kernel.reshape(-1, c_out).T
+        blocks = blocks.reshape(n, oh, ow, k, k, c_in)
+        gxp = blocks.transpose(0, 1, 3, 2, 4, 5).reshape(n, oh * k, ow * k, c_in)
         if gxp.shape == shape:
             return gxp
         full = np.zeros(shape, dtype=gxp.dtype)
-        full[:oh * k, :ow * k] = gxp
+        full[:, :oh * k, :ow * k] = gxp
         return full
-    # the same product laid out one contiguous (oh*ow) x C_in block per tap;
-    # a contiguous stack of kernel taps keeps the batched product on BLAS
+    # the same product laid out one contiguous (n*oh*ow) x C_in block per
+    # tap; a contiguous stack of kernel taps keeps the batched product on BLAS
     ktaps = np.ascontiguousarray(
         kernel.reshape(k * k, c_in, c_out).transpose(0, 2, 1))
     taps = np.matmul(g2, ktaps)
     gxp = np.zeros(shape, dtype=taps.dtype)
-    taps = taps.reshape(k, k, oh, ow, c_in)
+    taps = taps.reshape(k, k, n, oh, ow, c_in)
     for ki in range(k):
         for kj in range(k):
-            gxp[ki:ki + s * oh:s, kj:kj + s * ow:s] += taps[ki, kj]
+            gxp[:, ki:ki + s * oh:s, kj:kj + s * ow:s] += taps[ki, kj]
     return gxp
 
 
-def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
-    """Cross-correlation plus bias over a rows x cols x C_in tile."""
-    h, w, c_in = x.shape
+def conv2d(x: Tensor, p: Conv2dParams, tiles: int = 1) -> Tensor:
+    """Cross-correlation plus bias over each tile of a row-stacked
+    (tiles*rows) x cols x C_in input; every tile is padded on its own."""
+    rows, w, c_in = x.shape
+    h = tile_rows(rows, tiles)
     k = p.kernel.shape[0]
     if p.kernel.shape[2] != c_in:
         raise ValueError(f"channel mismatch: input {c_in}, kernel {p.kernel.shape[2]}")
@@ -215,21 +247,25 @@ def conv2d(x: Tensor, p: Conv2dParams) -> Tensor:
     ow = (w + 2 * pad - k) // s + 1
     c_out = p.kernel.shape[3]
 
-    xp = _pad(x.data, pad)
-    out = _patches(xp, k, s, oh, ow) @ p.kernel.data.reshape(-1, c_out)
+    out = _patches(_pad(x.data, pad, tiles), k, s, oh, ow) \
+        @ p.kernel.data.reshape(-1, c_out)
     out += p.bias.data
 
     def grad_fn(g):
-        # the patch matrix is rebuilt, not kept alive by the graph
-        g2 = g.reshape(oh * ow, c_out)
+        # the padded tiles and the patch matrix are rebuilt from the input,
+        # not kept alive by the graph
+        xp = _pad(x.data, pad, tiles)
+        g2 = g.reshape(-1, c_out)
         gk = (_patches(xp, k, s, oh, ow).T @ g2).reshape(p.kernel.shape)
         gb = g2.sum(axis=0)
+        if not x.requires_grad:  # a model input: no col2im
+            return (None, gk, gb)
         gxp = _col2im(g2, p.kernel.data, xp.shape, s, oh, ow)
-        gx = gxp[pad:pad + h, pad:pad + w] if pad else gxp
-        return (gx, gk, gb)
+        gx = gxp[:, pad:pad + h, pad:pad + w] if pad else gxp
+        return (gx.reshape(x.shape), gk, gb)
 
-    return Tensor.from_op(out.reshape(oh, ow, c_out), (x, p.kernel, p.bias),
-                          grad_fn)
+    return Tensor.from_op(out.reshape(tiles * oh, ow, c_out),
+                          (x, p.kernel, p.bias), grad_fn)
 
 
 def conv2d_transpose(x: Tensor, p: ConvT2dParams) -> Tensor:
@@ -260,47 +296,49 @@ def conv2d_transpose(x: Tensor, p: ConvT2dParams) -> Tensor:
 
 # -- normalisation ----------------------------------------------------
 
-def batch_norm(x: Tensor, s: BatchNormState) -> Tensor:
-    """Per-channel normalization over all leading (spatial/batch) axes.
+def batch_norm(x: Tensor, s: BatchNormState, tiles: int = 1) -> Tensor:
+    """Per-channel normalization over all the leading axes of each tile of
+    a row-stacked input.
 
-    Train mode normalizes by the current population statistics and updates
-    the running estimates; eval mode uses running statistics only.
+    Train mode normalizes each tile by its own population statistics and
+    updates the running estimates once per tile, in tile order; eval mode
+    uses running statistics only.
     """
     c = x.shape[-1]
-    axes = tuple(range(x.ndim - 1))
-    n = int(np.prod(x.shape[:-1]))
-    if s.mode == "train":
+    tile_rows(x.shape[0], tiles)
+    shape = (tiles, -1, c)
+    n = x.size // (tiles * c)          # pixels per tile
+    train = s.mode == "train"
+    if train:
         if n < 2:
             raise ValueError("batch_norm train mode needs >= 2 samples per channel")
-        mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        mu = x.data.reshape(shape).mean(axis=1, keepdims=True)
+        var = x.data.reshape(shape).var(axis=1, keepdims=True)
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(var))):
             raise FloatingPointError("non-finite batch statistics")
-        s.running_mean = (1 - s.momentum) * s.running_mean + s.momentum * mu
-        s.running_var = (1 - s.momentum) * s.running_var + s.momentum * var
+        for t in range(tiles):
+            s.running_mean = (1 - s.momentum) * s.running_mean + s.momentum * mu[t, 0]
+            s.running_var = (1 - s.momentum) * s.running_var + s.momentum * var[t, 0]
     else:
         mu, var = s.running_mean, s.running_var
 
     inv = 1.0 / np.sqrt(var + s.eps)
-    xhat = (x.data - mu) * inv
-    out = s.gamma.data * xhat + s.beta.data
+    out = s.gamma.data * ((x.data.reshape(shape) - mu) * inv) + s.beta.data
 
-    if s.mode == "train":
-        def grad_fn(g):
-            dgamma = (g * xhat).sum(axis=axes)
-            dbeta = g.sum(axis=axes)
-            gsum = g.sum(axis=axes)
-            gx_sum = (g * xhat).sum(axis=axes)
+    def grad_fn(g):
+        # the normalized input is rebuilt, not kept alive by the graph
+        xhat = (x.data.reshape(shape) - mu) * inv
+        g = g.reshape(shape)
+        gsum = g.sum(axis=1, keepdims=True)
+        gx_sum = (g * xhat).sum(axis=1, keepdims=True)
+        if train:
             dx = (s.gamma.data * inv / n) * (n * g - gsum - xhat * gx_sum)
-            return (dx, dgamma, dbeta)
-    else:
-        def grad_fn(g):
-            dgamma = (g * xhat).sum(axis=axes)
-            dbeta = g.sum(axis=axes)
+        else:
             dx = g * s.gamma.data * inv
-            return (dx, dgamma, dbeta)
+        return (dx.reshape(x.shape), gx_sum.sum(axis=(0, 1)),
+                gsum.sum(axis=(0, 1)))
 
-    return Tensor.from_op(out, (x, s.gamma, s.beta), grad_fn)
+    return Tensor.from_op(out.reshape(x.shape), (x, s.gamma, s.beta), grad_fn)
 
 
 def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
@@ -327,9 +365,19 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
 
 # -- activations ------------------------------------------------------
 
+def _leaky_slopes(x: np.ndarray, slope: float) -> np.ndarray:
+    """1 where ``x >= 0``, else ``slope``.  Arithmetic on the sign test:
+    ``np.where`` branches per element and costs ~5x more on mixed signs;
+    (1 - slope) + slope rounds to exactly 1 for 0 < slope <= 2."""
+    f = (x >= 0) * (1.0 - slope)
+    f += slope
+    return f
+
+
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    mask = np.where(x.data >= 0, 1.0, slope)
-    return Tensor.from_op(x.data * mask, (x,), lambda g: (g * mask,))
+    # the backward rebuilds the slopes from the input, keeps no mask
+    return Tensor.from_op(x.data * _leaky_slopes(x.data, slope), (x,),
+                          lambda g: (g * _leaky_slopes(x.data, slope),))
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -369,24 +417,26 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
 
 # -- attention --------------------------------------------------------
 
-def mhsa(tokens: Tensor, p: MhsaParams) -> Tensor:
-    """Scaled dot-product attention per head over an N x D token matrix."""
-    n, d = tokens.shape
+def mhsa(tokens: Tensor, p: MhsaParams, tiles: int = 1) -> Tensor:
+    """Scaled dot-product attention per head over an N x D token matrix,
+    or within each tile's N rows of a row-stacked (tiles*N) x D one."""
+    rows, d = tokens.shape
+    n = tile_rows(rows, tiles)
     heads = p.heads
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
 
-    q = linear(tokens, p.wq)
-    k = linear(tokens, p.wk)
-    v = linear(tokens, p.wv)
+    q = linear(tokens, p.wq).reshape(tiles, n, d)
+    k = linear(tokens, p.wk).reshape(tiles, n, d)
+    v = linear(tokens, p.wv).reshape(tiles, n, d)
 
     outs = []
     for h in range(heads):
         sl = slice(h * dh, (h + 1) * dh)
-        qh, kh, vh = q[:, sl], k[:, sl], v[:, sl]
-        attn = softmax(matmul(qh, kh.T) * scale, axis=-1)
+        qh, kh, vh = q[:, :, sl], k[:, :, sl], v[:, :, sl]
+        attn = softmax(matmul(qh, kh.permute(0, 2, 1)) * scale, axis=-1)
         outs.append(matmul(attn, vh))
-    merged = concat(outs, axis=1)
+    merged = concat(outs, axis=2).reshape(rows, d)
     return linear(merged, p.wo)
 
 

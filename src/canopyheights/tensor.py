@@ -250,9 +250,7 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        if int(np.prod(shape)) != self.size and -1 not in shape:
-            raise ValueError(f"cannot reshape {self.shape} into {shape}")
-        old = self.shape
+        old = self.shape  # numpy raises ValueError for a size mismatch
         return Tensor.from_op(self.data.reshape(shape), (self,),
                               lambda g: (g.reshape(old),))
 
@@ -274,7 +272,12 @@ class Tensor:
 
         def grad_fn(g):
             full = np.zeros_like(self.data)
-            np.add.at(full, key, g)
+            if all(isinstance(k, (int, np.integer, slice)) and not isinstance(k, bool)
+                   for k in (key if isinstance(key, tuple) else (key,))):
+                # a basic index never repeats an element
+                full[key] = g
+            else:
+                np.add.at(full, key, g)
             return (full,)
 
         return Tensor.from_op(np.ascontiguousarray(data), (self,), grad_fn)
@@ -286,13 +289,15 @@ class Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors with inner extents equal."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul expects 2-D tensors")
-    if a.shape[1] != b.shape[0]:
+    """Matrix product of two 2-D tensors, or a stack of them: two 3-D
+    tensors with equal leading extents, one product per leading index."""
+    if a.ndim != b.ndim or a.ndim not in (2, 3):
+        raise ValueError("matmul expects two 2-D or two 3-D tensors")
+    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"inner extent mismatch: {a.shape} @ {b.shape}")
     data = a.data @ b.data
-    return Tensor.from_op(data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+    return Tensor.from_op(data, (a, b), lambda g: (
+        g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:

@@ -9,6 +9,12 @@ sample's targets once per run, emits a per-step loss trace, checkpoints
 every epoch with a rolling keep-last window (the trace included, so a
 resumed run keeps its history), and aborts on non-finite loss.
 
+Each batch is one graph: its tiles are stacked along rows (see ``nn``)
+and run through one forward, each tile's outputs are row slices of the
+batch outputs, each sample's loss is computed on its slices exactly as
+for a lone sample, and one backward runs from the sum of the losses,
+each scaled by 1 / batch size.  Inference runs one tile at a time.
+
 This module alone knows the checkpoint format.  Each epoch is one file,
 ``epoch_NNNN.ckpt``: a ``CKPT/1 <count>`` line, then per array its name on
 one UTF-8 line followed by a TNSR/1 record.  A save writes
@@ -27,7 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import optim
-from .hytec import HyTecConfig, HyTecParams, hytec_forward, init_hytec
+from .hytec import HyTecConfig, hytec_forward, init_hytec
 from .losses import (AdaptiveLossState, ClassTarget, HyTecLossConfig,
                      bin_assign_map, combined_cr_loss, huber,
                      hytec_total_loss, kd_teacher_consensus)
@@ -111,15 +117,20 @@ def make_unet(arch: str, rng: np.random.Generator,
     return init_unet(rng, cfg), cfg
 
 
-def _model_input(sample: Sample, cfg: UNetConfig) -> tuple:
+def _stacked(batch: Sequence[Sample], modality: str) -> Tensor:
+    """One modality of a batch of samples, the tiles stacked along rows."""
+    return Tensor(np.concatenate([getattr(s, modality) for s in batch]))
+
+
+def _model_input(batch: Sequence[Sample], cfg: UNetConfig) -> tuple:
     """The (first-encoder, second-encoder) inputs a U-Net takes from a
-    sample.  A single-encoder model reads the modality whose channel count
-    its encoder was built for."""
+    batch of samples.  A single-encoder model reads the modality whose
+    channel count its encoder was built for."""
     if cfg.dual_modality:
-        return Tensor(sample.s2), Tensor(sample.s1)
-    if cfg.in_channels_s2 == sample.s2.shape[-1]:
-        return Tensor(sample.s2), None
-    return Tensor(sample.s1), None
+        return _stacked(batch, "s2"), _stacked(batch, "s1")
+    if cfg.in_channels_s2 == batch[0].s2.shape[-1]:
+        return _stacked(batch, "s2"), None
+    return _stacked(batch, "s1"), None
 
 
 def unet_sample_target(sample: Sample, cfg: UNetConfig) -> Optional[ClassTarget]:
@@ -130,16 +141,14 @@ def unet_sample_target(sample: Sample, cfg: UNetConfig) -> Optional[ClassTarget]
     return bin_assign_map(sample.target_h, sample.mask > 0, cfg.bins)
 
 
-def unet_sample_loss(sample: Sample, target: Optional[ClassTarget],
-                     params: UNetParams, cfg: UNetConfig,
+def unet_sample_loss(sample: Sample, target: Optional[ClassTarget], out,
                      loss_cfg: HyTecLossConfig,
                      adaptive: Optional[AdaptiveLossState],
                      parts: Optional[dict] = None) -> Tensor:
-    """Per-sample loss matching the variant's head and loss pairing;
-    ``target`` comes from ``unet_sample_target``.  A dual head regresses
-    with the adaptive loss when ``adaptive`` is given, else with Huber."""
-    x2, x1 = _model_input(sample, cfg)
-    out = unet_forward(x2, x1, params, cfg)
+    """Per-sample loss on the sample's model output ``out``, matching the
+    variant's head and loss pairing; ``target`` comes from
+    ``unet_sample_target``.  A dual head regresses with the adaptive loss
+    when ``adaptive`` is given, else with Huber."""
     if isinstance(out, DualHeadOutput):
         loss = combined_cr_loss(out.probs, out.height, target,
                                 sample.target_h, loss_cfg,
@@ -270,21 +279,55 @@ def _check_finite(value: float, step: int, parts: dict) -> None:
             f"non-finite loss {value} at step {step}; output ranges {stats}")
 
 
+def _tile_share(out, t: int, tiles: int):
+    """Tile ``t``'s rows of every map in a row-stacked model output (a
+    tensor, a list of them, or a dataclass of either)."""
+    if isinstance(out, Tensor):
+        rows = out.shape[0] // tiles
+        return out[t * rows:(t + 1) * rows]
+    if isinstance(out, list):
+        return [_tile_share(o, t, tiles) for o in out]
+    return type(out)(*(_tile_share(v, t, tiles) for v in vars(out).values()))
+
+
+def _backward_batch(batch: list, targets: list, forward: Callable,
+                    sample_loss: Callable, step: int) -> list:
+    """One forward over ``batch``, each sample's loss on its share of the
+    outputs, and one backward from their mean; returns the trace values
+    after ``lr``.  The graph dies on return, before the next forward."""
+    out = forward(batch)
+    total, agg = None, dict.fromkeys(TRACE_COLUMNS[3:], 0.0)
+    for t, (sample, target) in enumerate(zip(batch, targets)):
+        parts: dict = {}
+        loss = sample_loss(sample, target, _tile_share(out, t, len(batch)),
+                           parts)
+        scaled = loss * (1.0 / len(batch))
+        total = scaled if total is None else total + scaled
+        for key in agg:
+            agg[key] += parts.get(key, 0.0) / len(batch)
+        _check_finite(float(loss.data), step, parts)
+    backward(Tape.from_root(total), total)
+    return [float(total.data), *agg.values()]
+
+
 def _fit(samples: Sequence[Sample], settings: TrainSettings, resume: bool,
          model, adaptive: Optional[AdaptiveLossState], optimizers: list,
          lr_at: Callable[[int], float],
          sample_targets: Callable[[Sample], object],
-         sample_loss: Callable[[Sample, object, dict], Tensor]) -> list:
+         forward: Callable[[Sequence[Sample]], object],
+         sample_loss: Callable[[Sample, object, object, dict], Tensor]) -> list:
     """Train ``model`` in place and return the trace.
 
     The samples and whatever their targets derive from are fixed for the
     run, so ``sample_targets`` builds each sample's targets once, before
     the first epoch, and every step hands them to ``sample_loss``.
-    Each epoch sets the first optimizer's lr from ``lr_at``, walks a
-    seeded shuffle in batches, backpropagates each sample's loss scaled by
-    the batch size, steps every optimizer, and checkpoints the model, the
-    adaptive loss, the optimizers' state and the trace so far.  A resumed
-    run restores all of these and replays the shuffle history, so it
+    Each epoch sets the first optimizer's lr from ``lr_at`` and walks a
+    seeded shuffle in batches.  A step runs ``forward`` once on the batch,
+    hands each sample's share of the outputs to ``sample_loss``, runs one
+    backward from the sum of the losses scaled by the batch size, and
+    steps every optimizer.  Each epoch checkpoints the model, the adaptive
+    loss, the optimizers' state and the trace so far.  A resumed run
+    restores all of these and replays the shuffle history, so it
     continues exactly where the uninterrupted run would be.
     """
     start_epoch, trace = 0, []
@@ -313,20 +356,12 @@ def _fit(samples: Sequence[Sample], settings: TrainSettings, resume: bool,
             batch = order[lo:lo + settings.batch_size]
             for opt in optimizers:
                 opt.zero_grad()
-            total = 0.0
-            agg = dict.fromkeys(TRACE_COLUMNS[3:], 0.0)
-            for k in batch:
-                parts: dict = {}
-                loss = sample_loss(samples[k], targets[k], parts)
-                scaled = loss * (1.0 / len(batch))
-                backward(Tape.from_root(scaled), scaled)
-                total += float(scaled.data)
-                for key in agg:
-                    agg[key] += parts.get(key, 0.0) / len(batch)
-                _check_finite(float(loss.data), step, parts)
+            values = _backward_batch([samples[k] for k in batch],
+                                     [targets[k] for k in batch], forward,
+                                     sample_loss, step)
             for opt in optimizers:
                 opt.step()
-            trace.append([step, lr, total, *agg.values()])
+            trace.append([step, lr, *values])
             step += 1
         if settings.checkpoint_dir:
             extra = {"trace": np.asarray(trace, dtype=float)}
@@ -357,9 +392,10 @@ def train_unet(samples: Sequence[Sample], settings: TrainSettings,
     trace = _fit(samples, settings, resume, params, adaptive, optimizers,
                  lambda epoch: optim.cosine_lr(epoch, settings.epochs, base_lr),
                  lambda sample: unet_sample_target(sample, cfg),
-                 lambda sample, target, parts: unet_sample_loss(
-                     sample, target, params, cfg, settings.loss, adaptive,
-                     parts))
+                 lambda batch: unet_forward(*_model_input(batch, cfg), params,
+                                            cfg, tiles=len(batch)),
+                 lambda sample, target, out, parts: unet_sample_loss(
+                     sample, target, out, settings.loss, adaptive, parts))
     return TrainResult(params, cfg, adaptive, trace, settings.epochs)
 
 
@@ -374,7 +410,7 @@ class Teacher:
 
 def teacher_heights(teacher: Teacher, sample: Sample) -> np.ndarray:
     """Frozen-teacher inference as a plain array (no gradient)."""
-    x, _ = _model_input(sample, teacher.config)
+    x, _ = _model_input([sample], teacher.config)
     optim.set_bn_mode(teacher.params, "eval")
     with no_grad():
         return teacher_forward(x, teacher.params, teacher.config).data
@@ -414,14 +450,12 @@ def hytec_sample_targets(sample: Sample, cfg: HyTecConfig,
     return aux_t, bin_assign_map(sample.target_h, sample.mask > 0, cfg.bins)
 
 
-def hytec_sample_loss(sample: Sample, targets: tuple, params: HyTecParams,
-                      cfg: HyTecConfig, loss_cfg: HyTecLossConfig,
-                      adaptive: AdaptiveLossState,
+def hytec_sample_loss(sample: Sample, targets: tuple, out,
+                      loss_cfg: HyTecLossConfig, adaptive: AdaptiveLossState,
                       parts: Optional[dict] = None) -> Tensor:
-    """Distillation loss of one sample; ``targets`` comes from
-    ``hytec_sample_targets``."""
+    """Distillation loss of one sample on its model outputs ``out``;
+    ``targets`` comes from ``hytec_sample_targets``."""
     aux_t, target = targets
-    out = hytec_forward(Tensor(sample.s2), params, cfg)
     loss = hytec_total_loss(out.aux, aux_t, out.main.probs, out.main.height,
                             target, sample.target_h, loss_cfg,
                             adaptive_state=adaptive, parts=parts)
@@ -454,9 +488,10 @@ def train_hytec(samples: Sequence[Sample], teachers: Sequence[Teacher],
                      settings.lr_peak, settings.epochs),
                  lambda sample: hytec_sample_targets(
                      sample, cfg, teachers, settings.loss),
-                 lambda sample, targets, parts: hytec_sample_loss(
-                     sample, targets, params, cfg, settings.loss, adaptive,
-                     parts))
+                 lambda batch: hytec_forward(_stacked(batch, "s2"), params,
+                                             cfg, tiles=len(batch)),
+                 lambda sample, targets, out, parts: hytec_sample_loss(
+                     sample, targets, out, settings.loss, adaptive, parts))
     return TrainResult(params, cfg, adaptive, trace, settings.epochs)
 
 
@@ -466,5 +501,5 @@ def predict_heights(params, cfg, sample: Sample) -> np.ndarray:
     with no_grad():
         if isinstance(cfg, HyTecConfig):
             return hytec_forward(Tensor(sample.s2), params, cfg).main.height.data
-        out = unet_forward(*_model_input(sample, cfg), params, cfg)
+        out = unet_forward(*_model_input([sample], cfg), params, cfg)
     return out.height.data if isinstance(out, DualHeadOutput) else out.data

@@ -5,6 +5,9 @@ an attention bottleneck fusing the encoder paths, four decoder blocks
 (double spatial, halve channels) with skip connections from the optical
 encoder, and one of two output heads: a single regression head or a dual
 classification/regression head over overlapping height bins.
+
+Every forward takes a batch of ``tiles`` tiles stacked along rows (see
+``nn``) and checks its shape laws per tile.
 """
 
 from __future__ import annotations
@@ -157,39 +160,46 @@ def init_unet(rng: np.random.Generator, cfg: UNetConfig) -> UNetParams:
 
 # -- block forwards ---------------------------------------------------
 
-def ceb_forward(x: Tensor, p: CebParams) -> Tensor:
+def ceb_forward(x: Tensor, p: CebParams, tiles: int = 1) -> Tensor:
     """Encoder block: W x H x C -> W/2 x H/2 x 2C."""
-    h, w, c = x.shape
+    rows, w, c = x.shape
+    h = nn.tile_rows(rows, tiles)
     if h % 2 or w % 2:
         raise ValueError(f"encoder block needs even extents, got {h}x{w}")
-    y = nn.leaky_relu(nn.batch_norm(nn.conv2d(x, p.conv1), p.bn1))
-    y = nn.leaky_relu(nn.batch_norm(nn.conv2d(y, p.conv2), p.bn2))
+    y = nn.conv2d(x, p.conv1, tiles=tiles)
+    y = nn.leaky_relu(nn.batch_norm(y, p.bn1, tiles=tiles))
+    y = nn.conv2d(y, p.conv2, tiles=tiles)
+    y = nn.leaky_relu(nn.batch_norm(y, p.bn2, tiles=tiles))
     y = nn.conv2d(y, p.down)
-    assert y.shape == (h // 2, w // 2, 2 * c), f"encoder shape law violated: {y.shape}"
+    assert y.shape == (rows // 2, w // 2, 2 * c), f"encoder shape law violated: {y.shape}"
     return y
 
 
-def cdb_forward(x: Tensor, skip: Tensor, p: CdbParams) -> Tensor:
+def cdb_forward(x: Tensor, skip: Tensor, p: CdbParams, tiles: int = 1) -> Tensor:
     """Decoder block: W x H x C with a 2W x 2H x C/2 skip -> 2W x 2H x C/2."""
-    h, w, c = x.shape
+    rows, w, c = x.shape
+    nn.tile_rows(rows, tiles)
     if c % 2:
         raise ValueError("decoder block needs an even channel count")
-    if skip.shape != (2 * h, 2 * w, c // 2):
+    if skip.shape != (2 * rows, 2 * w, c // 2):
         raise ValueError(f"skip shape mismatch: {skip.shape} for input {x.shape}")
     y = nn.conv2d_transpose(x, p.up)
     y = concat([y, skip], axis=2)
-    y = nn.leaky_relu(nn.batch_norm(nn.conv2d(y, p.conv1), p.bn1))
-    y = nn.leaky_relu(nn.batch_norm(nn.conv2d(y, p.conv2), p.bn2))
-    assert y.shape == (2 * h, 2 * w, c // 2), f"decoder shape law violated: {y.shape}"
+    y = nn.conv2d(y, p.conv1, tiles=tiles)
+    y = nn.leaky_relu(nn.batch_norm(y, p.bn1, tiles=tiles))
+    y = nn.conv2d(y, p.conv2, tiles=tiles)
+    y = nn.leaky_relu(nn.batch_norm(y, p.bn2, tiles=tiles))
+    assert y.shape == (2 * rows, 2 * w, c // 2), f"decoder shape law violated: {y.shape}"
     return y
 
 
-def saa_forward(e1: Tensor, e2: Optional[Tensor], p: SaaParams) -> Tensor:
+def saa_forward(e1: Tensor, e2: Optional[Tensor], p: SaaParams,
+                tiles: int = 1) -> Tensor:
     """Attention bottleneck over the (optionally fused) encoder features.
 
     Channel-wise concat of the encoder outputs, then one global single-head
-    self-attention over the flattened positions with a residual connection;
-    shape is preserved.
+    self-attention over each tile's flattened positions with a residual
+    connection; shape is preserved.
     """
     if e2 is not None:
         if e1.shape[:2] != e2.shape[:2]:
@@ -197,10 +207,10 @@ def saa_forward(e1: Tensor, e2: Optional[Tensor], p: SaaParams) -> Tensor:
         x = concat([e1, e2], axis=2)
     else:
         x = e1
-    h, w, c = x.shape
+    rows, w, c = x.shape
     z = nn.conv2d(x, p.proj_in)
-    tokens = z.reshape(h * w, c)
-    attended = nn.mhsa(tokens, p.attn).reshape(h, w, c)
+    tokens = z.reshape(rows * w, c)
+    attended = nn.mhsa(tokens, p.attn, tiles=tiles).reshape(rows, w, c)
     return x + nn.conv2d(attended, p.proj_out)
 
 
@@ -221,37 +231,37 @@ def head_dual(x: Tensor, p: DualHeadParams) -> DualHeadOutput:
 
 # -- full models ------------------------------------------------------
 
-def _encode(x: Tensor, stem: nn.Conv2dParams, cebs: list) -> tuple:
-    feats = [nn.conv2d(x, stem)]
+def _encode(x: Tensor, stem: nn.Conv2dParams, cebs: list, tiles: int) -> tuple:
+    feats = [nn.conv2d(x, stem, tiles=tiles)]
     for ceb in cebs:
-        feats.append(ceb_forward(feats[-1], ceb))
+        feats.append(ceb_forward(feats[-1], ceb, tiles))
     return feats[-1], feats[:-1]    # bottleneck, skip features
 
 
 def unet_forward(s2: Tensor, s1: Optional[Tensor], params: UNetParams,
-                 cfg: UNetConfig):
-    """Full encoder-decoder forward.
+                 cfg: UNetConfig, tiles: int = 1):
+    """Full encoder-decoder forward over ``tiles`` row-stacked tiles.
 
     Returns the height map for a single head, or a DualHeadOutput for the
     dual head.  Skip connections are taken from the optical (s2) path.
     """
-    h, w, _ = s2.shape
-    if h % 16 or w % 16:
+    rows, w, _ = s2.shape
+    if nn.tile_rows(rows, tiles) % 16 or w % 16:
         raise ValueError("spatial extents must be divisible by 16")
-    bot_s2, skips = _encode(s2, params.stem_s2, params.cebs_s2)
+    bot_s2, skips = _encode(s2, params.stem_s2, params.cebs_s2, tiles)
     if cfg.dual_modality:
         if s1 is None:
             raise ValueError("dual-modality model needs an s1 input")
-        bot_s1, _ = _encode(s1, params.stem_s1, params.cebs_s1)
-        fused = saa_forward(bot_s2, bot_s1, params.saa)
+        bot_s1, _ = _encode(s1, params.stem_s1, params.cebs_s1, tiles)
+        fused = saa_forward(bot_s2, bot_s1, params.saa, tiles)
         fused = nn.conv2d(fused, params.fuse)
     else:
-        fused = saa_forward(bot_s2, None, params.saa)
+        fused = saa_forward(bot_s2, None, params.saa, tiles)
 
     y = fused
     for cdb, skip in zip(params.cdbs, reversed(skips)):
-        y = cdb_forward(y, skip, cdb)
-    assert y.shape[:2] == (h, w), "decoder failed to restore the input extent"
+        y = cdb_forward(y, skip, cdb, tiles)
+    assert y.shape[:2] == (rows, w), "decoder failed to restore the input extent"
 
     if cfg.head_kind == "single":
         return head_single(y, params.head)

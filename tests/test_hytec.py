@@ -169,3 +169,36 @@ class TestFullForward:
             return out.main.height.sum() + sum(a.sum() for a in out.aux)
         x = Tensor(RNG(19).normal(size=(32, 32, 10)), requires_grad=True)
         assert grad_check(f, x, max_coords=6) < TOL
+
+
+class TestTileStacking:
+    def test_stacked_batch_equals_tile_by_tile(self):
+        """Three tiles stacked along rows give each tile's own outputs, and
+        the summed gradients of the tiles run one by one."""
+        cfg = mini_cfg()
+        x = RNG(21).normal(size=(3 * 32, 32, 10))
+        w = RNG(22).normal(size=(3 * 32, 32))
+
+        def run(tiles):
+            params = init_hytec(RNG(23), cfg)
+            maps, total = [], 0.0
+            for lo in range(0, 3 * 32, 32 * tiles):
+                rows = slice(lo, lo + 32 * tiles)
+                out = hytec_forward(Tensor(x[rows]), params, cfg, tiles=tiles)
+                maps.append([out.main.height.data, out.main.probs.data,
+                             *(a.data for a in out.aux)])
+                total = (out.main.height * Tensor(w[rows])).sum() \
+                    + sum((a * a).sum() for a in out.aux) + total
+            total.backward()
+            return ([np.concatenate(m) for m in zip(*maps)],
+                    [params.pos.grad, params.embed1.weight.grad,
+                     params.blocks[0].attn.wq.weight.grad,
+                     params.db_conv1.kernel.grad])
+
+        outs, grads = run(3)
+        outs1, grads1 = run(1)
+        for got, want in zip(outs, outs1):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        for got, want in zip(grads, grads1):
+            np.testing.assert_allclose(got, want, rtol=1e-8,
+                                       atol=1e-10 * np.max(np.abs(want)))

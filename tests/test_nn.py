@@ -119,6 +119,82 @@ class TestConvLayout:
                                    ref, atol=1e-12)
 
 
+class TestTileStacking:
+    """A batch is its tiles stacked along rows.  The ops that would reach
+    across a tile boundary (padded convs, batch norm, attention) take the
+    tile count and treat each tile on its own; gradients are checked with
+    weighted objectives, so a tile that leaks into its neighbour shows."""
+
+    @pytest.mark.parametrize("k,s,pad", [(3, 1, 1), (3, 2, 1), (2, 2, 0),
+                                         (1, 1, 0)])
+    def test_conv2d_equals_per_tile(self, k, s, pad):
+        p = nn.init_conv(RNG(50), k, 3, 4, stride=s, padding=pad)
+        p.bias.data[...] = RNG(51).normal(size=4)
+        x = RNG(52).normal(size=(3 * 6, 5, 3))
+        per = [nn.conv2d(Tensor(x[6 * i:6 * (i + 1)]), p).data for i in range(3)]
+        np.testing.assert_allclose(nn.conv2d(Tensor(x), p, tiles=3).data,
+                                   np.concatenate(per), rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_conv2d_grads_at_two_tiles(self, s):
+        p = nn.init_conv(RNG(53), 3, 3, 4, stride=s, padding=1)
+        x = t((2 * 6, 5, 3), seed=54)
+        w = Tensor(RNG(55).normal(size=nn.conv2d(x, p, tiles=2).shape))
+        assert grad_check(lambda v: (nn.conv2d(v, p, tiles=2) * w).sum(),
+                          x) < TOL
+
+        def fk(kernel):
+            q = nn.Conv2dParams(kernel, p.bias, stride=s, padding=1)
+            return (nn.conv2d(x, q, tiles=2) * w).sum()
+        assert grad_check(fk, p.kernel) < TOL
+
+    def test_batch_norm_equals_per_tile(self):
+        a, b = nn.init_bn(3), nn.init_bn(3)
+        x = RNG(56).normal(size=(3 * 4, 5, 3)) * [1.0, 2.0, 3.0] + 0.5
+        out = nn.batch_norm(Tensor(x), a, tiles=3).data
+        per = [nn.batch_norm(Tensor(x[4 * i:4 * (i + 1)]), b).data
+               for i in range(3)]
+        np.testing.assert_allclose(out, np.concatenate(per), rtol=1e-12,
+                                   atol=1e-14)
+        # the running estimates took the same three updates in tile order
+        np.testing.assert_allclose(a.running_mean, b.running_mean, rtol=1e-12)
+        np.testing.assert_allclose(a.running_var, b.running_var, rtol=1e-12)
+        assert not np.allclose(a.running_mean, 0.1 * x.reshape(-1, 3).mean(0))
+
+    def test_batch_norm_grads_at_two_tiles(self):
+        s = nn.init_bn(2)
+        s.gamma.data[...] = [0.7, 1.3]
+        x = t((2 * 3, 4, 2), seed=57)
+        w = Tensor(RNG(58).normal(size=x.shape))
+        assert grad_check(lambda v: (nn.batch_norm(v, s, tiles=2) * w).sum(),
+                          x) < TOL
+
+        def fg(gamma):
+            q = nn.BatchNormState(gamma, s.beta, s.running_mean,
+                                  s.running_var)
+            return (nn.batch_norm(x, q, tiles=2) * w).sum()
+        assert grad_check(fg, s.gamma) < TOL
+
+    def test_mhsa_equals_per_tile_and_grads(self):
+        p = nn.init_mhsa(RNG(59), 8, heads=2)
+        x = t((3 * 5, 8), seed=60)
+        per = [nn.mhsa(Tensor(x.data[5 * i:5 * (i + 1)]), p).data
+               for i in range(3)]
+        np.testing.assert_allclose(nn.mhsa(x, p, tiles=3).data,
+                                   np.concatenate(per), rtol=1e-12, atol=1e-14)
+        w = Tensor(RNG(61).normal(size=(2 * 5, 8)))
+        x2 = t((2 * 5, 8), seed=62)
+        assert grad_check(lambda v: (nn.mhsa(v, p, tiles=2) * w).sum(),
+                          x2) < TOL
+
+    def test_rows_must_split_into_tiles(self):
+        p = nn.init_conv(RNG(63), 3, 2, 2, padding=1)
+        with pytest.raises(ValueError, match="do not split"):
+            nn.conv2d(t((7, 4, 2)), p, tiles=2)
+        with pytest.raises(ValueError, match="do not split"):
+            nn.batch_norm(t((7, 4, 2)), nn.init_bn(2), tiles=2)
+
+
 class TestNorms:
     def test_batch_norm_train_normalizes(self):
         s = nn.init_bn(3)

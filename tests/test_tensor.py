@@ -61,6 +61,39 @@ class TestPrimitiveGradients:
             return (a @ x).sum()
         assert grad_check(g, rand((5, 3))) < TOL
 
+    def test_stacked_matmul_both_sides(self):
+        w = Tensor(np.random.default_rng(5).normal(size=(3, 4, 2)))
+        b = rand((3, 5, 2), seed=6)
+        assert grad_check(lambda x: (matmul(x, b) * w).sum(),
+                          rand((3, 4, 5))) < TOL
+        a = rand((3, 4, 5), seed=7)
+        assert grad_check(lambda x: (matmul(a, x) * w).sum(),
+                          rand((3, 5, 2))) < TOL
+        np.testing.assert_allclose(matmul(a, b).data[1],
+                                   a.data[1] @ b.data[1], rtol=1e-14)
+
+    def test_matmul_rejects_mixed_or_unequal_stacks(self):
+        with pytest.raises(ValueError):
+            matmul(rand((3, 4, 5)), rand((5, 2)))
+        with pytest.raises(ValueError):
+            matmul(rand((3, 4, 5)), rand((2, 5, 2)))
+
+    @pytest.mark.parametrize("key", [
+        2, np.int64(-1), slice(1, 3), (slice(None), 4),
+        (slice(0, 4, 2), slice(1, None)), (3, slice(None, None, -2))])
+    def test_basic_index_gradient(self, key):
+        w = Tensor(np.random.default_rng(8).normal(
+            size=np.zeros((4, 6))[key].shape))
+        assert grad_check(lambda x: (x[key] * w).sum(), rand((4, 6))) < TOL
+
+    def test_fancy_index_with_repeats_accumulates(self):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        (x[np.array([1, 1, 3])] * Tensor(np.array([2.0, 3.0, 5.0]))).sum().backward()
+        np.testing.assert_array_equal(x.grad, [0.0, 5.0, 0.0, 5.0])
+        y = Tensor(np.zeros((3, 2)), requires_grad=True)
+        y[[0, 0, 2], 1].sum().backward()
+        np.testing.assert_array_equal(y.grad, [[0, 2], [0, 0], [0, 1]])
+
     def test_broadcast_add_mul(self):
         row = rand((1, 6), seed=3)
 

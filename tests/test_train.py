@@ -9,7 +9,7 @@ from canopyheights import datapipe as dp
 from canopyheights import nn, optim
 from canopyheights import train as tr
 from canopyheights.hytec import HyTecConfig
-from canopyheights.losses import AdaptiveLossState
+from canopyheights.losses import AdaptiveLossState, HyTecLossConfig
 from canopyheights.tensor import Tensor
 from canopyheights.unet import unet_forward
 
@@ -73,6 +73,31 @@ class TestUnetTraining:
         assert set(ea) == set(eb)
         for k in ea:
             np.testing.assert_array_equal(ea[k], eb[k])
+
+    def test_one_backward_per_optimizer_step(self, monkeypatch):
+        roots = []
+        from_root = tr.Tape.from_root
+        monkeypatch.setattr(tr.Tape, "from_root", staticmethod(
+            lambda root: roots.append(root) or from_root(root)))
+        res = tr.train_unet(tiny_samples(), tiny_settings(epochs=2))
+        assert len(res.trace) == 4           # 3 samples in batches of 2
+        assert len(roots) == len(res.trace)
+        assert [float(r.data) for r in roots] == [row[2] for row in res.trace]
+
+    @pytest.mark.parametrize("arch", ["2mou", "a2mdu"])
+    def test_batch_loss_is_the_mean_of_lone_sample_losses(self, arch):
+        samples = tiny_samples()
+        res = tr.train_unet(samples, tiny_settings(arch=arch, epochs=1,
+                                                   batch_size=3))
+        params, cfg = tr.make_unet(arch, np.random.default_rng(0), 4)
+        adaptive = AdaptiveLossState.create() if arch == "a2mdu" else None
+        losses = []
+        for s in samples:
+            out = unet_forward(*tr._model_input([s], cfg), params, cfg)
+            losses.append(tr.unet_sample_loss(
+                s, tr.unet_sample_target(s, cfg), out, HyTecLossConfig(),
+                adaptive).item())
+        assert res.trace[0][2] == pytest.approx(np.mean(losses), rel=1e-12)
 
     def test_nan_target_aborts_with_diagnostics(self):
         samples = tiny_samples()
