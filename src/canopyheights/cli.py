@@ -5,7 +5,10 @@ Subcommands: ``synth`` (generate a desk-scale dataset), ``filter``
 ``grid`` (sampling-grid construction), ``train`` (all model variants),
 ``eval`` (inference + reports), and ``gsi`` (sharpness analysis of
 predicted maps).  Everything is seeded; single-threaded runs are
-byte-reproducible.  ``CANOPY_LOG`` sets the log level.
+byte-reproducible.  Every output file is written under a temporary name
+and renamed into place once complete (``tensor.atomic_open``), so a
+crashed stage leaves the previous file, or none, for the next stage to
+read.  ``CANOPY_LOG`` sets the log level.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from . import metrics as mt
 from . import train as tr
 from .hytec import HyTecConfig
 from .losses import HeightBinning, HyTecLossConfig
-from .tensor import load_tensor, save_tensor
+from .tensor import atomic_open, load_tensor, save_tensor
 
 log = logging.getLogger("canopyheights")
 
@@ -60,13 +63,15 @@ def write_dataset(tiles, out_dir: str) -> None:
         shots.extend(t.shots)
         rows.append([i, *t.bounds, len(t.shots)])
     dp.shots_to_csv(shots, os.path.join(out_dir, "shots.csv"))
-    with open(os.path.join(out_dir, "labels.csv"), "w", newline="") as fh:
+    with atomic_open(os.path.join(out_dir, "labels.csv"), "w",
+                     newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["tile", "shot", "label"])
         for i, t in enumerate(tiles):
             for j, lab in enumerate(t.shot_labels):
                 w.writerow([i, j, lab])
-    with open(os.path.join(out_dir, "manifest.csv"), "w", newline="") as fh:
+    with atomic_open(os.path.join(out_dir, "manifest.csv"), "w",
+                     newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["tile", "xmin", "ymin", "xmax", "ymax", "n_shots"])
         w.writerows(rows)
@@ -130,7 +135,8 @@ def cmd_filter(cfg, out_dir: str) -> None:
     retained, counts = dp.filter_gedi(shots)
     os.makedirs(out_dir, exist_ok=True)
     dp.shots_to_csv(retained, os.path.join(out_dir, "retained.csv"))
-    with open(os.path.join(out_dir, "filter_report.csv"), "w", newline="") as fh:
+    with atomic_open(os.path.join(out_dir, "filter_report.csv"), "w",
+                     newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["rule", "rejected"])
         for rule in dp.FILTER_RULES:
@@ -151,7 +157,8 @@ def cmd_composite(cfg, out_dir: str) -> None:
     comp, missing = dp.median_composite(stack)
     os.makedirs(out_dir, exist_ok=True)
     save_tensor(os.path.join(out_dir, "composite.tnsr"), comp)
-    with open(os.path.join(out_dir, "composite_report.csv"), "w", newline="") as fh:
+    with atomic_open(os.path.join(out_dir, "composite_report.csv"), "w",
+                     newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["frames", "missing_pixels"])
         w.writerow([len(frames), missing])
@@ -255,7 +262,7 @@ GSI_COLUMNS = ["patch", "si_output", "si_reference", "gsi",
 
 def _write_gsi_csv(path: str, reports: list, tail=()) -> None:
     """One row per sharpness report (exact ``repr`` floats), then ``tail``."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(GSI_COLUMNS)
         w.writerows([i, repr(r.si_output), repr(r.si_reference), repr(r.gsi),
@@ -280,7 +287,8 @@ def cmd_eval(cfg, out_dir: str) -> None:
     yhat = np.concatenate(yhats)
 
     overall = mt.summary_stats(y, yhat)
-    with open(os.path.join(out_dir, "overall.csv"), "w", newline="") as fh:
+    with atomic_open(os.path.join(out_dir, "overall.csv"), "w",
+                     newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n", "r", "rmse", "rmspe", "bias", "sdsd", "lcs"])
         w.writerow([overall.n,

@@ -17,6 +17,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 from scipy import ndimage
 
+from .tensor import atomic_open
+
 RAIN_LIMIT_MM = 40.0
 MIN_CELL_SHOTS = 600
 CELL_SIZE_M = 7680.0
@@ -507,7 +509,7 @@ SHOT_FIELDS = [f.name for f in dataclasses.fields(GediShot)]
 
 
 def shots_to_csv(shots: Sequence[GediShot], path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(SHOT_FIELDS)
         for s in shots:
@@ -539,7 +541,7 @@ def shots_from_csv(path: str) -> list:
 
 
 def grid_to_csv(cells: Sequence[GridCell], path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["col", "row", "xmin", "ymin", "xmax", "ymax",
                     "n_shots", "set_id", "split", "duplication"])

@@ -4,6 +4,10 @@ Huber regression loss, weighted cross-entropy over overlapping height bins,
 the combined discrete/continuous loss, the two-parameter adaptive robust
 loss (learnable shape and scale), and the distillation total loss with
 teacher-consensus gating.
+
+Targets are built in f64.  A loss meets them in its prediction's dtype:
+per-pixel residuals and gradients take the prediction's dtype, and the
+scalar loss value is f64.
 """
 
 from __future__ import annotations
@@ -130,8 +134,8 @@ def huber(pred: Tensor, target: np.ndarray, mask: np.ndarray,
     """Mean Huber loss over valid pixels; quadratic below delta, linear above."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    target = np.asarray(target, dtype=float)
-    mask = np.asarray(mask, dtype=float)
+    target = np.asarray(target, dtype=pred.dtype)
+    mask = np.asarray(mask, dtype=pred.dtype)
     if pred.shape != target.shape or pred.shape != mask.shape:
         raise ValueError("shape mismatch in huber")
     n = mask.sum()
@@ -143,7 +147,8 @@ def huber(pred: Tensor, target: np.ndarray, mask: np.ndarray,
     per = np.where(a < delta, 0.5 * r * r, delta * (a - 0.5 * delta))
     val = float((per * mask).sum() / n)
     dgrad = np.where(a < delta, r, delta * np.sign(r)) * mask / n
-    return Tensor.from_op(np.asarray(val), (pred,), lambda g: (g * dgrad,))
+    return Tensor.from_op(np.asarray(val), (pred,),
+                          lambda g: (dgrad * float(g),))
 
 
 @dataclass
@@ -200,7 +205,7 @@ def adaptive_loss(r: Tensor, s: AdaptiveLossState,
         rho = (b / s.alpha) * (tpow(z / b + 1.0, s.alpha * 0.5) - 1.0)
     if mask is None:
         return rho.mean() if rho.ndim else rho
-    mask = np.asarray(mask, dtype=float)
+    mask = np.asarray(mask, dtype=r.dtype)
     n = mask.sum()
     if n == 0:
         raise ValueError("adaptive_loss needs at least one valid pixel")
@@ -237,11 +242,11 @@ def weighted_cross_entropy(p: Tensor, target: ClassTarget,
     if p.shape != target.t.shape:
         raise ValueError("probability/target shape mismatch")
 
-    wt = w * target.t * target.mask[:, :, None]
+    wt = (w * target.t * target.mask[:, :, None]).astype(p.dtype, copy=False)
     logp = np.log(p.data + LOG_FLOOR)
     val = float(-(wt * logp).sum() / n)
     dgrad = -wt / (p.data + LOG_FLOOR) / n
-    return Tensor.from_op(np.asarray(val), (p,), lambda g: (g * dgrad,))
+    return Tensor.from_op(np.asarray(val), (p,), lambda g: (dgrad * float(g),))
 
 
 # -- combined and distillation losses ---------------------------------
@@ -270,7 +275,7 @@ def combined_cr_loss(probs: Tensor, reg: Tensor, target: ClassTarget,
     w = batch_class_weights(target)
     ce = weighted_cross_entropy(probs, target, w)
     if adaptive_state is not None:
-        residual = reg - Tensor(np.asarray(target_h, dtype=float))
+        residual = reg - Tensor(target_h, dtype=reg.dtype)
         reg_loss = adaptive_loss(residual, adaptive_state, mask=target.mask)
     else:
         reg_loss = huber(reg, target_h, target.mask, cfg.delta)

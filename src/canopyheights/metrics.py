@@ -13,6 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .tensor import atomic_open
+
 RMSPE_MIN_HEIGHT_M = 1.0
 
 # effective resolution (m) vs sharpness ratio, measured on reference
@@ -227,7 +229,7 @@ def _fmt(v) -> str:
 
 def report_to_csv(rows: list, path: str) -> None:
     """Emit binned_report rows as CSV (empty buckets keep their range)."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(REPORT_COLUMNS)
         for (lo, hi), rep in rows:

@@ -41,6 +41,7 @@ reshape and two GEMMs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -366,10 +367,11 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
 # -- activations ------------------------------------------------------
 
 def _leaky_slopes(x: np.ndarray, slope: float) -> np.ndarray:
-    """1 where ``x >= 0``, else ``slope``.  Arithmetic on the sign test:
-    ``np.where`` branches per element and costs ~5x more on mixed signs;
-    (1 - slope) + slope rounds to exactly 1 for 0 < slope <= 2."""
-    f = (x >= 0) * (1.0 - slope)
+    """1 where ``x >= 0``, else ``slope``, in the dtype of ``x``.
+    Arithmetic on the sign test: ``np.where`` branches per element and
+    costs ~5x more on mixed signs; (1 - slope) + slope rounds to exactly 1
+    for 0 < slope <= 2, in f32 as in f64."""
+    f = (x >= 0) * x.dtype.type(1.0 - slope)
     f += slope
     return f
 
@@ -384,7 +386,9 @@ def softplus(x: Tensor) -> Tensor:
     """log(1 + exp(x)) with an overflow-safe branch; strictly positive."""
     out = np.where(x.data > 30.0, x.data + np.log1p(np.exp(-np.abs(x.data))),
                    np.log1p(np.exp(np.minimum(x.data, 30.0))))
-    sig = 1.0 / (1.0 + np.exp(-np.clip(x.data, -500, 500)))
+    # f32 overflows past exp(88.7); other dtypes keep the f64 clip
+    lim = 80.0 if x.dtype == np.float32 else 500.0
+    sig = 1.0 / (1.0 + np.exp(-np.clip(x.data, -lim, lim)))
     return Tensor.from_op(out, (x,), lambda g: (g * sig,))
 
 
@@ -400,8 +404,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor.from_op(y, (x,), grad_fn)
 
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, so that they take the dtype of the array they meet
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:

@@ -5,8 +5,15 @@ Calling ``backward`` on a scalar result walks the recorded graph in reverse
 topological order and accumulates gradients into every leaf that requested
 them.  Gradients are summed across uses; callers zero them between steps.
 
-64-bit floats are the default so that finite-difference checks have enough
-headroom; 32-bit can be selected per tensor for speed.
+Every op computes in the dtype of its inputs, and ``backward`` hands each
+node its adjoint in that node's own dtype.  64-bit floats are the library
+default, so finite-difference checks have enough headroom and inference
+runs in f64.  Training runs its forward and backward on 32-bit working
+copies of 64-bit master parameters (see ``train``): its graph holds f32
+arrays, and the scalar losses on top of it are f64.
+
+The TNSR/1 writers and the CLI write each output file through
+``atomic_open``: under a temporary name, renamed into place once complete.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import itertools
+import os
 import struct
 from typing import Callable, Optional, Sequence
 
@@ -114,7 +122,7 @@ class Tensor:
     def _coerce(other, like: "Tensor") -> "Tensor":
         if isinstance(other, Tensor):
             return other
-        return Tensor(np.asarray(other, dtype=like.data.dtype))
+        return Tensor(other, dtype=like.data.dtype)
 
     @staticmethod
     def _check_broadcast(a: "Tensor", b: "Tensor"):
@@ -357,7 +365,9 @@ class Tape:
 
 
 def backward(tape: Tape, root: Tensor, seed: Optional[np.ndarray] = None) -> None:
-    """Reverse accumulation over a tape; leaves receive summed gradients."""
+    """Reverse accumulation over a tape; leaves receive summed gradients.
+    Each adjoint is cast to its node's dtype before it accumulates, so an
+    f32 node never holds an f64 adjoint an f64 loss above it produced."""
     if not any(n is root for n in tape.nodes):
         raise ValueError("root is not on the tape")
     if seed is None:
@@ -381,6 +391,8 @@ def backward(tape: Tape, root: Tensor, seed: Optional[np.ndarray] = None) -> Non
             for p, pg in zip(node._parents, parent_grads):
                 if pg is None or not p.requires_grad:
                     continue
+                if pg.dtype != p.data.dtype:
+                    pg = pg.astype(p.data.dtype)
                 if p._id in adjoint:
                     adjoint[p._id] = adjoint[p._id] + pg
                 else:
@@ -428,6 +440,22 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5,
 
 # -- TNSR/1 persistence ----------------------------------------------
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open ``path + ".tmp"`` for writing and rename it onto ``path`` once
+    the block exits cleanly.  On an exception the temporary file is
+    removed, so ``path`` holds the previous complete file, or none."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 _TNSR_MAGIC = b"TNSR"
 _DTYPE_CODES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
 _CODE_FOR = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
@@ -471,8 +499,8 @@ def read_record(fh, path) -> np.ndarray:
 
 
 def save_tensor(path, t) -> None:
-    """Write an array as a TNSR/1 file: one record."""
-    with open(path, "wb") as fh:
+    """Write an array as a TNSR/1 file: one record, renamed into place."""
+    with atomic_open(path, "wb") as fh:
         write_record(fh, t)
 
 

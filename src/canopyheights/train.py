@@ -15,15 +15,28 @@ batch outputs, each sample's loss is computed on its slices exactly as
 for a lone sample, and one backward runs from the sum of the losses,
 each scaled by 1 / batch size.  Inference runs one tile at a time.
 
+Precision: the optimizers own float64 master parameters.  Each training
+step runs its forward and backward on float32 working copies of them
+(``WORK_DTYPE``) with float32 model inputs, and every adjoint takes its
+node's dtype.  The f64 masters are put back before the optimizers step,
+so each f32 gradient updates an f64 master (mixed-precision training,
+Micikevicius et al. 2018, arXiv 1710.03740, with f32 as the working
+precision): an update below f32's spacing at a parameter's value still
+moves it.  Parameters, optimizer state, batch-norm running statistics,
+checkpoints, ``TrainResult.params``, targets and all inference stay
+float64.
+
 This module alone knows the checkpoint format.  Each epoch is one file,
 ``epoch_NNNN.ckpt``: a ``CKPT/1 <count>`` line, then per array its name on
 one UTF-8 line followed by a TNSR/1 record.  A save writes
-``epoch_NNNN.ckpt.tmp`` and renames it into place, so a crash part-way
-through leaves the previous epoch as the newest checkpoint.
+``epoch_NNNN.ckpt.tmp`` and renames it into place (``tensor.atomic_open``),
+so a crash part-way through leaves the previous epoch as the newest
+checkpoint.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 import re
@@ -37,13 +50,15 @@ from .hytec import HyTecConfig, hytec_forward, init_hytec
 from .losses import (AdaptiveLossState, ClassTarget, HyTecLossConfig,
                      bin_assign_map, combined_cr_loss, huber,
                      hytec_total_loss, kd_teacher_consensus)
-from .tensor import (Tape, Tensor, backward, no_grad, read_record,
-                     write_record)
+from .tensor import (Tape, Tensor, atomic_open, backward, no_grad,
+                     read_record, write_record)
 from .unet import (DualHeadOutput, UNetConfig, UNetParams, init_unet,
                    teacher_config, teacher_forward, unet_forward)
 
 UNET_ARCHS = ("2mou", "2mdu", "a2mdu", "teacher_s1", "teacher_s2")
 TRACE_COLUMNS = ["step", "lr", "total", "aux1", "aux2", "aux3", "ce", "reg"]
+# the dtype of a training step's forward and backward; masters stay f64
+WORK_DTYPE = np.float32
 
 
 class TrainingDiverged(RuntimeError):
@@ -117,20 +132,23 @@ def make_unet(arch: str, rng: np.random.Generator,
     return init_unet(rng, cfg), cfg
 
 
-def _stacked(batch: Sequence[Sample], modality: str) -> Tensor:
+def _stacked(batch: Sequence[Sample], modality: str,
+             dtype=np.float64) -> Tensor:
     """One modality of a batch of samples, the tiles stacked along rows."""
-    return Tensor(np.concatenate([getattr(s, modality) for s in batch]))
+    return Tensor(np.concatenate([getattr(s, modality) for s in batch]),
+                  dtype=dtype)
 
 
-def _model_input(batch: Sequence[Sample], cfg: UNetConfig) -> tuple:
+def _model_input(batch: Sequence[Sample], cfg: UNetConfig,
+                 dtype=np.float64) -> tuple:
     """The (first-encoder, second-encoder) inputs a U-Net takes from a
     batch of samples.  A single-encoder model reads the modality whose
     channel count its encoder was built for."""
     if cfg.dual_modality:
-        return _stacked(batch, "s2"), _stacked(batch, "s1")
+        return _stacked(batch, "s2", dtype), _stacked(batch, "s1", dtype)
     if cfg.in_channels_s2 == batch[0].s2.shape[-1]:
-        return _stacked(batch, "s2"), None
-    return _stacked(batch, "s1"), None
+        return _stacked(batch, "s2", dtype), None
+    return _stacked(batch, "s1", dtype), None
 
 
 def unet_sample_target(sample: Sample, cfg: UNetConfig) -> Optional[ClassTarget]:
@@ -184,7 +202,7 @@ def _epoch_files(directory: str) -> list:
 
 
 def _write_arrays(path: str, arrays: dict) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(b"CKPT/1 %d\n" % len(arrays))
         for name in sorted(arrays):
             fh.write(name.encode("utf-8") + b"\n")
@@ -213,13 +231,7 @@ def save_checkpoint(directory: str, epoch: int, model, adaptive,
     then delete all but the newest ``keep_last`` epoch files."""
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"epoch_{epoch:04d}.ckpt")
-    try:
-        _write_arrays(path + ".tmp", _checkpoint_arrays(model, adaptive, extra))
-    except BaseException:
-        if os.path.exists(path + ".tmp"):
-            os.remove(path + ".tmp")
-        raise
-    os.replace(path + ".tmp", path)
+    _write_arrays(path, _checkpoint_arrays(model, adaptive, extra))
     for old in _epoch_files(directory)[:-keep_last]:
         os.remove(os.path.join(directory, old))
     return path
@@ -261,7 +273,7 @@ def load_checkpoint(path: str, model, adaptive=None) -> dict:
 
 
 def write_trace(rows: Sequence[Sequence], path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TRACE_COLUMNS)
         for row in rows:
@@ -288,6 +300,20 @@ def _tile_share(out, t: int, tiles: int):
     if isinstance(out, list):
         return [_tile_share(o, t, tiles) for o in out]
     return type(out)(*(_tile_share(v, t, tiles) for v in vars(out).values()))
+
+
+@contextlib.contextmanager
+def _working_copies(optimizers: list):
+    """Inside the block every tensor the optimizers own holds a
+    ``WORK_DTYPE`` copy of its master array; on exit, the master again."""
+    masters = [(t, t.data) for opt in optimizers for t in opt.params.values()]
+    for t, master in masters:
+        t.data = master.astype(WORK_DTYPE)
+    try:
+        yield
+    finally:
+        for t, master in masters:
+            t.data = master
 
 
 def _backward_batch(batch: list, targets: list, forward: Callable,
@@ -325,8 +351,12 @@ def _fit(samples: Sequence[Sample], settings: TrainSettings, resume: bool,
     seeded shuffle in batches.  A step runs ``forward`` once on the batch,
     hands each sample's share of the outputs to ``sample_loss``, runs one
     backward from the sum of the losses scaled by the batch size, and
-    steps every optimizer.  Each epoch checkpoints the model, the adaptive
-    loss, the optimizers' state and the trace so far.  A resumed run
+    steps every optimizer.  The forward and the backward run on f32
+    working copies of the optimizers' tensors, and the f64 masters are
+    back in place before the optimizers step: gradient functions read
+    parameter arrays lazily, so the swap spans both.  Each epoch
+    checkpoints the model, the adaptive loss, the optimizers' state and
+    the trace so far.  A resumed run
     restores all of these and replays the shuffle history, so it
     continues exactly where the uninterrupted run would be.
     """
@@ -356,9 +386,10 @@ def _fit(samples: Sequence[Sample], settings: TrainSettings, resume: bool,
             batch = order[lo:lo + settings.batch_size]
             for opt in optimizers:
                 opt.zero_grad()
-            values = _backward_batch([samples[k] for k in batch],
-                                     [targets[k] for k in batch], forward,
-                                     sample_loss, step)
+            with _working_copies(optimizers):
+                values = _backward_batch([samples[k] for k in batch],
+                                         [targets[k] for k in batch],
+                                         forward, sample_loss, step)
             for opt in optimizers:
                 opt.step()
             trace.append([step, lr, *values])
@@ -392,8 +423,9 @@ def train_unet(samples: Sequence[Sample], settings: TrainSettings,
     trace = _fit(samples, settings, resume, params, adaptive, optimizers,
                  lambda epoch: optim.cosine_lr(epoch, settings.epochs, base_lr),
                  lambda sample: unet_sample_target(sample, cfg),
-                 lambda batch: unet_forward(*_model_input(batch, cfg), params,
-                                            cfg, tiles=len(batch)),
+                 lambda batch: unet_forward(
+                     *_model_input(batch, cfg, WORK_DTYPE), params, cfg,
+                     tiles=len(batch)),
                  lambda sample, target, out, parts: unet_sample_loss(
                      sample, target, out, settings.loss, adaptive, parts))
     return TrainResult(params, cfg, adaptive, trace, settings.epochs)
@@ -488,8 +520,9 @@ def train_hytec(samples: Sequence[Sample], teachers: Sequence[Teacher],
                      settings.lr_peak, settings.epochs),
                  lambda sample: hytec_sample_targets(
                      sample, cfg, teachers, settings.loss),
-                 lambda batch: hytec_forward(_stacked(batch, "s2"), params,
-                                             cfg, tiles=len(batch)),
+                 lambda batch: hytec_forward(
+                     _stacked(batch, "s2", WORK_DTYPE), params, cfg,
+                     tiles=len(batch)),
                  lambda sample, targets, out, parts: hytec_sample_loss(
                      sample, targets, out, settings.loss, adaptive, parts))
     return TrainResult(params, cfg, adaptive, trace, settings.epochs)

@@ -9,6 +9,9 @@ import pytest
 from canopyheights import cli
 from canopyheights import config as cf
 from canopyheights import datapipe as dp
+from canopyheights import metrics as mt
+from canopyheights import tensor as tn
+from canopyheights import train as tr
 from canopyheights.tensor import load_tensor
 
 
@@ -199,6 +202,85 @@ class TestTrainEvalGsi:
             rows = list(csv.reader(fh))
         assert rows[-1][0] == "mean"
         assert float(rows[-1][3]) > 0.0
+
+
+def _then_fail(items):
+    """The items, then an OSError: a disk that fills part-way through."""
+    yield from items
+    raise OSError("no space left on device")
+
+
+class TestCrashSafeOutputs:
+    """An output whose write fails part-way leaves the previous complete
+    file in place, or none, and no temporary file."""
+
+    @staticmethod
+    def check_kept(path, before):
+        folder = os.path.dirname(path)
+        assert not [f for f in os.listdir(folder) if f.endswith(".tmp")]
+        if before is None:
+            assert not os.path.exists(path)
+        else:
+            with open(path, "rb") as fh:
+                assert fh.read() == before
+
+    @pytest.mark.parametrize("previous", [True, False])
+    @pytest.mark.parametrize("writer", ["trace", "shots", "grid", "report",
+                                        "gsi"])
+    def test_interrupted_csv_writer(self, workspace, tmp_path, writer,
+                                    previous):
+        _, _, ds = workspace
+        shots = dp.shots_from_csv(os.path.join(ds, "shots.csv"))
+        xs, ys = [s.lon for s in shots], [s.lat for s in shots]
+        cells = dp.build_grid(shots, (min(xs), min(ys), max(xs) + 1,
+                                      max(ys) + 1), cell_size=160.0,
+                              min_shots=1, seed=0)
+        rows = {
+            "trace": ([[0, 0.1, *range(6)], [1, 0.1, *range(6)]],
+                      tr.write_trace),
+            "shots": (shots, dp.shots_to_csv),
+            "grid": (cells, dp.grid_to_csv),
+            "report": ([((0.0, 10.0), None), ((10.0, 20.0), None)],
+                       mt.report_to_csv),
+            "gsi": ([["mean", "", "", "1.0", "10.0"], ["tail", "", "", "", ""]],
+                    lambda tail, p: cli._write_gsi_csv(p, [], tail)),
+        }
+        items, write = rows[writer]
+        path = str(tmp_path / f"{writer}.csv")
+        before = None
+        if previous:
+            write(items, path)
+            with open(path, "rb") as fh:
+                before = fh.read()
+        assert len(items) >= 2
+        with pytest.raises(OSError):
+            write(_then_fail(items[:-1]), path)
+        self.check_kept(path, before)
+
+    def test_interrupted_eval_keeps_the_previous_predictions(
+            self, workspace, trained, evaluated, tmp_path, monkeypatch):
+        monkeypatch.delenv("CANOPY_LOG", raising=False)
+        root, _, _ = workspace
+        cfg, first = evaluated
+        out = str(tmp_path / "eval")
+        assert run(cfg, ["eval", "--out", out], tmp_path) == 0
+        names = sorted(os.listdir(out))
+        before = {}
+        for name in names:
+            with open(os.path.join(out, name), "rb") as fh:
+                before[name] = fh.read()
+        write_record = tn.write_record
+
+        def failing(fh, arr):
+            if os.path.basename(fh.name).startswith("pred_001.tnsr"):
+                fh.write(b"TNSR")
+                raise OSError("no space left on device")
+            write_record(fh, arr)
+        monkeypatch.setattr(tn, "write_record", failing)
+        assert run(cfg, ["eval", "--out", out], tmp_path) == 1
+        assert sorted(os.listdir(out)) == names
+        for name in names:
+            self.check_kept(os.path.join(out, name), before[name])
 
 
 class TestErrors:

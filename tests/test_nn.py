@@ -1,5 +1,7 @@
 """Neural-network building blocks: forward semantics and gradients."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,40 @@ class TestActivations:
         def f(v):
             return (nn.softmax(v) * Tensor(w)).sum()
         assert grad_check(f, t((3, 5), seed=19)) < TOL
+
+
+class TestActivationDtypes:
+    """An activation computes in its input's dtype, f32 without overflow
+    warnings, and its f64 results do not move."""
+
+    X = np.array([-1000.0, -600.0, -90.0, -31.0, -2.5, -1e-3, 0.0, 1e-3,
+                  0.7, 29.0, 31.0, 90.0, 1000.0])
+
+    @pytest.mark.parametrize("op", [nn.leaky_relu, nn.softplus, nn.gelu,
+                                    nn.softmax])
+    def test_f32_in_f32_out_close_to_f64(self, op):
+        x32 = Tensor(self.X, requires_grad=True, dtype=np.float32)
+        x64 = Tensor(self.X, requires_grad=True)
+        w = RNG(20).normal(size=self.X.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y32 = op(x32)
+            (y32 * w).sum().backward()
+        (op(x64) * w).sum().backward()
+        assert y32.dtype == np.float32 and x32.grad.dtype == np.float32
+        np.testing.assert_allclose(y32.data, op(x64).data, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(x32.grad, x64.grad, rtol=1e-5, atol=1e-6)
+
+    def test_f64_softplus_gradient_is_unchanged(self):
+        x = Tensor(self.X, requires_grad=True)
+        nn.softplus(x).sum().backward()
+        sig = 1.0 / (1.0 + np.exp(-np.clip(self.X, -500, 500)))
+        np.testing.assert_array_equal(x.grad, sig)
+
+    def test_f64_leaky_slopes_are_unchanged(self):
+        x = Tensor(self.X, requires_grad=True)
+        nn.leaky_relu(x, 0.01).sum().backward()
+        np.testing.assert_array_equal(x.grad, np.where(self.X >= 0, 1.0, 0.01))
 
 
 class TestAttentionAndLinear:

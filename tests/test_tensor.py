@@ -1,11 +1,14 @@
 """Autodiff core: primitive gradients, tape mechanics, TNSR persistence."""
 
+import os
+
 import numpy as np
 import pytest
 
-from canopyheights.tensor import (Tensor, Tape, backward, concat, grad_check,
-                                  load_tensor, matmul, no_grad, save_tensor,
-                                  tpow)
+import canopyheights.tensor as tn
+from canopyheights.tensor import (Tensor, Tape, atomic_open, backward, concat,
+                                  grad_check, load_tensor, matmul, no_grad,
+                                  save_tensor, tpow)
 
 TOL = 1e-4
 
@@ -180,6 +183,26 @@ class TestDtypeAndChecks:
     def test_default_dtype_is_float64(self):
         assert Tensor(np.zeros(3, dtype=np.float32)).dtype == np.float64
 
+    @pytest.mark.parametrize("f", [
+        lambda x: x * 0.5, lambda x: 0.5 * x, lambda x: x - 1,
+        lambda x: 2.0 / x, lambda x: x + np.float64(3.0),
+        lambda x: x * np.ones(3),
+    ])
+    def test_python_and_numpy_operands_keep_f32(self, f):
+        x = Tensor(np.ones(3, np.float32), dtype=np.float32)
+        assert f(x).dtype == np.float32
+
+    def test_adjoints_take_their_nodes_dtype(self):
+        # an f64 operand lifts the product to f64; the f32 leaf below it
+        # still receives an f32 gradient
+        x = Tensor(np.arange(1.0, 4.0), requires_grad=True, dtype=np.float32)
+        w = Tensor(np.array([0.5, 1.5, 2.5]))
+        loss = (x * w).sum()
+        assert loss.dtype == np.float64
+        loss.backward()
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, np.float32([0.5, 1.5, 2.5]))
+
     def test_broadcast_mismatch_raises(self):
         with pytest.raises(ValueError):
             Tensor(np.zeros((3, 2))) + Tensor(np.zeros((4, 2)))
@@ -234,3 +257,34 @@ class TestPersistence:
         save_tensor(p1, arr)
         save_tensor(p2, arr)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("previous", [True, False])
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch,
+                                                  previous):
+        p = tmp_path / "t.tnsr"
+        if previous:
+            save_tensor(p, np.arange(4.0))
+        write_record = tn.write_record
+
+        def failing(fh, arr):
+            fh.write(b"TNSR\x01")
+            raise OSError("no space left on device")
+        monkeypatch.setattr(tn, "write_record", failing)
+        with pytest.raises(OSError):
+            save_tensor(p, np.arange(64.0))
+        monkeypatch.setattr(tn, "write_record", write_record)
+        assert sorted(os.listdir(tmp_path)) == (["t.tnsr"] if previous else [])
+        if previous:
+            np.testing.assert_array_equal(load_tensor(p), np.arange(4.0))
+
+    def test_atomic_open_replaces_only_on_success(self, tmp_path):
+        p = tmp_path / "a.csv"
+        with atomic_open(p) as fh:
+            fh.write("old\n")
+            assert not p.exists()
+        with pytest.raises(KeyboardInterrupt):
+            with atomic_open(p) as fh:
+                fh.write("new, half\n")
+                raise KeyboardInterrupt
+        assert p.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["a.csv"]

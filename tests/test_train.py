@@ -84,11 +84,9 @@ class TestUnetTraining:
         assert len(roots) == len(res.trace)
         assert [float(r.data) for r in roots] == [row[2] for row in res.trace]
 
-    @pytest.mark.parametrize("arch", ["2mou", "a2mdu"])
-    def test_batch_loss_is_the_mean_of_lone_sample_losses(self, arch):
-        samples = tiny_samples()
-        res = tr.train_unet(samples, tiny_settings(arch=arch, epochs=1,
-                                                   batch_size=3))
+    @staticmethod
+    def lone_f64_losses(arch, samples):
+        """Each sample's f64 loss under the trainer's initial parameters."""
         params, cfg = tr.make_unet(arch, np.random.default_rng(0), 4)
         adaptive = AdaptiveLossState.create() if arch == "a2mdu" else None
         losses = []
@@ -97,7 +95,31 @@ class TestUnetTraining:
             losses.append(tr.unet_sample_loss(
                 s, tr.unet_sample_target(s, cfg), out, HyTecLossConfig(),
                 adaptive).item())
-        assert res.trace[0][2] == pytest.approx(np.mean(losses), rel=1e-12)
+        return losses
+
+    @pytest.mark.parametrize("arch", ["2mou", "a2mdu"])
+    def test_batch_loss_is_the_mean_of_lone_sample_losses(self, arch):
+        samples = tiny_samples()
+        losses = self.lone_f64_losses(arch, samples)
+        params, cfg = tr.make_unet(arch, np.random.default_rng(0), 4)
+        adaptive = AdaptiveLossState.create() if arch == "a2mdu" else None
+        values = tr._backward_batch(
+            samples, [tr.unet_sample_target(s, cfg) for s in samples],
+            lambda batch: unet_forward(*tr._model_input(batch, cfg), params,
+                                       cfg, tiles=len(batch)),
+            lambda s, target, out, parts: tr.unet_sample_loss(
+                s, target, out, HyTecLossConfig(), adaptive, parts), 0)
+        assert values[0] == pytest.approx(np.mean(losses), rel=1e-12)
+
+    @pytest.mark.parametrize("arch", ["2mou", "a2mdu"])
+    def test_first_step_loss_matches_the_f64_loss(self, arch):
+        # the trainer's step runs in f32: ~1e-7 rounding per op compounds
+        # through some twenty layers to ~1e-7..1e-6 of the loss
+        samples = tiny_samples()
+        res = tr.train_unet(samples, tiny_settings(arch=arch, epochs=1,
+                                                   batch_size=3))
+        assert res.trace[0][2] == pytest.approx(
+            np.mean(self.lone_f64_losses(arch, samples)), rel=1e-5)
 
     def test_nan_target_aborts_with_diagnostics(self):
         samples = tiny_samples()
@@ -385,3 +407,77 @@ class TestDistillation:
             pred = tr.predict_heights(res.params, res.config, s)
             assert pred.shape == s.target_h.shape
             assert (pred > 0).all()
+
+
+class TestPrecision:
+    """A training step runs in f32 on working copies of f64 masters."""
+
+    @staticmethod
+    def f64_leftovers(monkeypatch, train):
+        """Run ``train`` and list every non-scalar array that is not f32
+        among the values of graph nodes and the gradients their gradient
+        functions return."""
+        found = []
+        from_op = Tensor.from_op
+
+        def recording(data, parents, grad_fn):
+            def checked(g):
+                grads = grad_fn(g)
+                found.extend(("adjoint", pg.shape, pg.dtype) for pg in grads
+                             if pg is not None and pg.ndim
+                             and pg.dtype != np.float32)
+                return grads
+            out = from_op(data, parents, checked)
+            if out.requires_grad and data.ndim and data.dtype != np.float32:
+                found.append(("node", data.shape, data.dtype))
+            return out
+        monkeypatch.setattr(Tensor, "from_op", staticmethod(recording))
+        result = train()
+        monkeypatch.undo()
+        return found, result
+
+    @pytest.mark.parametrize("arch", tr.UNET_ARCHS)
+    def test_unet_step_holds_no_f64_array(self, arch, monkeypatch):
+        samples = tiny_samples()
+        found, res = self.f64_leftovers(monkeypatch, lambda: tr.train_unet(
+            samples, tiny_settings(arch=arch, epochs=1, batch_size=3)))
+        assert found == []
+        grads = [t.grad for t in optim.collect_tensors(res.params).values()]
+        assert all(g.dtype == np.float32 for g in grads)
+        assert all(a.dtype == np.float64
+                   for a in optim.export_arrays(res.params).values())
+
+    def test_hytec_step_holds_no_f64_array(self, monkeypatch, tmp_path):
+        samples = tiny_samples(n_tiles=2)
+        teachers = _make_teachers(samples)
+        cfg = HyTecConfig.desk_scale(image_size=32, patch=8, embed_dim=16,
+                                     blocks=4, heads=2, l_hat=16)
+        st = tr.TrainSettings(arch="hytec", epochs=1, batch_size=2, seed=3,
+                              warmup_epochs=1, lr_peak=1e-3,
+                              checkpoint_dir=str(tmp_path))
+        found, res = self.f64_leftovers(monkeypatch, lambda: tr.train_hytec(
+            samples, teachers, st, cfg=cfg))
+        assert found == []
+        registry = optim.collect_tensors(res.params)
+        assert all(t.grad.dtype == np.float32 for t in registry.values())
+        # masters, AdamW moments and every checkpointed array stay f64
+        assert all(t.data.dtype == np.float64 for t in registry.values())
+        arrays = tr._read_arrays(tr.latest_checkpoint(str(tmp_path))[1])
+        assert any(name.startswith("adam_m.") for name in arrays)
+        assert all(a.dtype == np.float64 for a in arrays.values())
+
+    def test_masters_keep_sub_ulp_updates(self):
+        # at alpha = 2 the adaptive loss takes its L2 branch, which gives
+        # alpha no gradient; the scale's c_raw is the scalar that trains
+        samples = tiny_samples()
+        lr = 1e-10
+        res = tr.train_unet(samples, tiny_settings(
+            arch="a2mdu", epochs=1, batch_size=3, adaptive_lr=lr))
+        start = AdaptiveLossState.create().c_raw.data
+        moved = float(res.adaptive.c_raw.data - start)
+        # an f32 master would round this update away
+        assert 0 < abs(moved) < np.spacing(np.float32(start)) / 2
+        assert moved == pytest.approx(-lr * float(res.adaptive.c_raw.grad),
+                                      rel=1e-6)
+        assert res.adaptive.c_raw.data.dtype == np.float64
+        assert res.adaptive.alpha.data.dtype == np.float64
