@@ -169,11 +169,10 @@ def cmd_grid(cfg, out_dir: str) -> None:
     shots = dp.shots_from_csv(
         os.path.join(cfg.get("data", "dataset_dir"), "shots.csv"))
     cell = cfg.get("data", "cell_size_m")
-    xs = [s.lon for s in shots]
-    ys = [s.lat for s in shots]
-    bounds = (min(xs), min(ys),
-              min(xs) + np.ceil((max(xs) - min(xs)) / cell + 1e-9) * cell,
-              min(ys) + np.ceil((max(ys) - min(ys)) / cell + 1e-9) * cell)
+    x0, x1 = float(shots.lon.min()), float(shots.lon.max())
+    y0, y1 = float(shots.lat.min()), float(shots.lat.max())
+    bounds = (x0, y0, x0 + np.ceil((x1 - x0) / cell + 1e-9) * cell,
+              y0 + np.ceil((y1 - y0) / cell + 1e-9) * cell)
     cells = dp.build_grid(shots, bounds, cell_size=cell,
                           min_shots=cfg.get("data", "min_cell_shots"),
                           seed=cfg.get("run", "seed"))
@@ -363,7 +362,7 @@ def main(argv=None) -> int:
             kwargs["resume"] = args.resume
         COMMANDS[args.command](cfg, args.out, **kwargs)
     except Exception as exc:       # noqa: BLE001 - CLI boundary
-        log.error("%s", exc)
+        log.error("%s: %s", type(exc).__name__, exc)
         if os.environ.get("CANOPY_LOG", "").upper() == "DEBUG":
             raise
         return 1

@@ -5,12 +5,25 @@ generator.
 
 All tiles are plain rasters at a 10 m pixel; coordinates are local meters
 (no CRS handling).
+
+LiDAR shots travel as a shot table: a ``np.recarray`` of ``SHOT_DTYPE``,
+one column per ``GediShot`` field in ``SHOT_FIELDS`` order (float64 and
+int64 columns, and an object column of ``str`` for ``beam_kind``).  Its
+rows read like shots (``table[i].lon``), and ``table.lon`` is the whole
+column.  ``shots_from_csv`` returns one; ``filter_gedi`` tests each rule
+on whole columns and returns the retained rows as one; ``build_grid``
+groups cell ids with one stable sort; ``shots_to_csv`` formats whole
+columns.  Each of them also takes a list (or any iterable) of
+``GediShot`` and converts it on entry through ``shot_table``, so code
+that builds shots one at a time, like ``synth_dataset``, keeps doing so.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -141,59 +154,80 @@ class GediShot:
     beam_kind: str = "full_power"
 
     def __post_init__(self):
+        for name in _NUMBER_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)!r}")
         if not 0.0 <= self.sensitivity <= 1.0:
             raise ValueError("sensitivity must lie in [0, 1]")
         if self.rh98 < 0:
             raise ValueError("rh98 must be non-negative")
 
 
+SHOT_FIELDS = [f.name for f in dataclasses.fields(GediShot)]
+# each field's Python type, which parses its CSV text
+_PARSERS = [{"float": float, "int": int, "str": str}[f.type]
+            for f in dataclasses.fields(GediShot)]
+SHOT_DTYPE = np.dtype([(name, {float: np.float64, int: np.int64,
+                               str: object}[t])
+                       for name, t in zip(SHOT_FIELDS, _PARSERS)])
+_NUMBER_FIELDS = [n for n, t in zip(SHOT_FIELDS, _PARSERS) if t is not str]
+
+
+def shot_table(shots) -> np.recarray:
+    """The shots as a shot table (see the module docstring).
+
+    A table comes back as it is; any other iterable of shots (``GediShot``
+    or table rows) is copied into a new one, in order.
+    """
+    if isinstance(shots, np.ndarray) and shots.dtype == SHOT_DTYPE:
+        return shots.view(np.recarray)
+    shots = list(shots)
+    t = np.empty(len(shots), SHOT_DTYPE).view(np.recarray)
+    for name in SHOT_FIELDS:
+        t[name] = [getattr(s, name) for s in shots]
+    return t
+
+
 FILTER_RULES = ("modes", "snr_va", "sensitivity", "elevation",
                 "waveform", "ndvi")
 
 
-def _rule_violations(shot: GediShot, sigma_cover: float) -> list:
-    v = []
-    if shot.num_detectedmodes == 0:
-        v.append("modes")
-    if shot.snr_db < 12.0 or shot.view_angle > 5.0:
-        v.append("snr_va")
-    if shot.sensitivity < 0.95:
-        v.append("sensitivity")
-    if abs(shot.elm - shot.srtm) > 75.0:
-        v.append("elevation")
-    if shot.rx_sample_count - shot.search_end <= 1:
-        v.append("waveform")
-    if abs(shot.canopy_cover - shot.ndvi30) > 1.5 * sigma_cover:
-        v.append("ndvi")
-    return v
-
-
-def filter_gedi(shots: Sequence[GediShot],
-                sigma_cover: Optional[float] = None,
+def filter_gedi(shots, sigma_cover: Optional[float] = None,
                 rules: Sequence[str] = FILTER_RULES) -> tuple:
     """Apply the shot quality filter.
 
-    Returns (retained shots, per-rule rejection counts).  Each rejected
-    shot is attributed to the first violated rule in the canonical order,
-    so the counts plus the retained count sum to the input count.  When
-    sigma_cover is omitted it is the population std of |cover - ndvi|
-    over the input shots.  ``rules`` restricts which rules are active.
+    Returns (retained shots as a shot table, per-rule rejection counts).
+    Each rejected shot is attributed to the first violated rule in the
+    canonical order, so the counts plus the retained count sum to the
+    input count.  When sigma_cover is omitted it is the population std of
+    |cover - ndvi| over the input shots.  ``rules`` restricts which rules
+    are active.
     """
     unknown = set(rules) - set(FILTER_RULES)
     if unknown:
         raise ValueError(f"unknown filter rules {sorted(unknown)}")
+    t = shot_table(shots)
+    gap = np.abs(t.canopy_cover - t.ndvi30)
     if sigma_cover is None:
-        diffs = np.array([abs(s.canopy_cover - s.ndvi30) for s in shots])
-        sigma_cover = float(diffs.std()) if len(diffs) else 0.0
-    counts = {r: 0 for r in FILTER_RULES}
-    retained = []
-    for shot in shots:
-        hit = [r for r in _rule_violations(shot, sigma_cover) if r in rules]
-        if hit:
-            counts[hit[0]] += 1
-        else:
-            retained.append(shot)
-    return retained, counts
+        sigma_cover = float(gap.std()) if len(t) else 0.0
+    broken = {
+        "modes": t.num_detectedmodes == 0,
+        "snr_va": (t.snr_db < 12.0) | (t.view_angle > 5.0),
+        "sensitivity": t.sensitivity < 0.95,
+        "elevation": np.abs(t.elm - t.srtm) > 75.0,
+        "waveform": t.rx_sample_count - t.search_end <= 1,
+        "ndvi": gap > 1.5 * sigma_cover,
+    }
+    active = [r for r in FILTER_RULES if r in rules]
+    # a last all-true row stands for "no rule broken", so the argmax is
+    # each shot's first broken active rule, or len(active) when clean
+    hits = np.stack([broken[r] for r in active] + [np.ones(len(t), bool)])
+    first = hits.argmax(axis=0)
+    counts = dict.fromkeys(FILTER_RULES, 0)
+    counts.update(zip(active, np.bincount(
+        first, minlength=len(active) + 1).tolist()))
+    return t[first == len(active)], counts
 
 
 # -- rasterization ----------------------------------------------------
@@ -269,7 +303,7 @@ def assign_set(ratios: np.ndarray) -> int:
     return 1
 
 
-def build_grid(shots: Sequence[GediShot], area_bounds: tuple,
+def build_grid(shots, area_bounds: tuple,
                cell_size: float = CELL_SIZE_M,
                min_shots: int = MIN_CELL_SHOTS, seed: int = 0) -> list:
     """Tile the area, keep well-sampled cells, and rebalance by height.
@@ -278,28 +312,36 @@ def build_grid(shots: Sequence[GediShot], area_bounds: tuple,
     gets a set id from its height-range ratios, a seeded 75/25 train/val
     split within each set, and the set's duplication count (training
     cells only; a duplicated cell appears 1 + n times in a training list).
+    Cells come in (col, row) order and list their shots in input order.
     """
+    t = shot_table(shots)
     xmin, ymin, xmax, ymax = area_bounds
     ncols = int(np.ceil((xmax - xmin) / cell_size))
     nrows = int(np.ceil((ymax - ymin) / cell_size))
-    buckets: dict = {}
-    for idx, s in enumerate(shots):
-        c = int((s.lon - xmin) // cell_size)
-        r = int((s.lat - ymin) // cell_size)
-        if 0 <= c < ncols and 0 <= r < nrows:
-            buckets.setdefault((c, r), []).append(idx)
+    col = (t.lon - xmin) // cell_size
+    row = (t.lat - ymin) // cell_size
+    idx = np.flatnonzero((col >= 0) & (col < ncols)
+                         & (row >= 0) & (row < nrows))
+    # one id per cell that sorts like (col, row); the stable sort keeps
+    # each cell's shots in input order
+    key = col[idx].astype(np.int64) * nrows + row[idx].astype(np.int64)
+    order = np.argsort(key, kind="stable")
+    idx, key = idx[order], key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    ends = np.append(starts[1:], len(key))
 
     cells = []
-    for cid in sorted(buckets):
-        idxs = buckets[cid]
-        if len(idxs) < min_shots:
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
+        if hi - lo < min_shots:
             continue
-        ratios = height_range_ratios(np.array([shots[i].rh98 for i in idxs]))
+        members = idx[lo:hi]
+        ratios = height_range_ratios(t.rh98[members])
         set_id = assign_set(ratios)
-        c, r = cid
+        c, r = divmod(int(key[lo]), nrows)
         bounds = (xmin + c * cell_size, ymin + r * cell_size,
                   xmin + (c + 1) * cell_size, ymin + (r + 1) * cell_size)
-        cells.append(GridCell(cid, bounds, idxs, ratios, set_id, "train", 0))
+        cells.append(GridCell((c, r), bounds, members.tolist(), ratios,
+                              set_id, "train", 0))
 
     rng = np.random.default_rng(seed)
     for s in range(1, 10):
@@ -505,39 +547,99 @@ def synth_dataset(n_tiles: int, size: int, seed: int,
 
 # -- CSV interfaces ---------------------------------------------------
 
-SHOT_FIELDS = [f.name for f in dataclasses.fields(GediShot)]
+def _csv_text(value) -> str:
+    """A text field as ``csv.writer`` writes it (minimal quoting)."""
+    value = str(value)
+    if any(ch in value for ch in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
 
 
-def shots_to_csv(shots: Sequence[GediShot], path: str) -> None:
+_FORMATTERS = {float: repr, int: str, str: _csv_text}
+_CSV_BLOCK_ROWS = 512
+
+
+def shots_to_csv(shots, path: str) -> None:
+    """Write shots as CSV, formatting a block of rows column by column.
+
+    The text is what ``csv.writer`` writes for ``GediShot`` rows: a
+    ``SHOT_FIELDS`` header, ``repr`` floats, ``str`` ints and ``\\r\\n``
+    line ends.
+    """
     with atomic_open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SHOT_FIELDS)
-        for s in shots:
-            w.writerow([getattr(s, f) for f in SHOT_FIELDS])
+        t = shot_table(shots)
+        fh.write(",".join(SHOT_FIELDS) + "\r\n")
+        # blocks bound the text held at once to about 100 kB
+        for lo in range(0, len(t), _CSV_BLOCK_ROWS):
+            block = t[lo:lo + _CSV_BLOCK_ROWS]
+            cols = [map(_FORMATTERS[kind], block[name].tolist())
+                    for name, kind in zip(SHOT_FIELDS, _PARSERS)]
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(*cols)]))
 
 
-def shots_from_csv(path: str) -> list:
-    out = []
+def _valid_rows(t: np.recarray) -> np.ndarray:
+    """``GediShot``'s value checks, on every row of a table at once."""
+    ok = (t.sensitivity >= 0.0) & (t.sensitivity <= 1.0) & (t.rh98 >= 0.0)
+    for name in _NUMBER_FIELDS:
+        ok &= np.isfinite(t[name])
+    return ok
+
+
+def _raise_bad_row(path: str, cause) -> None:
+    """Parse ``path`` one row at a time and raise on the first bad row,
+    naming the file and its line; ``cause`` is the fast parse's error."""
     with open(path, newline="") as fh:
-        r = csv.DictReader(fh)
-        if r.fieldnames != SHOT_FIELDS:
-            raise ValueError("unexpected shot CSV header")
-        for row in r:
-            out.append(GediShot(
-                lon=float(row["lon"]), lat=float(row["lat"]),
-                rh98=float(row["rh98"]),
-                num_detectedmodes=int(row["num_detectedmodes"]),
-                snr_db=float(row["snr_db"]),
-                view_angle=float(row["view_angle"]),
-                sensitivity=float(row["sensitivity"]),
-                elm=float(row["elm"]), srtm=float(row["srtm"]),
-                rx_sample_count=int(row["rx_sample_count"]),
-                search_end=int(row["search_end"]),
-                canopy_cover=float(row["canopy_cover"]),
-                ndvi30=float(row["ndvi30"]),
-                acquired_at=int(row["acquired_at"]),
-                beam_kind=row["beam_kind"]))
-    return out
+        rows = csv.reader(fh)
+        next(rows)
+        for row in rows:
+            if not row:
+                continue
+            where = f"{path}, line {rows.line_num}"
+            if len(row) != len(SHOT_FIELDS):
+                raise ValueError(f"{where}: {len(row)} fields, expected "
+                                 f"{len(SHOT_FIELDS)}")
+            values = []
+            for name, parse, text in zip(SHOT_FIELDS, _PARSERS, row):
+                try:
+                    values.append(parse(text))
+                except ValueError:
+                    raise ValueError(f"{where}: {name} {text!r} is not "
+                                     f"a valid {parse.__name__}") from None
+            try:
+                GediShot(*values)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+    raise ValueError(f"{path}: {cause}")
+
+
+def shots_from_csv(path: str) -> np.recarray:
+    """Read a shot CSV into a shot table with one structured parse.
+
+    A header other than ``SHOT_FIELDS``, a row with too few or too many
+    fields, a value its column's type does not parse (``1.5`` or ``1e3``
+    in an integer column) and a row ``GediShot`` would reject (NaN or
+    infinite values included) raise a ``ValueError`` naming the file and
+    the line.
+    """
+    with open(path, newline="") as fh:
+        header = next(csv.reader([fh.readline()]), [])
+        if header != SHOT_FIELDS:
+            raise ValueError(f"{path}: shot CSV header {header} differs "
+                             f"from {SHOT_FIELDS}")
+        try:
+            with warnings.catch_warnings():
+                # some numpy releases parse "1.5" in an integer column
+                # with only a DeprecationWarning: make it an error
+                warnings.simplefilter("error", DeprecationWarning)
+                warnings.filterwarnings("ignore", "loadtxt: input contained")
+                t = np.loadtxt(fh, delimiter=",", quotechar='"',
+                               comments=None, dtype=SHOT_DTYPE, ndmin=1)
+        except (ValueError, DeprecationWarning) as exc:
+            _raise_bad_row(path, exc)
+    t = t.view(np.recarray)
+    if not _valid_rows(t).all():
+        _raise_bad_row(path, "a row fails the shot checks")
+    return t
 
 
 def grid_to_csv(cells: Sequence[GridCell], path: str) -> None:

@@ -224,7 +224,9 @@ class Tensor:
         if np.any(self.data < 0):
             raise ValueError("sqrt of negative value")
         data = np.sqrt(self.data)
-        return Tensor.from_op(data, (self,), lambda g: (g * 0.5 / np.maximum(data, 1e-300),))
+        # 1e-300 is 0 in float32: floor there at the smallest normal
+        floor = max(1e-300, float(np.finfo(data.dtype).tiny))
+        return Tensor.from_op(data, (self,), lambda g: (g * 0.5 / np.maximum(data, floor),))
 
     # -- reductions ---------------------------------------------------
 

@@ -1,6 +1,8 @@
 """End-to-end command-line pipeline: every subcommand in a temp workspace."""
 
 import csv
+import io
+import logging
 import os
 
 import numpy as np
@@ -90,6 +92,49 @@ class TestFilter:
         assert sum(rows.values()) == n_in
         retained = dp.shots_from_csv(os.path.join(out, "retained.csv"))
         assert len(retained) == rows["retained"]
+
+
+def csv_writer_bytes(shots) -> bytes:
+    """A shot CSV as ``csv.writer`` writes the shots' fields: ``repr``
+    floats, ``int`` ints, ``\\r\\n`` line ends."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(dp.SHOT_FIELDS)
+    for s in shots:
+        w.writerow([getattr(s, f) for f in dp.SHOT_FIELDS])
+    return buf.getvalue().encode()
+
+
+def oracle_clean(shot, sigma_cover) -> bool:
+    """No quality rule broken, tested on one shot's fields."""
+    return not (shot.num_detectedmodes == 0
+                or shot.snr_db < 12.0 or shot.view_angle > 5.0
+                or shot.sensitivity < 0.95
+                or abs(shot.elm - shot.srtm) > 75.0
+                or shot.rx_sample_count - shot.search_end <= 1
+                or abs(shot.canopy_cover - shot.ndvi30) > 1.5 * sigma_cover)
+
+
+class TestShotFilesOracle:
+    """The CLI's shot files equal, byte for byte, what the per-shot code
+    they replace wrote: ``csv.writer`` rows of each shot's fields."""
+
+    def test_shots_and_retained_match_csv_writer(self, workspace, tmp_path):
+        _, cfg, ds = workspace
+        tiles = dp.synth_dataset(3, 32, 7, shots_per_tile=60,
+                                 violation_rate=0.3)
+        shots = [s for t in tiles for s in t.shots]
+        with open(os.path.join(ds, "shots.csv"), "rb") as fh:
+            assert fh.read() == csv_writer_bytes(shots)
+
+        out = str(tmp_path / "filt")
+        assert run(cfg, ["filter", "--out", out], tmp_path) == 0
+        sigma = float(np.std([abs(s.canopy_cover - s.ndvi30)
+                              for s in shots]))
+        clean = [s for s in shots if oracle_clean(s, sigma)]
+        assert 0 < len(clean) < len(shots)
+        with open(os.path.join(out, "retained.csv"), "rb") as fh:
+            assert fh.read() == csv_writer_bytes(clean)
 
 
 class TestComposite:
@@ -289,6 +334,20 @@ class TestErrors:
         cfg = small_cfg()
         cfg.set("data", "dataset_dir", str(tmp_path / "nope"))
         assert run(cfg, ["filter", "--out", str(tmp_path)], tmp_path) == 1
+
+    def test_malformed_shots_log_the_error_type(self, tmp_path, monkeypatch,
+                                                caplog):
+        monkeypatch.delenv("CANOPY_LOG", raising=False)
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        (ds / "shots.csv").write_text(",".join(dp.SHOT_FIELDS)
+                                      + "\n1.0,2.0\n")
+        cfg = small_cfg()
+        cfg.set("data", "dataset_dir", str(ds))
+        with caplog.at_level(logging.ERROR, logger="canopyheights"):
+            assert run(cfg, ["filter", "--out", str(tmp_path / "f")],
+                       tmp_path) == 1
+        assert f"ValueError: {ds / 'shots.csv'}, line 2: " in caplog.text
 
     def test_debug_log_level_reraises(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CANOPY_LOG", "DEBUG")

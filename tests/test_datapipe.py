@@ -1,6 +1,10 @@
 """Data pipeline: normalization, gating, compositing, filtering, gridding."""
 
+import csv
+import dataclasses
+import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +20,57 @@ def clean_shot(**kw):
                 acquired_at=100, beam_kind="full_power")
     base.update(kw)
     return dp.GediShot(**base)
+
+
+FLOAT_FIELDS = [f for f in dp.SHOT_FIELDS
+                if isinstance(getattr(clean_shot(), f), float)]
+NUMBER_FIELDS = [f for f in dp.SHOT_FIELDS if f != "beam_kind"]
+
+
+def oracle_rules(shot, sigma_cover):
+    """Every rule one shot breaks, in canonical order, tested one field at
+    a time."""
+    broken = [
+        ("modes", shot.num_detectedmodes == 0),
+        ("snr_va", shot.snr_db < 12.0 or shot.view_angle > 5.0),
+        ("sensitivity", shot.sensitivity < 0.95),
+        ("elevation", abs(shot.elm - shot.srtm) > 75.0),
+        ("waveform", shot.rx_sample_count - shot.search_end <= 1),
+        ("ndvi", abs(shot.canopy_cover - shot.ndvi30) > 1.5 * sigma_cover),
+    ]
+    return [rule for rule, hit in broken if hit]
+
+
+def oracle_grid(shots, area_bounds, cell_size, min_shots, seed):
+    """build_grid's cells, bucketed one shot at a time, as plain tuples."""
+    xmin, ymin, xmax, ymax = area_bounds
+    ncols = int(np.ceil((xmax - xmin) / cell_size))
+    nrows = int(np.ceil((ymax - ymin) / cell_size))
+    buckets = {}
+    for i, s in enumerate(shots):
+        c = int((s.lon - xmin) // cell_size)
+        r = int((s.lat - ymin) // cell_size)
+        if 0 <= c < ncols and 0 <= r < nrows:
+            buckets.setdefault((c, r), []).append(i)
+    cells = []
+    for (c, r), idxs in sorted(buckets.items()):
+        if len(idxs) < min_shots:
+            continue
+        ratios = dp.height_range_ratios([shots[i].rh98 for i in idxs])
+        bounds = (xmin + c * cell_size, ymin + r * cell_size,
+                  xmin + (c + 1) * cell_size, ymin + (r + 1) * cell_size)
+        cells.append([(c, r), bounds, idxs, ratios.tolist(),
+                      dp.assign_set(ratios), "train", 0])
+    rng = np.random.default_rng(seed)
+    for s in range(1, 10):
+        members = [cell for cell in cells if cell[4] == s]
+        n_train = max(1, int(round(0.75 * len(members))))
+        for pos, k in enumerate(rng.permutation(len(members)) if members
+                                else []):
+            train = pos < n_train
+            members[k][5] = "train" if train else "val"
+            members[k][6] = dp.SET_DUPLICATIONS[s - 1] if train else 0
+    return [tuple(cell) for cell in cells]
 
 
 class TestBackscatter:
@@ -139,6 +194,47 @@ class TestFilter:
         for rule in dp.FILTER_RULES:
             assert counts[rule] == labels.count(rule), rule
 
+    @staticmethod
+    def borderline_shots(n=500, seed=0):
+        """Shots whose fields sit around every rule's threshold, so most
+        break several rules at once."""
+        rng = np.random.default_rng(seed)
+        return [clean_shot(num_detectedmodes=int(rng.integers(0, 3)),
+                           snr_db=rng.uniform(10.0, 14.0),
+                           view_angle=rng.uniform(4.0, 6.0),
+                           sensitivity=rng.uniform(0.9, 1.0),
+                           srtm=200.0 + rng.uniform(-90.0, 90.0),
+                           search_end=800 - int(rng.integers(0, 4)),
+                           canopy_cover=rng.uniform(0.0, 1.0),
+                           ndvi30=rng.uniform(0.0, 1.0))
+                for _ in range(n)]
+
+    @pytest.mark.parametrize("rules", [
+        dp.FILTER_RULES, ("ndvi",), ("waveform", "modes"),
+        ("elevation", "sensitivity", "ndvi"), ()])
+    def test_table_filter_matches_per_shot_oracle(self, rules):
+        shots = self.borderline_shots()
+        sigma = float(np.std([abs(s.canopy_cover - s.ndvi30)
+                              for s in shots]))
+        broken = [oracle_rules(s, sigma) for s in shots]
+        assert sum(len(b) >= 3 for b in broken) > 100
+        first = [next((r for r in b if r in rules), None) for b in broken]
+        retained, counts = dp.filter_gedi(dp.shot_table(shots), rules=rules)
+        assert counts == {r: first.count(r) for r in dp.FILTER_RULES}
+        assert retained.tolist() == [dataclasses.astuple(s) for s, f
+                                     in zip(shots, first) if f is None]
+
+    def test_list_and_table_inputs_agree(self):
+        shots = self.borderline_shots(n=60, seed=1)
+        a, counts_a = dp.filter_gedi(shots, sigma_cover=0.1)
+        b, counts_b = dp.filter_gedi(dp.shot_table(shots), sigma_cover=0.1)
+        assert counts_a == counts_b and a.tolist() == b.tolist()
+        assert a.dtype == dp.SHOT_DTYPE
+
+    def test_empty_input(self):
+        retained, counts = dp.filter_gedi([])
+        assert len(retained) == 0 and sum(counts.values()) == 0
+
 
 class TestRasterize:
     def test_later_acquisition_wins(self):
@@ -222,6 +318,44 @@ class TestGrid:
         assert [(c.cell_id, c.split) for c in a] == \
             [(c.cell_id, c.split) for c in b]
 
+    @staticmethod
+    def edge_case_shots(cell, x0, y0, seed):
+        """Shots in a 7 x 3 cell area starting at (x0, y0), in shuffled
+        order: many on cell edges, some outside, and in the last column
+        one cell of exactly 12 shots and one of 11."""
+        rng = np.random.default_rng(seed)
+        xs = x0 + cell * np.arange(6)
+        ys = y0 + cell * np.arange(4)                # the last is ymax
+        spots = [(x, y) for x in xs for y in ys] * 3
+        spots += [(x0 - 1e-9, y0), (x0 - cell, y0 + cell),
+                  (x0 + 7 * cell, y0), (x0 + 7.5 * cell, y0),
+                  (x0, y0 + 3.5 * cell), (x0, y0 - 1e-9)]
+        spots += [(x0 + rng.uniform(0, 5) * cell,
+                   y0 + rng.uniform(0, 3) * cell) for _ in range(400)]
+        spots += [(x0 + 6.5 * cell, y0 + 1.5 * cell)] * 12
+        spots += [(x0 + 6.5 * cell, y0 + 2.5 * cell)] * 11
+        shots = [clean_shot(lon=float(x), lat=float(y),
+                            rh98=float(rng.choice([2.0, 7.0, 22.0, 44.0])))
+                 for x, y in spots]
+        return [shots[i] for i in rng.permutation(len(shots))]
+
+    @pytest.mark.parametrize("cell,x0,y0", [(10.0, 0.0, 0.0),
+                                            (0.1, 0.3, -0.7),
+                                            (160.0, 105.0, 95.0)])
+    @pytest.mark.parametrize("as_table", [False, True])
+    def test_build_grid_matches_per_shot_oracle(self, cell, x0, y0, as_table):
+        shots = self.edge_case_shots(cell, x0, y0, seed=5)
+        area = (x0, y0, x0 + 7 * cell, y0 + 3 * cell)
+        want = oracle_grid(shots, area, cell, min_shots=12, seed=3)
+        cells = dp.build_grid(dp.shot_table(shots) if as_table else shots,
+                              area, cell_size=cell, min_shots=12, seed=3)
+        got = [(c.cell_id, c.bounds, c.shot_indices, c.ratios.tolist(),
+                c.set_id, c.split, c.duplication) for c in cells]
+        assert got == want
+        kept = {c[0]: len(c[2]) for c in want}
+        assert kept[(6, 1)] == 12 and (6, 2) not in kept
+        assert len(kept) > 10 and sum(kept.values()) < len(shots)
+
 
 class TestPatchSampling:
     def test_crop_and_flip_consistency(self):
@@ -284,4 +418,139 @@ class TestSynthetic:
         path = tmp_path / "shots.csv"
         dp.shots_to_csv(tiles[0].shots, path)
         back = dp.shots_from_csv(path)
-        assert back == tiles[0].shots
+        assert [dp.GediShot(*row) for row in back.tolist()] == tiles[0].shots
+
+
+def csv_writer_text(rows, header=dp.SHOT_FIELDS) -> str:
+    """What ``csv.writer`` writes for a header and rows."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+class TestShotCsv:
+    @staticmethod
+    def rows(n=5):
+        tiles = dp.synth_dataset(1, 32, seed=14, shots_per_tile=n)
+        return [[getattr(s, f) for f in dp.SHOT_FIELDS]
+                for s in tiles[0].shots]
+
+    @staticmethod
+    def write(path, rows, header=dp.SHOT_FIELDS):
+        with open(path, "w", newline="") as fh:
+            fh.write(csv_writer_text(rows, header))
+
+    def expect_error(self, path, line):
+        return pytest.raises(ValueError,
+                             match=re.escape(f"{path}, line {line}: "))
+
+    @pytest.mark.parametrize("field", NUMBER_FIELDS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_shot_rejects_non_finite_numbers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            clean_shot(**{field: value})
+
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_reader_rejects_non_finite_numbers(self, tmp_path, field, value):
+        rows = self.rows()
+        rows[2][dp.SHOT_FIELDS.index(field)] = value
+        path = tmp_path / "shots.csv"
+        self.write(path, rows)
+        with self.expect_error(path, 4):
+            dp.shots_from_csv(path)
+
+    def test_one_nan_cover_no_longer_disables_the_ndvi_rule(self, tmp_path):
+        tiles = dp.synth_dataset(2, 32, seed=42, shots_per_tile=200,
+                                 violation_rate=0.3)
+        shots = [s for t in tiles for s in t.shots]
+        path = tmp_path / "shots.csv"
+        dp.shots_to_csv(shots, path)
+        lines = path.read_text().splitlines()
+        cols = lines[7].split(",")
+        cols[dp.SHOT_FIELDS.index("canopy_cover")] = "nan"
+        lines[7] = ",".join(cols)
+        path.write_text("\n".join(lines) + "\n")
+        with self.expect_error(path, 8):
+            dp.shots_from_csv(path)
+        with pytest.raises(ValueError, match="canopy_cover"):
+            dataclasses.replace(shots[6], canopy_cover=math.nan)
+
+    def test_short_row_names_file_and_line(self, tmp_path):
+        rows = self.rows()
+        rows[1] = rows[1][:-1]
+        path = tmp_path / "shots.csv"
+        self.write(path, rows)
+        with self.expect_error(path, 3):
+            dp.shots_from_csv(path)
+
+    def test_long_row_names_file_and_line(self, tmp_path):
+        rows = self.rows()
+        rows[3].append("extra")
+        path = tmp_path / "shots.csv"
+        self.write(path, rows)
+        with self.expect_error(path, 5):
+            dp.shots_from_csv(path)
+
+    @pytest.mark.parametrize("field", [f for f in NUMBER_FIELDS
+                                       if f not in FLOAT_FIELDS])
+    @pytest.mark.parametrize("value", ["1.5", "1e3", "2.0", ""])
+    def test_float_text_in_an_integer_column_fails(self, tmp_path, field,
+                                                   value):
+        rows = self.rows()
+        rows[0][dp.SHOT_FIELDS.index(field)] = value
+        path = tmp_path / "shots.csv"
+        self.write(path, rows)
+        with self.expect_error(path, 2):
+            dp.shots_from_csv(path)
+
+    def test_header_mismatch_shows_both_headers(self, tmp_path):
+        header = list(dp.SHOT_FIELDS)
+        header[0], header[1] = header[1], header[0]
+        path = tmp_path / "shots.csv"
+        self.write(path, self.rows(), header)
+        with pytest.raises(ValueError) as info:
+            dp.shots_from_csv(path)
+        assert str(path) in str(info.value)
+        assert str(header) in str(info.value)
+        assert str(dp.SHOT_FIELDS) in str(info.value)
+
+    def test_beam_kind_round_trips_whole(self, tmp_path):
+        rows = self.rows(n=4)
+        kinds = ["x" * 500, 'odd, "quoted" kind', "", "coverage"]
+        for row, kind in zip(rows, kinds):
+            row[-1] = kind
+        path = tmp_path / "shots.csv"
+        self.write(path, rows)
+        table = dp.shots_from_csv(path)
+        assert table.beam_kind.tolist() == kinds
+        assert table.tolist() == [tuple(r) for r in rows]
+        again = tmp_path / "again.csv"
+        dp.shots_to_csv(table, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("block_rows", [None, 7])
+    def test_writer_matches_csv_writer(self, tmp_path, monkeypatch,
+                                       block_rows):
+        if block_rows:
+            monkeypatch.setattr(dp, "_CSV_BLOCK_ROWS", block_rows)
+        tiles = dp.synth_dataset(3, 32, seed=15, shots_per_tile=80,
+                                 violation_rate=0.4)
+        shots = [s for t in tiles for s in t.shots]
+        path = tmp_path / "shots.csv"
+        dp.shots_to_csv(shots, path)
+        want = csv_writer_text([[getattr(s, f) for f in dp.SHOT_FIELDS]
+                                for s in shots])
+        assert path.read_bytes() == want.encode()
+        table = dp.shots_from_csv(path)
+        dp.shots_to_csv(table, path)
+        assert path.read_bytes() == want.encode()
+
+    def test_header_only_file_is_an_empty_table(self, tmp_path):
+        path = tmp_path / "shots.csv"
+        dp.shots_to_csv([], path)
+        assert path.read_bytes() == csv_writer_text([]).encode()
+        table = dp.shots_from_csv(path)
+        assert len(table) == 0 and table.dtype == dp.SHOT_DTYPE

@@ -1,6 +1,7 @@
 """Autodiff core: primitive gradients, tape mechanics, TNSR persistence."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,19 @@ class TestDtypeAndChecks:
         loss.backward()
         assert x.grad.dtype == np.float32
         np.testing.assert_array_equal(x.grad, np.float32([0.5, 1.5, 2.5]))
+
+    def test_f32_sqrt_at_zero_has_a_finite_gradient(self):
+        x = Tensor(np.zeros(3), requires_grad=True, dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x.sqrt().sum().backward()
+        assert x.grad.dtype == np.float32
+        assert np.isfinite(x.grad).all() and (x.grad > 0).all()
+
+    def test_f64_sqrt_floor_is_unchanged(self):
+        x = Tensor(np.zeros(2), requires_grad=True)
+        x.sqrt().sum().backward()
+        np.testing.assert_array_equal(x.grad, 0.5 / np.full(2, 1e-300))
 
     def test_broadcast_mismatch_raises(self):
         with pytest.raises(ValueError):
