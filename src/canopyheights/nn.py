@@ -22,6 +22,13 @@ already (Chen et al. 2016, arXiv 1604.06174): ``leaky_relu`` rebuilds its
 mask from its input, train-mode ``batch_norm`` its normalized input from
 the input and the statistics, and ``conv2d`` its padded tiles.
 
+Per-channel sums over pixels or rows (batch-norm statistics, bias and
+affine gradients) use ``tensor._channel_sum``: numpy's own summation
+order, vectorised across channels, 3-5x faster at 4-64 channels.  Not a
+BLAS ``ones @ x``: it adds in another order, training amplifies the
+rounding change, and in a prototype it moved the distillation gate's
+last/first loss from 0.474 to 0.548, past its 0.5 threshold.
+
 Convolutions are matrix products (im2col + GEMM).  A conv kernel is
 k x k x C_in x C_out, so ``kmat = kernel.reshape(k*k*C_in, C_out)`` has
 its rows in (ki, kj, c) order.  The padded tile is unrolled into an
@@ -48,7 +55,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf
 
-from .tensor import Tensor, concat, matmul
+from .tensor import Tensor, _channel_sum, concat, matmul
 
 
 # -- parameter containers ---------------------------------------------
@@ -258,7 +265,7 @@ def conv2d(x: Tensor, p: Conv2dParams, tiles: int = 1) -> Tensor:
         xp = _pad(x.data, pad, tiles)
         g2 = g.reshape(-1, c_out)
         gk = (_patches(xp, k, s, oh, ow).T @ g2).reshape(p.kernel.shape)
-        gb = g2.sum(axis=0)
+        gb = _channel_sum(g2, (0,))
         if not x.requires_grad:  # a model input: no col2im
             return (None, gk, gb)
         gxp = _col2im(g2, p.kernel.data, xp.shape, s, oh, ow)
@@ -289,7 +296,7 @@ def conv2d_transpose(x: Tensor, p: ConvT2dParams) -> Tensor:
         gcols = gcols.reshape(h * w, k * k * c_out)
         gx = (gcols @ kmat).reshape(h, w, c_in)
         gk = (gcols.T @ x2).reshape(p.kernel.shape)
-        gb = g.sum(axis=(0, 1))
+        gb = _channel_sum(g, (0, 1))
         return (gx, gk, gb)
 
     return Tensor.from_op(out, (x, p.kernel, p.bias), grad_fn)
@@ -309,12 +316,17 @@ def batch_norm(x: Tensor, s: BatchNormState, tiles: int = 1) -> Tensor:
     tile_rows(x.shape[0], tiles)
     shape = (tiles, -1, c)
     n = x.size // (tiles * c)          # pixels per tile
+    xs = x.data.reshape(shape)
     train = s.mode == "train"
     if train:
         if n < 2:
             raise ValueError("batch_norm train mode needs >= 2 samples per channel")
-        mu = x.data.reshape(shape).mean(axis=1, keepdims=True)
-        var = x.data.reshape(shape).var(axis=1, keepdims=True)
+        # np.mean and np.var (a sum over an intp count), centring once
+        mu = _channel_sum(xs, (1,), keepdims=True)
+        mu /= np.intp(n)
+        xc = xs - mu
+        var = _channel_sum(np.square(xc), (1,), keepdims=True)
+        var /= np.intp(n)
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(var))):
             raise FloatingPointError("non-finite batch statistics")
         for t in range(tiles):
@@ -322,18 +334,26 @@ def batch_norm(x: Tensor, s: BatchNormState, tiles: int = 1) -> Tensor:
             s.running_var = (1 - s.momentum) * s.running_var + s.momentum * var[t, 0]
     else:
         mu, var = s.running_mean, s.running_var
+        xc = xs - mu
 
     inv = 1.0 / np.sqrt(var + s.eps)
-    out = s.gamma.data * ((x.data.reshape(shape) - mu) * inv) + s.beta.data
+    xc *= inv                          # xc's dtype covers inv's
+    out = s.gamma.data * xc + s.beta.data
 
     def grad_fn(g):
         # the normalized input is rebuilt, not kept alive by the graph
-        xhat = (x.data.reshape(shape) - mu) * inv
+        xhat = x.data.reshape(shape) - mu
+        xhat *= inv
         g = g.reshape(shape)
-        gsum = g.sum(axis=1, keepdims=True)
-        gx_sum = (g * xhat).sum(axis=1, keepdims=True)
+        gx = g * xhat
+        gsum = _channel_sum(g, (1,), keepdims=True)
+        gx_sum = _channel_sum(gx, (1,), keepdims=True)
         if train:
-            dx = (s.gamma.data * inv / n) * (n * g - gsum - xhat * gx_sum)
+            # in place; g has the output's dtype, the widest of them all
+            dx = g * n
+            dx -= gsum
+            dx -= np.multiply(xhat, gx_sum, out=gx)
+            dx *= s.gamma.data * inv / n
         else:
             dx = g * s.gamma.data * inv
         return (dx.reshape(x.shape), gx_sum.sum(axis=(0, 1)),
@@ -354,8 +374,8 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
     out = p.gamma.data * xhat + p.beta.data
 
     def grad_fn(g):
-        dgamma = (g * xhat).sum(axis=tuple(range(x.ndim - 1)))
-        dbeta = g.sum(axis=tuple(range(x.ndim - 1)))
+        dgamma = _channel_sum(g * xhat, tuple(range(x.ndim - 1)))
+        dbeta = _channel_sum(g, tuple(range(x.ndim - 1)))
         gg = g * p.gamma.data
         dx = inv * (gg - gg.mean(axis=-1, keepdims=True)
                     - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
@@ -377,9 +397,13 @@ def _leaky_slopes(x: np.ndarray, slope: float) -> np.ndarray:
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    # the backward rebuilds the slopes from the input, keeps no mask
-    return Tensor.from_op(x.data * _leaky_slopes(x.data, slope), (x,),
-                          lambda g: (g * _leaky_slopes(x.data, slope),))
+    # for 0 < slope < 1, max(x, slope * x) is x * slope-or-1 bit for bit
+    # and twice as fast; the backward rebuilds the slopes, keeps no mask
+    if 0 < slope < 1:
+        out = np.maximum(x.data, x.data * x.dtype.type(slope))
+    else:
+        out = x.data * _leaky_slopes(x.data, slope)
+    return Tensor.from_op(out, (x,), lambda g: (g * _leaky_slopes(x.data, slope),))
 
 
 def softplus(x: Tensor) -> Tensor:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import itertools
+import math
 import os
 import struct
 from typing import Callable, Optional, Sequence
@@ -43,6 +44,21 @@ def no_grad():
         yield
     finally:
         _grad_enabled.reset(token)
+
+
+def _channel_sum(a: np.ndarray, axis: tuple, keepdims: bool = False) -> np.ndarray:
+    """``a.sum(axis=axis, keepdims=keepdims)`` bit for bit, ``axis`` being
+    consecutive axes before the last.  ``ndarray.sum`` adds the rows of a
+    C-contiguous array in order, one inner-loop call per row of channels;
+    unoptimized ``einsum`` adds them in that order in one loop.  One channel
+    or another memory order sums pairwise, and under 256 rows einsum's call
+    overhead outweighs the gain, so those stay on ``ndarray.sum``."""
+    lo, hi = axis[0], axis[-1] + 1
+    lead, n, c = a.shape[:lo], math.prod(a.shape[lo:hi]), math.prod(a.shape[hi:])
+    if c < 2 or n < 256 or a.dtype.kind != "f" or not a.flags.c_contiguous:
+        return a.sum(axis=axis, keepdims=keepdims)
+    out = np.einsum("tnc->tc", a.reshape(math.prod(lead), n, c))
+    return out.reshape(lead + (1,) * (hi - lo) * keepdims + a.shape[hi:])
 
 
 class Tensor:
@@ -139,7 +155,7 @@ class Tensor:
             return grad
         extra = grad.ndim - len(shape)
         if extra > 0:
-            grad = grad.sum(axis=tuple(range(extra)))
+            grad = _channel_sum(grad, tuple(range(extra)))
         axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
         if axes:
             grad = grad.sum(axis=axes, keepdims=True)

@@ -297,6 +297,154 @@ class TestActivationDtypes:
         np.testing.assert_array_equal(x.grad, np.where(self.X >= 0, 1.0, 0.01))
 
 
+def assert_same_bits(a, b):
+    """Equal dtype, shape and bytes: signed zeros and NaN compare too."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def params_in(dtype, *tensors):
+    return [Tensor(p.data, requires_grad=True, dtype=dtype) for p in tensors]
+
+
+KERNEL_CASES = [(dtype, tiles, c) for dtype in (np.float32, np.float64)
+                for tiles in (1, 3) for c in (1, 4, 16, 64)]
+
+
+class TestBitIdenticalKernels:
+    """The channel kernels against the numpy formulas they replaced, bit
+    for bit.  Their per-channel sums run through ``einsum`` in the order
+    ``ndarray.sum`` adds; a numpy whose einsum adds in another order, or a
+    BLAS sum, fails here."""
+
+    @staticmethod
+    def reference_bn(xs, g, gamma, beta, eps, train=True, mu=None, var=None):
+        """batch_norm's forward and backward as np.mean / np.var and whole-
+        array expressions, on a tiles x pixels x C input."""
+        if train:
+            mu = xs.mean(axis=1, keepdims=True)
+            var = xs.var(axis=1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + eps)
+        out = gamma * ((xs - mu) * inv) + beta
+        n = xs.shape[1]
+        xhat = (xs - mu) * inv
+        gsum = g.sum(axis=1, keepdims=True)
+        gx_sum = (g * xhat).sum(axis=1, keepdims=True)
+        if train:
+            dx = (gamma * inv / n) * (n * g - gsum - xhat * gx_sum)
+        else:
+            dx = g * gamma * inv
+        return out, mu, var, (dx, gx_sum.sum(axis=(0, 1)), gsum.sum(axis=(0, 1)))
+
+    def check_bn(self, x, g, tiles, dtype, param_dtype, mode="train"):
+        c = x.shape[-1]
+        rng = RNG(c)
+        s = nn.init_bn(c)
+        s.gamma.data = rng.uniform(0.5, 1.5, c)
+        s.beta.data = rng.normal(size=c)
+        s.running_mean = rng.normal(size=c)
+        s.running_var = rng.uniform(0.5, 2.0, c)
+        s.gamma, s.beta = params_in(param_dtype, s.gamma, s.beta)
+        s.mode = mode
+        rm, rv = s.running_mean, s.running_var
+        xt = Tensor(x, requires_grad=True, dtype=dtype)
+        out = nn.batch_norm(xt, s, tiles=tiles)
+        out.backward(g)
+        train = mode == "train"
+        ref, mu, var, grads = self.reference_bn(
+            x.reshape(tiles, -1, c), g.astype(out.dtype).reshape(tiles, -1, c),
+            s.gamma.data, s.beta.data, s.eps, train, rm, rv)
+        assert_same_bits(out.data, ref.reshape(x.shape))
+        if train:
+            for t in range(tiles):
+                rm = (1 - s.momentum) * rm + s.momentum * mu[t, 0]
+                rv = (1 - s.momentum) * rv + s.momentum * var[t, 0]
+        assert_same_bits(s.running_mean, rm)
+        assert_same_bits(s.running_var, rv)
+        dx, dgamma, dbeta = grads
+        # backward casts each adjoint to its node's dtype
+        assert_same_bits(xt.grad, dx.reshape(x.shape).astype(dtype))
+        assert_same_bits(s.gamma.grad, dgamma.astype(param_dtype))
+        assert_same_bits(s.beta.grad, dbeta.astype(param_dtype))
+
+    @pytest.mark.parametrize("dtype, tiles, c", KERNEL_CASES)
+    def test_batch_norm(self, dtype, tiles, c):
+        rng = RNG(tiles * c)
+        x = (rng.normal(size=(tiles * 16, 20, c)) * 3.0 + 1.0).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        self.check_bn(x, g, tiles, dtype, dtype)
+        self.check_bn(x, g, tiles, dtype, dtype, mode="eval")
+
+    def test_batch_norm_strided_and_mixed_dtypes(self):
+        rng = RNG(70)
+        # every third channel of a wider array: reshapes to a strided view
+        x = rng.normal(size=(3 * 16, 20, 48)).astype(np.float32)[..., ::3]
+        g = rng.normal(size=(3 * 16, 20, 48)).astype(np.float32)[..., ::3]
+        assert not x.flags.c_contiguous
+        self.check_bn(x, g, 3, np.float32, np.float32)
+        # an f32 input with f64 parameters: f64 output and adjoint
+        self.check_bn(np.ascontiguousarray(x), g, 3, np.float32, np.float64)
+
+    @pytest.mark.parametrize("dtype, tiles, c", KERNEL_CASES)
+    def test_conv_bias_gradients(self, dtype, tiles, c):
+        rng = RNG(71 + c)
+        p = nn.init_conv(rng, 3, 2, c, padding=1)
+        p.kernel, p.bias = params_in(dtype, p.kernel, p.bias)
+        out = nn.conv2d(Tensor(rng.normal(size=(tiles * 16, 20, 2)), dtype=dtype),
+                        p, tiles=tiles)
+        g = rng.normal(size=out.shape).astype(dtype)
+        out.backward(g)
+        assert_same_bits(p.bias.grad, g.reshape(-1, c).sum(axis=0))
+
+        q = nn.init_convt(rng, 2, 3, c)
+        q.kernel, q.bias = params_in(dtype, q.kernel, q.bias)
+        out = nn.conv2d_transpose(
+            Tensor(rng.normal(size=(tiles * 8, 10, 3)), dtype=dtype), q)
+        g = rng.normal(size=out.shape).astype(dtype)
+        out.backward(g)
+        assert_same_bits(q.bias.grad, g.sum(axis=(0, 1)))
+        # a strided adjoint: the sum falls back to ndarray.sum
+        q.bias.grad = None
+        gs = rng.normal(size=out.shape[:2] + (2 * c,)).astype(dtype)[..., ::2]
+        out.backward(gs)
+        assert_same_bits(q.bias.grad, gs.sum(axis=(0, 1)))
+
+    @pytest.mark.parametrize("dtype, tiles, c", KERNEL_CASES)
+    def test_layer_norm_affine_gradients(self, dtype, tiles, c):
+        d = max(c, 2)
+        rng = RNG(72 + c)
+        p = nn.init_layernorm(d)
+        p.gamma, p.beta = params_in(dtype, p.gamma, p.beta)
+        for shape in ((tiles * 300, d), (tiles, 300, d)):
+            p.gamma.grad = p.beta.grad = None
+            x = rng.normal(size=shape).astype(dtype)
+            g = rng.normal(size=shape).astype(dtype)
+            nn.layer_norm(Tensor(x, requires_grad=True, dtype=dtype), p).backward(g)
+            lead = tuple(range(x.ndim - 1))
+            mu = x.mean(axis=-1, keepdims=True)
+            xhat = (x - mu) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + p.eps))
+            assert_same_bits(p.gamma.grad, (g * xhat).sum(axis=lead))
+            assert_same_bits(p.beta.grad, g.sum(axis=lead))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.01, 0.2, 1.5])
+    def test_leaky_relu_forward(self, dtype, slope):
+        fi = np.finfo(dtype)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                   fi.smallest_subnormal, -fi.smallest_subnormal,
+                   fi.smallest_normal, -fi.smallest_normal, fi.max, -fi.max,
+                   -fi.smallest_subnormal * 64, 1.0, -1.0]
+        x = np.concatenate([np.array(special, dtype=dtype),
+                            RNG(73).normal(size=200).astype(dtype)])
+        # the slope factor as arithmetic on the sign test
+        f = (x >= 0) * x.dtype.type(1.0 - slope)
+        f += slope
+        with np.errstate(over="ignore"):   # max * 1.5
+            assert_same_bits(nn.leaky_relu(Tensor(x, dtype=dtype), slope).data,
+                             x * f)
+
+
 class TestAttentionAndLinear:
     def test_linear_grad(self):
         p = nn.init_linear(RNG(20), 6, 4)

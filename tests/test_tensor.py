@@ -235,6 +235,69 @@ class TestDtypeAndChecks:
         assert full < TOL and sub < TOL
 
 
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+class TestChannelSums:
+    """``_channel_sum`` and the gradient sums built on it add in the order
+    of ``ndarray.sum``, bit for bit; a numpy whose einsum adds in another
+    order, or a BLAS sum, fails here."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [1, 2, 4, 16, 64])
+    @pytest.mark.parametrize("shape, axis", [
+        ((4096,), (0,)), ((3, 4096), (1,)), ((16, 20), (0,)),
+        ((3, 16, 20), (0, 1)), ((2, 16, 20), (1,)), ((5, 16, 20), (1, 2)),
+        ((3, 100), (1,))])
+    def test_equals_ndarray_sum(self, dtype, c, shape, axis):
+        a = np.random.default_rng(c).normal(size=shape + (c,)).astype(dtype) * 3
+        # in Fortran order ndarray.sum runs down the rows, pairwise
+        for arr in (a, np.asfortranarray(a)):
+            for keepdims in (False, True):
+                assert_same_bits(tn._channel_sum(arr, axis, keepdims),
+                                 arr.sum(axis=axis, keepdims=keepdims))
+
+    @staticmethod
+    def reference_unbroadcast(grad, shape):
+        """``_unbroadcast`` as plain ndarray.sum calls."""
+        if grad.shape == shape:
+            return grad
+        extra = grad.ndim - len(shape)
+        if extra > 0:
+            grad = grad.sum(axis=tuple(range(extra)))
+        axes = tuple(i for i, s in enumerate(shape)
+                     if s == 1 and grad.shape[i] != 1)
+        if axes:
+            grad = grad.sum(axis=axes, keepdims=True)
+        return grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tiles", [1, 3])
+    @pytest.mark.parametrize("d", [1, 4, 16, 64])
+    def test_unbroadcast(self, dtype, tiles, d):
+        rng = np.random.default_rng(d + tiles)
+        cases = [((tiles * 300, d), (d,)), ((tiles, 300, d), (d,)),
+                 ((tiles * 300, d), (1, d)), ((tiles, 300, d), (300, 1)),
+                 ((tiles, 300, d), (1, d))]
+        for gshape, shape in cases:
+            g = rng.normal(size=gshape).astype(dtype)
+            strided = rng.normal(size=gshape[:-1] + (2 * d,)).astype(dtype)[..., ::2]
+            for grad in (g, strided):
+                assert_same_bits(Tensor._unbroadcast(grad, shape),
+                                 self.reference_unbroadcast(grad, shape))
+
+    def test_linear_bias_gradient(self):
+        x = Tensor(np.random.default_rng(3).normal(size=(3, 256, 16)),
+                   dtype=np.float32)
+        b = Tensor(np.zeros(16), requires_grad=True, dtype=np.float32)
+        g = np.random.default_rng(4).normal(size=x.shape).astype(np.float32)
+        (x + b).backward(g)
+        assert_same_bits(b.grad, g.sum(axis=(0, 1)))
+
+
 class TestPersistence:
     def test_tnsr_roundtrip_f64(self, tmp_path):
         arr = np.random.default_rng(0).normal(size=(3, 4, 5))

@@ -7,6 +7,7 @@ import pytest
 
 from canopyheights import datapipe as dp
 from canopyheights import nn, optim
+from canopyheights import tensor as tensor_module
 from canopyheights import train as tr
 from canopyheights.hytec import HyTecConfig
 from canopyheights.losses import AdaptiveLossState, HyTecLossConfig
@@ -481,3 +482,37 @@ class TestPrecision:
                                       rel=1e-6)
         assert res.adaptive.c_raw.data.dtype == np.float64
         assert res.adaptive.alpha.data.dtype == np.float64
+
+    def test_channel_sums_match_plain_ndarray_sums(self, monkeypatch):
+        """Training runs to the same bits with the einsum channel sums as
+        with ``ndarray.sum``: trace, parameters, running statistics and the
+        adaptive loss's scalars, for a2mdu and for distillation."""
+        samples = tiny_samples(n_tiles=2)
+        cfg = HyTecConfig.desk_scale(image_size=32, patch=8, embed_dim=16,
+                                     blocks=4, heads=2, l_hat=16)
+
+        def run():
+            unet = tr.train_unet(samples, tiny_settings(arch="a2mdu", epochs=2))
+            hytec = tr.train_hytec(
+                samples, _make_teachers(samples),
+                tr.TrainSettings(arch="hytec", epochs=2, batch_size=2, seed=3,
+                                 warmup_epochs=1, lr_peak=1e-3), cfg=cfg)
+            return unet, hytec
+
+        fast = run()
+        calls = []
+
+        def plain(a, axis, keepdims=False):
+            calls.append(a.shape)
+            return a.sum(axis=axis, keepdims=keepdims)
+        monkeypatch.setattr(tensor_module, "_channel_sum", plain)
+        monkeypatch.setattr(nn, "_channel_sum", plain)
+        slow = run()
+        assert len(calls) > 100
+        for a, b in zip(fast, slow):
+            assert np.array_equal(np.asarray(a.trace), np.asarray(b.trace))
+            pa, pb = optim.export_arrays(a.params), optim.export_arrays(b.params)
+            assert pa.keys() == pb.keys()
+            assert all(np.array_equal(pa[k], pb[k]) for k in pa)
+            assert np.array_equal(a.adaptive.alpha.data, b.adaptive.alpha.data)
+            assert np.array_equal(a.adaptive.c_raw.data, b.adaptive.c_raw.data)
