@@ -3,11 +3,16 @@
 Models are nested dataclasses holding Tensors; ``collect_tensors`` walks
 them to build flat name -> Tensor registries for optimization and
 checkpointing.
+
+Each optimizer owns its tensors' storage as one contiguous f64 master
+vector, so AdamW steps and ``train._working_copies`` casts all of it in
+whole-vector numpy calls.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from typing import Iterator
 
 import numpy as np
@@ -63,19 +68,15 @@ def set_bn_mode(obj, mode: str) -> None:
             set_bn_mode(item, mode)
 
 
-def load_into(model, arrays: dict) -> None:
-    """Copy checkpointed arrays back into a model's tensors and state."""
-    tensors = collect_tensors(model)
-    state = collect_state(model)
-    for name, arr in arrays.items():
-        if name in tensors:
-            if tensors[name].data.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name}")
-            tensors[name].data[...] = arr
-        elif name in state:
-            state[name][...] = arr
-        else:
-            raise KeyError(f"unknown parameter {name}")
+def check_shapes(targets: dict, arrays: dict, source: str) -> None:
+    """Raise one ``ValueError`` naming ``source`` and every array of
+    ``arrays`` whose shape differs from its namesake's in ``targets``."""
+    bad = [f"{name} {np.shape(arr)} (expected {targets[name].shape})"
+           for name, arr in sorted(arrays.items())
+           if name in targets and np.shape(arr) != targets[name].shape]
+    if bad:
+        raise ValueError(f"{source}: shape mismatch for {len(bad)} arrays: "
+                         f"{', '.join(bad)}")
 
 
 def export_arrays(model) -> dict:
@@ -84,11 +85,46 @@ def export_arrays(model) -> dict:
     return out
 
 
-class SGD:
-    """Plain stochastic gradient descent over a parameter registry."""
+# every live optimizer, so that no tensor is taken over twice
+_live = weakref.WeakSet()
+
+
+class _Optimizer:
+    """Takes over its tensors' storage: their f64 arrays are concatenated
+    into one contiguous ``master`` vector, and each ``Tensor.data`` becomes
+    a reshaped view of it, so a whole-vector operation (a step, a cast)
+    reaches every tensor at once.  A tensor that a live optimizer already
+    holds raises ``ValueError``."""
+
+    def __init__(self, params: dict):
+        held = {id(t) for opt in _live for t in opt.params.values()}
+        for name, t in params.items():
+            if id(t) in held:
+                raise ValueError(f"{name} is already held by an optimizer")
+            held.add(id(t))
+        arrays = [t.data for t in params.values()]
+        self.params = params
+        self.master = np.concatenate(arrays, axis=None)
+        ends = np.cumsum([a.size for a in arrays], dtype=int).tolist()
+        self._spans = [(hi - a.size, hi, a.shape)
+                       for a, hi in zip(arrays, ends)]
+        for t, view in zip(params.values(), self.views(self.master)):
+            t.data = view
+        _live.add(self)
+
+    def views(self, vector: np.ndarray) -> list:
+        """Each tensor's reshaped view of a vector laid out like ``master``,
+        in registry order."""
+        return [vector[lo:hi].reshape(shape) for lo, hi, shape in self._spans]
+
+
+class SGD(_Optimizer):
+    """Plain stochastic gradient descent over a parameter registry.  The
+    step stays a loop over the tensors' views: gathering the gradients
+    into one vector costs what a whole-vector update would save."""
 
     def __init__(self, params: dict, lr: float):
-        self.params = params
+        super().__init__(params)
         self.lr = lr
 
     def step(self):
@@ -108,56 +144,108 @@ class SGD:
         pass
 
 
-class AdamW:
-    """Adam with decoupled weight decay."""
+class AdamW(_Optimizer):
+    """Adam with decoupled weight decay (Loshchilov & Hutter 2019).
+
+    The moments are two vectors laid out like ``master``; ``m`` and ``v``
+    map each parameter name to its views of them.  A step gathers the
+    gradients of each run of adjacent tensors that have them (one run when
+    every tensor has a gradient) with one ``concatenate`` and updates the
+    run in about fifteen whole-vector calls.  Each call is an operation of
+    the per-tensor formula on the same operands and dtypes, so the results
+    are the same bits as long as the gradients share one dtype (as the f32
+    gradients of a training step do); a tensor without a gradient keeps
+    its value and moments.  The scratch vectors live for one step only."""
 
     def __init__(self, params: dict, lr: float = 1e-4, betas=(0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.01):
-        self.params = params
+        super().__init__(params)
         self.lr = lr
         self.b1, self.b2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros_like(v.data) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v.data) for k, v in params.items()}
+        self._m = np.zeros_like(self.master)
+        self._v = np.zeros_like(self.master)
+        self.m = dict(zip(params, self.views(self._m)))
+        self.v = dict(zip(params, self.views(self._v)))
+
+    def _grad_runs(self) -> list:
+        """[lo, hi, grads] of each maximal run of adjacent tensors that have
+        gradients."""
+        runs, end = [], None
+        for (lo, hi, shape), t in zip(self._spans, self.params.values()):
+            g = t.grad
+            if g is None:
+                continue
+            if g.shape != shape:
+                name = next(k for k, u in self.params.items() if u is t)
+                raise ValueError(f"gradient of {name} has shape {g.shape}, "
+                                 f"its tensor {shape}")
+            if lo != end:
+                grads = []
+                runs.append([lo, hi, grads])
+            runs[-1][1] = end = hi
+            grads.append(g)
+        return runs
 
     def step(self):
         self.t += 1
         bc1 = 1.0 - self.b1 ** self.t
         bc2 = 1.0 - self.b2 ** self.t
-        for k, p in self.params.items():
-            if p.grad is None:
-                continue
-            g = p.grad
-            self.m[k] = self.b1 * self.m[k] + (1 - self.b1) * g
-            self.v[k] = self.b2 * self.v[k] + (1 - self.b2) * g * g
-            mhat = self.m[k] / bc1
-            vhat = self.v[k] / bc2
-            p.data -= self.lr * (mhat / (np.sqrt(vhat) + self.eps)
-                                 + self.weight_decay * p.data)
+        for lo, hi, grads in self._grad_runs():
+            g = np.concatenate(grads, axis=None)
+            w, m, v = self.master[lo:hi], self._m[lo:hi], self._v[lo:hi]
+            # m = b1 * m + (1 - b1) * g, the product in g's dtype
+            m *= self.b1
+            scratch = np.multiply(g, 1 - self.b1)
+            m += scratch
+            # v = b2 * v + (1 - b2) * g * g
+            v *= self.b2
+            np.multiply(g, 1 - self.b2, out=scratch)
+            scratch *= g
+            v += scratch
+            # w -= lr * (m / bc1 / (sqrt(v / bc2) + eps) + weight_decay * w)
+            upd = np.divide(m, bc1)
+            denom = np.divide(v, bc2)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            upd /= denom
+            np.multiply(w, self.weight_decay, out=denom)
+            upd += denom
+            upd *= self.lr
+            w -= upd
 
     def zero_grad(self):
         for t in self.params.values():
             t.grad = None
 
     def state_arrays(self) -> dict:
-        """Moments as ``adam_m.<name>``/``adam_v.<name>``, step as ``adam_t``."""
+        """Moments as ``adam_m.<name>``/``adam_v.<name>`` (live views, which
+        the next step overwrites), step as ``adam_t``."""
         out = {f"adam_m.{k}": v for k, v in self.m.items()}
         out.update({f"adam_v.{k}": v for k, v in self.v.items()})
         out["adam_t"] = np.asarray(self.t)
         return out
 
     def load_state(self, arrays: dict) -> None:
-        """Restore what ``state_arrays`` wrote; other names are ignored."""
+        """Restore what ``state_arrays`` wrote; other names are ignored.  A
+        moment whose name matches no parameter, or whose shape differs from
+        the parameter's, raises ``ValueError`` before anything is restored."""
+        moments = {f"adam_{kind}.{k}": a
+                   for kind, views in (("m", self.m), ("v", self.v))
+                   for k, a in views.items()}
+        unknown = [name for name in sorted(arrays)
+                   if name.startswith(("adam_m.", "adam_v."))
+                   and name not in moments]
+        if unknown:
+            raise ValueError(f"moments of no parameter: {', '.join(unknown)}")
+        check_shapes(moments, arrays, "optimizer state")
         for name, arr in arrays.items():
-            kind, _, key = name.partition(".")
-            if kind == "adam_t":
+            if name == "adam_t":
                 self.t = int(arr)
-            elif kind == "adam_m":
-                self.m[key] = arr.copy()
-            elif kind == "adam_v":
-                self.v[key] = arr.copy()
+            elif name in moments:
+                moments[name][...] = arr
 
 
 def cosine_lr(epoch: float, max_epochs: int, base_lr: float) -> float:

@@ -15,16 +15,17 @@ batch outputs, each sample's loss is computed on its slices exactly as
 for a lone sample, and one backward runs from the sum of the losses,
 each scaled by 1 / batch size.  Inference runs one tile at a time.
 
-Precision: the optimizers own float64 master parameters.  Each training
-step runs its forward and backward on float32 working copies of them
-(``WORK_DTYPE``) with float32 model inputs, and every adjoint takes its
-node's dtype.  The f64 masters are put back before the optimizers step,
-so each f32 gradient updates an f64 master (mixed-precision training,
-Micikevicius et al. 2018, arXiv 1710.03740, with f32 as the working
-precision): an update below f32's spacing at a parameter's value still
-moves it.  Parameters, optimizer state, batch-norm running statistics,
-checkpoints, ``TrainResult.params``, targets and all inference stay
-float64.
+Precision: the optimizers own float64 master parameters, one contiguous
+vector per optimizer (see ``optim``).  Each training step casts each
+vector to float32 (``WORK_DTYPE``) in one call and runs its forward and
+backward on views of that cast with float32 model inputs, and every
+adjoint takes its node's dtype.  The f64 master views are put back
+before the optimizers step, so each f32 gradient updates an f64 master
+(mixed-precision training, Micikevicius et al. 2018, arXiv 1710.03740,
+with f32 as the working precision): an update below f32's spacing at a
+parameter's value still moves it.  Parameters, optimizer state,
+batch-norm running statistics, checkpoints, ``TrainResult.params``,
+targets and all inference stay float64.
 
 This module alone knows the checkpoint format.  Each epoch is one file,
 ``epoch_NNNN.ckpt``: a ``CKPT/1 <count>`` line, then per array its name on
@@ -252,7 +253,8 @@ def load_checkpoint(path: str, model, adaptive=None) -> dict:
     """Restore model (and adaptive loss) arrays from one ``.ckpt`` file, or
     from the newest one in a checkpoints directory; returns leftover
     arrays.  A file that lacks any of the model's arrays (say, one trained
-    for another arch) raises ``ValueError`` before anything is restored."""
+    for another arch), or holds one of another shape, raises ``ValueError``
+    naming the file (and each such array) before anything is restored."""
     if os.path.isdir(path):
         found = latest_checkpoint(path)
         if found is None:
@@ -264,11 +266,13 @@ def load_checkpoint(path: str, model, adaptive=None) -> dict:
     if missing:
         raise ValueError(f"{path}: lacks {len(missing)} model arrays: "
                          f"{', '.join(missing)}")
-    optim.load_into(model, {name: extra.pop(name) for name in model_names})
-    if adaptive is not None:
-        for name in ("alpha", "c_raw"):
-            if f"adaptive.{name}" in extra:
-                getattr(adaptive, name).data[...] = extra.pop(f"adaptive.{name}")
+    # every shape, the adaptive loss's too, is checked before any restore;
+    # a tensor an optimizer holds is written into its master vector
+    targets = _checkpoint_arrays(model, adaptive)
+    optim.check_shapes(targets, extra, path)
+    for name, data in targets.items():
+        if name in extra:
+            data[...] = extra.pop(name)
     return extra
 
 
@@ -304,11 +308,14 @@ def _tile_share(out, t: int, tiles: int):
 
 @contextlib.contextmanager
 def _working_copies(optimizers: list):
-    """Inside the block every tensor the optimizers own holds a
-    ``WORK_DTYPE`` copy of its master array; on exit, the master again."""
+    """Inside the block every tensor the optimizers own holds its view of
+    one ``WORK_DTYPE`` cast of its optimizer's master vector; on exit, its
+    master view again, the same array object as before the block."""
     masters = [(t, t.data) for opt in optimizers for t in opt.params.values()]
-    for t, master in masters:
-        t.data = master.astype(WORK_DTYPE)
+    for opt in optimizers:
+        work = opt.views(opt.master.astype(WORK_DTYPE))
+        for t, view in zip(opt.params.values(), work):
+            t.data = view
     try:
         yield
     finally:

@@ -205,6 +205,36 @@ class TestCheckpointing:
         for name, arr in optim.export_arrays(mdu).items():
             np.testing.assert_array_equal(arr, before[name])
 
+    def test_arrays_of_another_shape_are_rejected_before_any_restore(
+            self, tmp_path):
+        mou, _ = tr.make_unet("2mou", np.random.default_rng(0), 4)
+        path = tr.save_checkpoint(str(tmp_path), 0, mou, None)
+        arrays = tr._read_arrays(path)
+        # a length-1 running statistic would broadcast into the model's
+        arrays["cdbs.0.bn1.running_mean"] = arrays[
+            "cdbs.0.bn1.running_mean"][:1]
+        arrays["head.conv.kernel"] = arrays["head.conv.kernel"][..., :0]
+        tr._write_arrays(path, arrays)
+        fresh, _ = tr.make_unet("2mou", np.random.default_rng(1), 4)
+        before = {k: v.copy() for k, v in optim.export_arrays(fresh).items()}
+        with pytest.raises(ValueError, match="epoch_0000.ckpt") as err:
+            tr.load_checkpoint(path, fresh)
+        assert "cdbs.0.bn1.running_mean" in str(err.value)
+        assert "head.conv.kernel" in str(err.value)
+        for name, arr in optim.export_arrays(fresh).items():
+            np.testing.assert_array_equal(arr, before[name])
+
+    def test_an_adaptive_scalar_of_another_shape_is_rejected(self, tmp_path):
+        path, _, _, _ = _small_checkpoint(tmp_path)
+        arrays = tr._read_arrays(path)
+        arrays["adaptive.c_raw"] = np.zeros(2)
+        tr._write_arrays(path, arrays)
+        fresh, adaptive = nn.init_bn(3), AdaptiveLossState.create()
+        with pytest.raises(ValueError, match="adaptive.c_raw"):
+            tr.load_checkpoint(path, fresh, adaptive)
+        np.testing.assert_array_equal(fresh.gamma.data, 1.0)
+        assert adaptive.c_raw.data.shape == ()
+
     def test_failed_save_keeps_the_previous_epoch(self, tmp_path,
                                                   monkeypatch):
         samples = tiny_samples()
