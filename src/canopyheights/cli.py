@@ -2,7 +2,7 @@
 
 Subcommands: ``synth`` (generate a desk-scale dataset), ``filter``
 (LiDAR shot quality filter), ``composite`` (median compositing),
-``grid`` (sampling-grid construction), ``train`` (all model variants),
+``grid`` (sampling grid of the filtered shots), ``train`` (all variants),
 ``eval`` (inference + reports), and ``gsi`` (sharpness analysis of
 predicted maps).  Everything is seeded; single-threaded runs are
 byte-reproducible.  Every output file is written under a temporary name
@@ -26,7 +26,7 @@ from . import config as cfgmod
 from . import datapipe as dp
 from . import metrics as mt
 from . import train as tr
-from .hytec import HyTecConfig
+from .hytec import HyTecConfig, init_hytec
 from .losses import HeightBinning, HyTecLossConfig
 from .tensor import atomic_open, load_tensor, save_tensor
 
@@ -166,8 +166,10 @@ def cmd_composite(cfg, out_dir: str) -> None:
 
 
 def cmd_grid(cfg, out_dir: str) -> None:
-    shots = dp.shots_from_csv(
-        os.path.join(cfg.get("data", "dataset_dir"), "shots.csv"))
+    path = os.path.join(cfg.get("data", "dataset_dir"), "shots.csv")
+    shots, _ = dp.filter_gedi(dp.shots_from_csv(path))
+    if not len(shots):
+        raise ValueError(f"{path}: no shot passes the quality filter")
     cell = cfg.get("data", "cell_size_m")
     x0, x1 = float(shots.lon.min()), float(shots.lon.max())
     y0, y1 = float(shots.lat.min()), float(shots.lat.max())
@@ -179,15 +181,6 @@ def cmd_grid(cfg, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     dp.grid_to_csv(cells, os.path.join(out_dir, "grid.csv"))
     log.info("kept %d grid cells", len(cells))
-
-
-def _load_teacher(path: str, modality: str, stem_width: int) -> tr.Teacher:
-    if not path:
-        raise FileNotFoundError(f"missing teacher checkpoint for {modality}")
-    params, cfg = tr.make_unet(f"teacher_{modality}",
-                               np.random.default_rng(0), stem_width)
-    tr.load_checkpoint(path, params)
-    return tr.Teacher(params, cfg, modality)
 
 
 def _settings_from_config(cfg, out_dir: str) -> tr.TrainSettings:
@@ -218,16 +211,32 @@ def _hytec_config(cfg) -> HyTecConfig:
                        bins=_bins_from_config(cfg))
 
 
+def _restore_model(cfg, arch: str, key: str) -> tuple:
+    """(params, model config) of ``arch``, restored from the checkpoint
+    that the config entry ``key`` ("section.name") names."""
+    ckpt = cfg.get(*key.split("."))
+    if not ckpt:
+        raise FileNotFoundError(f"{key} is not set")
+    rng = np.random.default_rng(0)
+    if arch == "hytec":
+        mcfg = _hytec_config(cfg)
+        params = init_hytec(rng, mcfg)
+    else:
+        params, mcfg = tr.make_unet(arch, rng, cfg.get("model", "stem_width"),
+                                    _bins_from_config(cfg))
+    tr.load_checkpoint(ckpt, params)
+    return params, mcfg
+
+
 def cmd_train(cfg, out_dir: str, resume: bool = False) -> None:
     samples = _samples(cfg)
     os.makedirs(out_dir, exist_ok=True)
     settings = _settings_from_config(cfg, out_dir)
     arch = settings.arch
     if arch == "hytec":
-        stem = cfg.get("model", "stem_width")
-        teachers = [
-            _load_teacher(cfg.get("data", "teacher_s1"), "s1", stem),
-            _load_teacher(cfg.get("data", "teacher_s2"), "s2", stem)]
+        teachers = [tr.Teacher(*_restore_model(cfg, f"teacher_{m}",
+                                               f"data.teacher_{m}"), m)
+                    for m in ("s1", "s2")]
         result = tr.train_hytec(samples, teachers, settings,
                                 cfg=_hytec_config(cfg), resume=resume)
     else:
@@ -236,23 +245,6 @@ def cmd_train(cfg, out_dir: str, resume: bool = False) -> None:
     log.info("trained %s for %d epochs; final loss %.6g", arch,
              result.epochs_run,
              result.trace[-1][2] if result.trace else float("nan"))
-
-
-def _restore_model(cfg):
-    arch = cfg.get("run", "arch")
-    ckpt = cfg.get("eval", "checkpoint")
-    if not ckpt:
-        raise FileNotFoundError("eval.checkpoint is not set")
-    rng = np.random.default_rng(0)
-    if arch == "hytec":
-        from .hytec import init_hytec
-        mcfg = _hytec_config(cfg)
-        params = init_hytec(rng, mcfg)
-    else:
-        params, mcfg = tr.make_unet(arch, rng, cfg.get("model", "stem_width"),
-                                    _bins_from_config(cfg))
-    tr.load_checkpoint(ckpt, params)
-    return params, mcfg
 
 
 GSI_COLUMNS = ["patch", "si_output", "si_reference", "gsi",
@@ -272,7 +264,8 @@ def _write_gsi_csv(path: str, reports: list, tail=()) -> None:
 
 def cmd_eval(cfg, out_dir: str) -> None:
     samples = _samples(cfg)
-    params, mcfg = _restore_model(cfg)
+    params, mcfg = _restore_model(cfg, cfg.get("run", "arch"),
+                                  "eval.checkpoint")
     os.makedirs(out_dir, exist_ok=True)
     ys, yhats, reports = [], [], []
     for i, sample in enumerate(samples):

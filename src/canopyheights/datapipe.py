@@ -123,7 +123,6 @@ def median_composite(stack: ImageStack) -> tuple:
     data = np.stack([np.asarray(f, dtype=float) for f in stack.frames])
     valid = np.stack([np.asarray(m, dtype=bool) for m in stack.masks])
     data = np.where(valid[:, :, :, None], data, np.nan)
-    import warnings
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="All-NaN slice")
         out = np.nanmedian(data, axis=0)
@@ -405,6 +404,7 @@ def sample_patch(arrays: Sequence[np.ndarray], patch: int,
 S2_BANDS = 10
 S1_BANDS = 2
 MAX_HEIGHT_M = 55.0
+BAND_NOISE = 0.01         # std of the seeded noise on every band
 
 # band response to normalized height: offset, linear, quadratic
 _S2_COEF = np.stack([
@@ -454,9 +454,9 @@ def _height_field(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def bands_from_height(heights: np.ndarray,
-                      rng: Optional[np.random.Generator] = None,
-                      noise: float = 0.01) -> tuple:
-    """Deterministic band responses to height, plus optional seeded noise.
+                      rng: np.random.Generator) -> tuple:
+    """Deterministic band responses to height, plus seeded noise of
+    standard deviation ``BAND_NOISE``.
 
     The response compresses toward tall canopies (optical signal
     saturation), so height differences above ~30 m produce only small
@@ -464,11 +464,8 @@ def bands_from_height(heights: np.ndarray,
     """
     u = np.tanh(2.2 * np.asarray(heights, dtype=float) / MAX_HEIGHT_M)
     feats = np.stack([np.ones_like(u), u, u * u], axis=-1)
-    s2 = feats @ _S2_COEF.T
-    s1 = feats @ _S1_COEF.T
-    if rng is not None and noise > 0:
-        s2 = s2 + rng.normal(scale=noise, size=s2.shape)
-        s1 = s1 + rng.normal(scale=noise, size=s1.shape)
+    s2 = feats @ _S2_COEF.T + rng.normal(scale=BAND_NOISE, size=(*u.shape, S2_BANDS))
+    s1 = feats @ _S1_COEF.T + rng.normal(scale=BAND_NOISE, size=(*u.shape, S1_BANDS))
     return s2, s1
 
 

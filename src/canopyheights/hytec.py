@@ -15,7 +15,7 @@ tile's rows of patches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,6 +23,11 @@ import numpy as np
 from . import nn
 from .losses import HeightBinning
 from .tensor import Tensor, concat
+from .unet import DualHeadParams, head_dual
+
+MLP_RATIO = 4        # transformer MLP width over the embedding width
+GROUP1_BANDS = 4     # R, G, B, NIR
+GROUP2_BANDS = 6     # red-edge 1-4, SWIR 1-2
 
 
 @dataclass
@@ -32,9 +37,6 @@ class HyTecConfig:
     embed_dim: int = 1536
     blocks: int = 12
     heads: int = 12
-    mlp_ratio: int = 4
-    group1_bands: int = 4     # R, G, B, NIR
-    group2_bands: int = 6     # red-edge 1-4, SWIR 1-2
     l_hat: int = 256
     taps: tuple = (3, 6, 9, 12)
     bins: Optional[HeightBinning] = None
@@ -50,8 +52,7 @@ class HyTecConfig:
             raise ValueError("reprojection width must be divisible by 8")
         if len(self.taps) != 4 or any(t < 1 or t > self.blocks for t in self.taps):
             raise ValueError("need 4 tap indices within the block stack")
-        g = self.grid
-        if g % 2:
+        if self.grid % 2:
             raise ValueError("patch grid side must be even")
         if self.bins is None:
             self.bins = HeightBinning.default()
@@ -109,8 +110,6 @@ class HyTecOutputs:
 
 
 def init_hytec(rng: np.random.Generator, cfg: HyTecConfig) -> HyTecParams:
-    from .unet import DualHeadParams
-
     p, d = cfg.patch, cfg.embed_dim
     n2 = 2 * cfg.tokens_per_group
     blocks = []
@@ -119,8 +118,8 @@ def init_hytec(rng: np.random.Generator, cfg: HyTecConfig) -> HyTecParams:
             ln1=nn.init_layernorm(d),
             attn=nn.init_mhsa(rng, d, cfg.heads),
             ln2=nn.init_layernorm(d),
-            mlp_in=nn.init_linear(rng, d, cfg.mlp_ratio * d),
-            mlp_out=nn.init_linear(rng, cfg.mlp_ratio * d, d)))
+            mlp_in=nn.init_linear(rng, d, MLP_RATIO * d),
+            mlp_out=nn.init_linear(rng, MLP_RATIO * d, d)))
 
     lhat = cfg.l_hat
     rbs = [
@@ -144,8 +143,8 @@ def init_hytec(rng: np.random.Generator, cfg: HyTecConfig) -> HyTecParams:
     pos_scale = 0.02
     pos = Tensor(rng.normal(scale=pos_scale, size=(n2, d)), requires_grad=True)
     return HyTecParams(
-        embed1=nn.init_linear(rng, p * p * cfg.group1_bands, d),
-        embed2=nn.init_linear(rng, p * p * cfg.group2_bands, d),
+        embed1=nn.init_linear(rng, p * p * GROUP1_BANDS, d),
+        embed2=nn.init_linear(rng, p * p * GROUP2_BANDS, d),
         pos=pos, blocks=blocks, rbs=rbs, fuse_ups=fuse_ups,
         aux_heads=aux_heads,
         db_conv1=nn.init_conv(rng, 3, lhat, lhat, stride=1, padding=1),
@@ -243,14 +242,12 @@ def hytec_forward(s2: Tensor, params: HyTecParams, cfg: HyTecConfig,
                   tiles: int = 1) -> HyTecOutputs:
     """Full forward from ``tiles`` row-stacked 10-band optical tiles to main
     + auxiliary outputs."""
-    from .unet import head_dual
-
     rows, w, c = s2.shape
     h = nn.tile_rows(rows, tiles)
     if h != w or h % cfg.patch:
         raise ValueError("input must be square and divisible by the patch size")
-    if c != cfg.group1_bands + cfg.group2_bands:
-        raise ValueError(f"expected {cfg.group1_bands + cfg.group2_bands} bands, got {c}")
+    if c != GROUP1_BANDS + GROUP2_BANDS:
+        raise ValueError(f"expected {GROUP1_BANDS + GROUP2_BANDS} bands, got {c}")
     if h != cfg.image_size:
         # the positional rows of group 2 start at tokens_per_group
         raise ValueError(f"input is {h} px but the model is configured for "
@@ -258,7 +255,7 @@ def hytec_forward(s2: Tensor, params: HyTecParams, cfg: HyTecConfig,
 
     n, d = cfg.tokens_per_group, cfg.embed_dim
     g = h // cfg.patch
-    b1 = cfg.group1_bands
+    b1 = GROUP1_BANDS
     t1 = patch_embed(s2[:, :, :b1], params.embed1, params.pos[:n], cfg.patch, tiles)
     t2 = patch_embed(s2[:, :, b1:], params.embed2, params.pos[n:2 * n], cfg.patch, tiles)
     # each tile's token rows: its group-1 tokens, then its group-2 tokens

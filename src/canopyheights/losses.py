@@ -259,6 +259,9 @@ class HyTecLossConfig:
     consensus_tol: float = 0.10
 
     def __post_init__(self):
+        if len(self.betas) != 4:
+            raise ValueError(f"betas needs 4 values (3 auxiliary terms and "
+                             f"the main term), got {len(self.betas)}")
         if any(b < 0 for b in self.betas) or self.alpha_cr < 0:
             raise ValueError("scale factors must be non-negative")
         if self.delta <= 0 or self.consensus_tol <= 0:

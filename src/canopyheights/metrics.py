@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.ndimage import convolve
 
 from .tensor import atomic_open
 
@@ -108,7 +109,6 @@ def _directional_blur(img: np.ndarray, axis: int) -> float:
     k = np.ones(9) / 9.0
     shape = [1, 1]
     shape[axis] = 9
-    from scipy.ndimage import convolve
     blurred = convolve(img, k.reshape(shape), mode="nearest")
 
     d_orig = np.abs(np.diff(img, axis=axis))

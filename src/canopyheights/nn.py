@@ -57,6 +57,12 @@ from scipy.special import erf
 
 from .tensor import Tensor, _channel_sum, concat, matmul
 
+# batch norm's running-estimate momentum and variance floor, and layer
+# norm's variance floor
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+LN_EPS = 1e-6
+
 
 # -- parameter containers ---------------------------------------------
 
@@ -96,17 +102,7 @@ class BatchNormState:
     beta: Tensor             # C
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
     mode: str = "train"      # train | eval
-
-    def train(self):
-        self.mode = "train"
-        return self
-
-    def eval(self):
-        self.mode = "eval"
-        return self
 
 
 @dataclass
@@ -119,7 +115,6 @@ class LinearParams:
 class LayerNormParams:
     gamma: Tensor            # D
     beta: Tensor             # D
-    eps: float = 1e-6
 
 
 @dataclass
@@ -138,10 +133,10 @@ class MhsaParams:
 
 # -- initialisation ---------------------------------------------------
 
-def he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype=np.float64) -> Tensor:
+def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
     """He-style uniform init, suited to leaky-ReLU nets."""
     bound = np.sqrt(6.0 / max(fan_in, 1))
-    return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
 def init_conv(rng, k, c_in, c_out, stride=1, padding=0) -> Conv2dParams:
@@ -156,12 +151,11 @@ def init_convt(rng, k, c_in, c_out) -> ConvT2dParams:
     return ConvT2dParams(kernel, bias, stride=k)
 
 
-def init_bn(c: int, momentum=0.1, eps=1e-5) -> BatchNormState:
+def init_bn(c: int) -> BatchNormState:
     return BatchNormState(
         gamma=Tensor(np.ones(c), requires_grad=True),
         beta=Tensor(np.zeros(c), requires_grad=True),
-        running_mean=np.zeros(c), running_var=np.ones(c),
-        momentum=momentum, eps=eps)
+        running_mean=np.zeros(c), running_var=np.ones(c))
 
 
 def init_linear(rng, d_in, d_out) -> LinearParams:
@@ -330,13 +324,13 @@ def batch_norm(x: Tensor, s: BatchNormState, tiles: int = 1) -> Tensor:
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(var))):
             raise FloatingPointError("non-finite batch statistics")
         for t in range(tiles):
-            s.running_mean = (1 - s.momentum) * s.running_mean + s.momentum * mu[t, 0]
-            s.running_var = (1 - s.momentum) * s.running_var + s.momentum * var[t, 0]
+            s.running_mean = (1 - BN_MOMENTUM) * s.running_mean + BN_MOMENTUM * mu[t, 0]
+            s.running_var = (1 - BN_MOMENTUM) * s.running_var + BN_MOMENTUM * var[t, 0]
     else:
         mu, var = s.running_mean, s.running_var
         xc = xs - mu
 
-    inv = 1.0 / np.sqrt(var + s.eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xc *= inv                          # xc's dtype covers inv's
     out = s.gamma.data * xc + s.beta.data
 
@@ -369,7 +363,7 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
         raise ValueError("layer_norm needs last extent >= 2")
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + p.eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (x.data - mu) * inv
     out = p.gamma.data * xhat + p.beta.data
 

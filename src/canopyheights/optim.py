@@ -21,28 +21,26 @@ from .nn import BatchNormState
 from .tensor import Tensor
 
 
-def collect_tensors(obj, prefix: str = "") -> dict:
+def collect_tensors(obj) -> dict:
     """Flatten every trainable Tensor reachable from a model object."""
-    out: dict[str, Tensor] = {}
-    for name, item in _walk(obj, prefix):
-        if isinstance(item, Tensor) and item.requires_grad:
-            out[name] = item
-    return out
+    return {name: item for name, item in _walk(obj)
+            if isinstance(item, Tensor) and item.requires_grad}
 
 
-def collect_state(obj, prefix: str = "") -> dict:
+def collect_state(obj) -> dict:
     """Flatten non-trainable state arrays (e.g. batch-norm running stats)."""
-    out: dict[str, np.ndarray] = {}
-    for name, item in _walk(obj, prefix):
-        if isinstance(item, np.ndarray):
-            out[name] = item
-    return out
+    return {name: item for name, item in _walk(obj)
+            if isinstance(item, np.ndarray)}
 
 
-def _walk(obj, prefix: str) -> Iterator[tuple]:
+def _walk(obj, prefix: str = "") -> Iterator[tuple]:
+    """(name, object) of ``obj`` and of everything reachable from it
+    through dataclass fields, lists, tuples and dicts (in key order),
+    parents before their members."""
+    yield prefix, obj
     if isinstance(obj, (Tensor, np.ndarray)):
-        yield prefix, obj
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         for f in dataclasses.fields(obj):
             yield from _walk(getattr(obj, f.name), f"{prefix}.{f.name}" if prefix else f.name)
     elif isinstance(obj, (list, tuple)):
@@ -55,17 +53,9 @@ def _walk(obj, prefix: str) -> Iterator[tuple]:
 
 def set_bn_mode(obj, mode: str) -> None:
     """Switch every BatchNormState under a model to train or eval."""
-    if isinstance(obj, BatchNormState):
-        obj.mode = mode
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        for f in dataclasses.fields(obj):
-            set_bn_mode(getattr(obj, f.name), mode)
-    elif isinstance(obj, (list, tuple)):
-        for item in obj:
-            set_bn_mode(item, mode)
-    elif isinstance(obj, dict):
-        for item in obj.values():
-            set_bn_mode(item, mode)
+    for _, item in _walk(obj):
+        if isinstance(item, BatchNormState):
+            item.mode = mode
 
 
 def check_shapes(targets: dict, arrays: dict, source: str) -> None:

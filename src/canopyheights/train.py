@@ -9,6 +9,11 @@ sample's targets once per run, emits a per-step loss trace, checkpoints
 every epoch with a rolling keep-last window (the trace included, so a
 resumed run keeps its history), and aborts on non-finite loss.
 
+``UNET_CONFIGS`` maps each convolutional variant to its ``UNetConfig``,
+``_model_input`` each model config to the inputs it reads, ``_forward``
+runs either model family for both trainers, and ``_infer`` is the one
+eval-mode inference behind ``predict_heights`` and ``teacher_heights``.
+
 Each batch is one graph: its tiles are stacked along rows (see ``nn``)
 and run through one forward, each tile's outputs are row slices of the
 batch outputs, each sample's loss is computed on its slices exactly as
@@ -47,16 +52,25 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import optim
-from .hytec import HyTecConfig, hytec_forward, init_hytec
+from .hytec import HyTecConfig, HyTecOutputs, hytec_forward, init_hytec
 from .losses import (AdaptiveLossState, ClassTarget, HyTecLossConfig,
                      bin_assign_map, combined_cr_loss, huber,
                      hytec_total_loss, kd_teacher_consensus)
 from .tensor import (Tape, Tensor, atomic_open, backward, no_grad,
                      read_record, write_record)
 from .unet import (DualHeadOutput, UNetConfig, UNetParams, init_unet,
-                   teacher_config, teacher_forward, unet_forward)
+                   unet_forward)
 
-UNET_ARCHS = ("2mou", "2mdu", "a2mdu", "teacher_s1", "teacher_s2")
+# each convolutional variant's UNetConfig (in_channels_s2, in_channels_s1,
+# head_kind); a teacher's one encoder reads one modality
+UNET_CONFIGS = {
+    "2mou": (10, 2, "single"),
+    "2mdu": (10, 2, "dual"),
+    "a2mdu": (10, 2, "dual"),
+    "teacher_s1": (2, None, "single"),
+    "teacher_s2": (10, None, "single"),
+}
+UNET_ARCHS = tuple(UNET_CONFIGS)
 TRACE_COLUMNS = ["step", "lr", "total", "aux1", "aux2", "aux3", "ce", "reg"]
 # the dtype of a training step's forward and backward; masters stay f64
 WORK_DTYPE = np.float32
@@ -81,11 +95,10 @@ class TrainSettings:
     arch: str
     epochs: int = 250
     batch_size: int = 12
-    base_lr: Optional[float] = None      # default per optimizer family
+    base_lr: float = 1e-2                # SGD's; AdamW's follows lr_peak
     warmup_epochs: int = 20
     lr_start: float = 1e-6
     lr_peak: float = 1e-4
-    weight_decay: float = 0.01
     seed: int = 0
     stem_width: int = 16
     loss: HyTecLossConfig = field(default_factory=HyTecLossConfig)
@@ -97,6 +110,12 @@ class TrainSettings:
     # the regression gradient before the network has fit the data
     adaptive_lr: float = 1e-5
 
+    def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got "
+                                 f"{getattr(self, name)}")
+
 
 @dataclass
 class TrainResult:
@@ -107,49 +126,56 @@ class TrainResult:
     epochs_run: int
 
 
-def samples_from_tiles(tiles, mask_filter=None) -> list:
+def samples_from_tiles(tiles) -> list:
     """Adapt synthetic dataset tiles into training samples."""
-    out = []
-    for t in tiles:
-        mask = t.mask if mask_filter is None else mask_filter(t)
-        out.append(Sample(s2=t.s2, s1=t.s1, target_h=t.target,
-                          mask=np.asarray(mask, dtype=float)))
-    return out
+    return [Sample(s2=t.s2, s1=t.s1, target_h=t.target,
+                   mask=np.asarray(t.mask, dtype=float)) for t in tiles]
 
 
 def make_unet(arch: str, rng: np.random.Generator,
               stem_width: int = 16, bins=None) -> tuple:
-    """Model configuration and fresh parameters for a named variant."""
-    if arch == "teacher_s1":
-        cfg = teacher_config("s1", stem_width)
-    elif arch == "teacher_s2":
-        cfg = teacher_config("s2", stem_width)
-    elif arch == "2mou":
-        cfg = UNetConfig(stem_width=stem_width, head_kind="single")
-    elif arch in ("2mdu", "a2mdu"):
-        cfg = UNetConfig(stem_width=stem_width, head_kind="dual", bins=bins)
-    else:
+    """Fresh parameters and model configuration for a named variant."""
+    if arch not in UNET_CONFIGS:
         raise ValueError(f"unknown architecture {arch!r}")
+    c_s2, c_s1, head = UNET_CONFIGS[arch]
+    cfg = UNetConfig(in_channels_s2=c_s2, in_channels_s1=c_s1,
+                     stem_width=stem_width, head_kind=head,
+                     bins=bins if head == "dual" else None)
     return init_unet(rng, cfg), cfg
 
 
-def _stacked(batch: Sequence[Sample], modality: str,
-             dtype=np.float64) -> Tensor:
-    """One modality of a batch of samples, the tiles stacked along rows."""
-    return Tensor(np.concatenate([getattr(s, modality) for s in batch]),
-                  dtype=dtype)
-
-
-def _model_input(batch: Sequence[Sample], cfg: UNetConfig,
-                 dtype=np.float64) -> tuple:
-    """The (first-encoder, second-encoder) inputs a U-Net takes from a
-    batch of samples.  A single-encoder model reads the modality whose
-    channel count its encoder was built for."""
+def _model_input(batch: Sequence[Sample], cfg, dtype=np.float64) -> tuple:
+    """The inputs a model takes from a batch of samples, each modality's
+    tiles stacked along rows: HyTeC's optical tiles, or a U-Net's
+    (first-encoder, second-encoder) pair.  A single-encoder U-Net reads
+    the modality whose channel count its encoder was built for."""
+    def stacked(modality: str) -> Tensor:
+        return Tensor(np.concatenate([getattr(s, modality) for s in batch]),
+                      dtype=dtype)
+    if isinstance(cfg, HyTecConfig):
+        return (stacked("s2"),)
     if cfg.dual_modality:
-        return _stacked(batch, "s2", dtype), _stacked(batch, "s1", dtype)
+        return stacked("s2"), stacked("s1")
     if cfg.in_channels_s2 == batch[0].s2.shape[-1]:
-        return _stacked(batch, "s2", dtype), None
-    return _stacked(batch, "s1", dtype), None
+        return stacked("s2"), None
+    return stacked("s1"), None
+
+
+def _forward(params, cfg, batch: Sequence[Sample], dtype):
+    """The model's outputs on a batch of samples (see ``_model_input``)."""
+    model = hytec_forward if isinstance(cfg, HyTecConfig) else unet_forward
+    return model(*_model_input(batch, cfg, dtype), params, cfg,
+                 tiles=len(batch))
+
+
+def _infer(params, cfg, sample: Sample) -> np.ndarray:
+    """Eval-mode height map of one sample as a plain array (no gradient)."""
+    optim.set_bn_mode(params, "eval")
+    with no_grad():
+        out = _forward(params, cfg, [sample], np.float64)
+    if isinstance(out, HyTecOutputs):
+        out = out.main
+    return out.height.data if isinstance(out, DualHeadOutput) else out.data
 
 
 def unet_sample_target(sample: Sample, cfg: UNetConfig) -> Optional[ClassTarget]:
@@ -413,26 +439,22 @@ def _fit(samples: Sequence[Sample], settings: TrainSettings, resume: bool,
 def train_unet(samples: Sequence[Sample], settings: TrainSettings,
                resume: bool = False) -> TrainResult:
     """SGD + cosine-decay training for the convolutional variants."""
-    if settings.arch not in UNET_ARCHS:
-        raise ValueError(f"not a convolutional variant: {settings.arch!r}")
     rng = np.random.default_rng(settings.seed)
     params, cfg = make_unet(settings.arch, rng, settings.stem_width,
                             settings.bins)
     adaptive = AdaptiveLossState.create() if settings.arch == "a2mdu" else None
 
-    base_lr = settings.base_lr if settings.base_lr is not None else 1e-2
-    optimizers = [optim.SGD(optim.collect_tensors(params), base_lr)]
+    optimizers = [optim.SGD(optim.collect_tensors(params), settings.base_lr)]
     if adaptive is not None:
         optimizers.append(optim.SGD({"adaptive.alpha": adaptive.alpha,
                                      "adaptive.c_raw": adaptive.c_raw},
                                     settings.adaptive_lr))
 
     trace = _fit(samples, settings, resume, params, adaptive, optimizers,
-                 lambda epoch: optim.cosine_lr(epoch, settings.epochs, base_lr),
+                 lambda epoch: optim.cosine_lr(epoch, settings.epochs,
+                                               settings.base_lr),
                  lambda sample: unet_sample_target(sample, cfg),
-                 lambda batch: unet_forward(
-                     *_model_input(batch, cfg, WORK_DTYPE), params, cfg,
-                     tiles=len(batch)),
+                 lambda batch: _forward(params, cfg, batch, WORK_DTYPE),
                  lambda sample, target, out, parts: unet_sample_loss(
                      sample, target, out, settings.loss, adaptive, parts))
     return TrainResult(params, cfg, adaptive, trace, settings.epochs)
@@ -449,10 +471,7 @@ class Teacher:
 
 def teacher_heights(teacher: Teacher, sample: Sample) -> np.ndarray:
     """Frozen-teacher inference as a plain array (no gradient)."""
-    x, _ = _model_input([sample], teacher.config)
-    optim.set_bn_mode(teacher.params, "eval")
-    with no_grad():
-        return teacher_forward(x, teacher.params, teacher.config).data
+    return _infer(teacher.params, teacher.config, sample)
 
 
 def _block_reduce(value: np.ndarray, mask: np.ndarray, factor: int) -> tuple:
@@ -518,8 +537,7 @@ def train_hytec(samples: Sequence[Sample], teachers: Sequence[Teacher],
     registry = optim.collect_tensors(params)
     registry["adaptive.alpha"] = adaptive.alpha
     registry["adaptive.c_raw"] = adaptive.c_raw
-    opt = optim.AdamW(registry, lr=settings.lr_peak,
-                      weight_decay=settings.weight_decay)
+    opt = optim.AdamW(registry, lr=settings.lr_peak)
 
     trace = _fit(samples, settings, resume, params, adaptive, [opt],
                  lambda epoch: optim.warmup_cosine_lr(
@@ -527,9 +545,7 @@ def train_hytec(samples: Sequence[Sample], teachers: Sequence[Teacher],
                      settings.lr_peak, settings.epochs),
                  lambda sample: hytec_sample_targets(
                      sample, cfg, teachers, settings.loss),
-                 lambda batch: hytec_forward(
-                     _stacked(batch, "s2", WORK_DTYPE), params, cfg,
-                     tiles=len(batch)),
+                 lambda batch: _forward(params, cfg, batch, WORK_DTYPE),
                  lambda sample, targets, out, parts: hytec_sample_loss(
                      sample, targets, out, settings.loss, adaptive, parts))
     return TrainResult(params, cfg, adaptive, trace, settings.epochs)
@@ -537,9 +553,4 @@ def train_hytec(samples: Sequence[Sample], teachers: Sequence[Teacher],
 
 def predict_heights(params, cfg, sample: Sample) -> np.ndarray:
     """Inference: the model's height map for one sample, eval-mode."""
-    optim.set_bn_mode(params, "eval")
-    with no_grad():
-        if isinstance(cfg, HyTecConfig):
-            return hytec_forward(Tensor(sample.s2), params, cfg).main.height.data
-        out = unet_forward(*_model_input([sample], cfg), params, cfg)
-    return out.height.data if isinstance(out, DualHeadOutput) else out.data
+    return _infer(params, cfg, sample)

@@ -6,13 +6,17 @@ an attention bottleneck fusing the encoder paths, four decoder blocks
 encoder, and one of two output heads: a single regression head or a dual
 classification/regression head over overlapping height bins.
 
+``train`` maps each named variant to its config.  A single-encoder model
+(``in_channels_s1=None``, as the distillation teachers are) reads its one
+modality through the first path: ``unet_forward(x, None, ...)``.
+
 Every forward takes a batch of ``tiles`` tiles stacked along rows (see
 ``nn``) and checks its shape laws per tile.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,19 +25,18 @@ from . import nn
 from .losses import HeightBinning
 from .tensor import Tensor, concat
 
+DEPTH = 4        # encoder (and decoder) blocks per path
+
 
 @dataclass
 class UNetConfig:
     in_channels_s2: int = 10
     in_channels_s1: Optional[int] = 2      # None for a single-modality model
     stem_width: int = 16
-    depth: int = 4
     head_kind: str = "single"              # single | dual
     bins: Optional[HeightBinning] = None
 
     def __post_init__(self):
-        if self.depth != 4:
-            raise ValueError("the architecture uses exactly 4 stages")
         if self.head_kind not in ("single", "dual"):
             raise ValueError("head_kind must be single or dual")
         if self.head_kind == "dual" and self.bins is None:
@@ -131,8 +134,8 @@ def _init_saa(rng, c: int) -> SaaParams:
 
 def init_unet(rng: np.random.Generator, cfg: UNetConfig) -> UNetParams:
     f0 = cfg.stem_width
-    widths = [f0 * 2 ** i for i in range(cfg.depth)]           # per-stage input widths
-    bottleneck = f0 * 2 ** cfg.depth
+    widths = [f0 * 2 ** i for i in range(DEPTH)]           # per-stage input widths
+    bottleneck = f0 * 2 ** DEPTH
 
     stem_s2 = nn.init_conv(rng, 3, cfg.in_channels_s2, f0, stride=1, padding=1)
     cebs_s2 = [_init_ceb(rng, w) for w in widths]
@@ -145,7 +148,7 @@ def init_unet(rng: np.random.Generator, cfg: UNetConfig) -> UNetParams:
         stem_s1, cebs_s1, fuse = None, None, None
         saa = _init_saa(rng, bottleneck)
 
-    cdbs = [_init_cdb(rng, bottleneck // 2 ** i) for i in range(cfg.depth)]
+    cdbs = [_init_cdb(rng, bottleneck // 2 ** i) for i in range(DEPTH)]
 
     if cfg.head_kind == "single":
         head: object = SingleHeadParams(nn.init_conv(rng, 1, f0, 1))
@@ -266,22 +269,3 @@ def unet_forward(s2: Tensor, s1: Optional[Tensor], params: UNetParams,
     if cfg.head_kind == "single":
         return head_single(y, params.head)
     return head_dual(y, params.head)
-
-
-def teacher_config(modality: str, stem_width: int = 16) -> UNetConfig:
-    """Single-encoder, single-head configuration for one input modality."""
-    if modality == "s1":
-        return UNetConfig(in_channels_s2=2, in_channels_s1=None,
-                          stem_width=stem_width, head_kind="single")
-    if modality == "s2":
-        return UNetConfig(in_channels_s2=10, in_channels_s1=None,
-                          stem_width=stem_width, head_kind="single")
-    raise ValueError(f"unknown modality {modality!r}")
-
-
-def teacher_forward(x: Tensor, params: UNetParams, cfg: UNetConfig) -> Tensor:
-    """Single-modality forward; the sole encoder path feeds the bottleneck."""
-    out = unet_forward(x, None, params, cfg)
-    if isinstance(out, DualHeadOutput):
-        raise ValueError("teachers use the single head")
-    return out

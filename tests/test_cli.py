@@ -14,6 +14,7 @@ from canopyheights import datapipe as dp
 from canopyheights import metrics as mt
 from canopyheights import tensor as tn
 from canopyheights import train as tr
+from canopyheights.hytec import HyTecConfig, init_hytec
 from canopyheights.tensor import load_tensor
 
 
@@ -162,6 +163,19 @@ class TestGrid:
         sets = {int(r[7]) for r in rows[1:]}
         assert sets <= set(range(1, 10))
 
+    def test_grid_holds_only_retained_shots(self, workspace, tmp_path):
+        _, cfg, _ = workspace
+        cfg = cfg.copy()
+        cfg.set("data", "min_cell_shots", 1)    # every shot's cell is kept
+        grid, filt = str(tmp_path / "grid"), str(tmp_path / "filt")
+        assert run(cfg, ["grid", "--out", grid], tmp_path) == 0
+        assert run(cfg, ["filter", "--out", filt], tmp_path) == 0
+        with open(os.path.join(grid, "grid.csv")) as fh:
+            gridded = sum(int(r[6]) for r in list(csv.reader(fh))[1:])
+        with open(os.path.join(filt, "filter_report.csv")) as fh:
+            retained = dict(list(csv.reader(fh))[1:])["retained"]
+        assert gridded == int(retained)
+
 
 @pytest.fixture(scope="module")
 def trained(workspace, tmp_path_factory):
@@ -247,6 +261,59 @@ class TestTrainEvalGsi:
             rows = list(csv.reader(fh))
         assert rows[-1][0] == "mean"
         assert float(rows[-1][3]) > 0.0
+
+
+@pytest.fixture(scope="module")
+def hytec_run(workspace, tmp_path_factory):
+    """Both teachers, then a desk-scale HyTeC distilled from them, trained
+    through the CLI; then ``eval`` and ``gsi`` on the HyTeC checkpoint."""
+    _, cfg, _ = workspace
+    root = tmp_path_factory.mktemp("hytec")
+    cfg = cfg.copy()
+    for m in ("s1", "s2"):
+        cfg.set("run", "arch", f"teacher_{m}")
+        assert run(cfg, ["train", "--out", str(root / f"teacher_{m}")],
+                   root) == 0
+        cfg.set("data", f"teacher_{m}",
+                str(root / f"teacher_{m}" / "checkpoints"))
+    for key, value in {("run", "arch"): "hytec", ("model", "patch"): 16,
+                       ("model", "embed_dim"): 16, ("model", "blocks"): 2,
+                       ("model", "heads"): 2, ("model", "l_hat"): 16,
+                       ("model", "taps"): "1,1,2,2",
+                       ("optimizer", "warmup_epochs"): 1,
+                       ("eval", "checkpoint"): str(root / "hytec" / "checkpoints"),
+                       ("eval", "pred_dir"): str(root / "eval")}.items():
+        cfg.set(*key, value)
+    for stage, out in (("train", "hytec"), ("eval", "eval"), ("gsi", "gsi")):
+        assert run(cfg, [stage, "--out", str(root / out)], root) == 0
+    return root, cfg
+
+
+class TestHyTecPipeline:
+    def test_eval_writes_the_restored_model_predictions(self, hytec_run):
+        root, cfg = hytec_run
+        hcfg = HyTecConfig(image_size=32, patch=16, embed_dim=16, blocks=2,
+                           heads=2, l_hat=16, taps=(1, 1, 2, 2))
+        params = init_hytec(np.random.default_rng(1), hcfg)
+        tr.load_checkpoint(str(root / "hytec" / "checkpoints"), params)
+        sample = cli._samples(cfg)[0]
+        np.testing.assert_array_equal(
+            load_tensor(str(root / "eval" / "pred_000.tnsr")),
+            tr.predict_heights(params, hcfg, sample))
+        with open(root / "gsi" / "gsi.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + 3 + 1 and rows[-1][0] == "mean"
+
+    def test_unset_teacher_returns_one_naming_the_key(
+            self, hytec_run, tmp_path, monkeypatch, caplog):
+        monkeypatch.delenv("CANOPY_LOG", raising=False)
+        _, cfg = hytec_run
+        cfg = cfg.copy()
+        cfg.set("data", "teacher_s1", "")
+        with caplog.at_level(logging.ERROR, logger="canopyheights"):
+            assert run(cfg, ["train", "--out", str(tmp_path / "t")],
+                       tmp_path) == 1
+        assert "data.teacher_s1 is not set" in caplog.text
 
 
 def _then_fail(items):
@@ -355,6 +422,39 @@ class TestErrors:
         cfg.set("data", "dataset_dir", str(tmp_path / "nope"))
         with pytest.raises(FileNotFoundError):
             run(cfg, ["filter", "--out", str(tmp_path)], tmp_path)
+
+    @pytest.mark.parametrize("key,value,message", [
+        (("loss", "betas"), "0.7,0.7", "betas needs 4 values"),
+        (("optimizer", "batch_size"), 0, "batch_size must be at least 1"),
+        (("optimizer", "max_epochs"), -1, "epochs must be at least 1"),
+    ])
+    def test_malformed_training_config_returns_one(
+            self, workspace, tmp_path, monkeypatch, caplog, key, value,
+            message):
+        monkeypatch.delenv("CANOPY_LOG", raising=False)
+        _, cfg, _ = workspace
+        cfg = cfg.copy()
+        cfg.set(*key, value)
+        with caplog.at_level(logging.ERROR, logger="canopyheights"):
+            assert run(cfg, ["train", "--out", str(tmp_path / "t")],
+                       tmp_path) == 1
+        assert f"ValueError: {message}" in caplog.text
+        assert not os.path.exists(tmp_path / "t" / "checkpoints")
+
+    def test_grid_with_no_retained_shot_returns_one(self, workspace, tmp_path,
+                                                    monkeypatch, caplog):
+        monkeypatch.delenv("CANOPY_LOG", raising=False)
+        _, cfg, ds = workspace
+        shots = dp.shots_from_csv(os.path.join(ds, "shots.csv"))
+        shots.num_detectedmodes = 0         # every shot breaks a rule
+        (tmp_path / "ds").mkdir()
+        dp.shots_to_csv(shots, str(tmp_path / "ds" / "shots.csv"))
+        cfg = cfg.copy()
+        cfg.set("data", "dataset_dir", str(tmp_path / "ds"))
+        with caplog.at_level(logging.ERROR, logger="canopyheights"):
+            assert run(cfg, ["grid", "--out", str(tmp_path / "g")],
+                       tmp_path) == 1
+        assert "no shot passes the quality filter" in caplog.text
 
     def test_invalid_config_value_returns_one(self, tmp_path, monkeypatch):
         monkeypatch.delenv("CANOPY_LOG", raising=False)

@@ -242,6 +242,12 @@ class TestCombinedAndTotal:
         assert total.item() == pytest.approx(
             parts["ce"] + 2.5 * parts["reg"], rel=1e-12)
 
+    @pytest.mark.parametrize("betas", [(0.7, 0.7), (0.7, 0.7, 0.7, 1.0, 1.0)])
+    def test_betas_other_than_four_rejected(self, betas):
+        # 3 auxiliary terms and the main term, one beta each
+        with pytest.raises(ValueError, match="betas needs 4 values"):
+            HyTecLossConfig(betas=betas)
+
     def test_eq10_beta_0001_equals_eq5_bit_exact(self):
         h, tgt, probs, reg = self.setup_case(seed=10)
         cfg = HyTecLossConfig(betas=(0.0, 0.0, 0.0, 1.0))

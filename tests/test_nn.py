@@ -201,7 +201,7 @@ class TestNorms:
     def test_batch_norm_train_normalizes(self):
         s = nn.init_bn(3)
         x = t((16, 16, 3), seed=10)
-        s.train()
+        s.mode = "train"
         out = nn.batch_norm(x, s).data
         assert np.allclose(out.reshape(-1, 3).mean(axis=0), 0.0, atol=1e-7)
         assert np.allclose(out.reshape(-1, 3).std(axis=0), 1.0, atol=1e-3)
@@ -209,18 +209,18 @@ class TestNorms:
     def test_batch_norm_eval_uses_running_stats(self):
         s = nn.init_bn(2)
         x = t((8, 8, 2), seed=11)
-        s.train()
+        s.mode = "train"
         nn.batch_norm(x, s)
-        s.eval()
+        s.mode = "eval"
         y = Tensor(np.zeros((4, 4, 2)))
         out = nn.batch_norm(y, s).data
-        expect = (0.0 - s.running_mean) / np.sqrt(s.running_var + s.eps)
+        expect = (0.0 - s.running_mean) / np.sqrt(s.running_var + nn.BN_EPS)
         expect = expect * s.gamma.data + s.beta.data
         np.testing.assert_allclose(out[0, 0], expect, atol=1e-12)
 
     def test_batch_norm_grad(self):
         s = nn.init_bn(2)
-        s.train()
+        s.mode = "train"
         assert grad_check(lambda x: nn.batch_norm(x, s).sum(),
                           t((5, 5, 2), seed=12)) < TOL
 
@@ -354,12 +354,12 @@ class TestBitIdenticalKernels:
         train = mode == "train"
         ref, mu, var, grads = self.reference_bn(
             x.reshape(tiles, -1, c), g.astype(out.dtype).reshape(tiles, -1, c),
-            s.gamma.data, s.beta.data, s.eps, train, rm, rv)
+            s.gamma.data, s.beta.data, nn.BN_EPS, train, rm, rv)
         assert_same_bits(out.data, ref.reshape(x.shape))
         if train:
             for t in range(tiles):
-                rm = (1 - s.momentum) * rm + s.momentum * mu[t, 0]
-                rv = (1 - s.momentum) * rv + s.momentum * var[t, 0]
+                rm = (1 - nn.BN_MOMENTUM) * rm + nn.BN_MOMENTUM * mu[t, 0]
+                rv = (1 - nn.BN_MOMENTUM) * rv + nn.BN_MOMENTUM * var[t, 0]
         assert_same_bits(s.running_mean, rm)
         assert_same_bits(s.running_var, rv)
         dx, dgamma, dbeta = grads
@@ -423,7 +423,7 @@ class TestBitIdenticalKernels:
             nn.layer_norm(Tensor(x, requires_grad=True, dtype=dtype), p).backward(g)
             lead = tuple(range(x.ndim - 1))
             mu = x.mean(axis=-1, keepdims=True)
-            xhat = (x - mu) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + p.eps))
+            xhat = (x - mu) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + nn.LN_EPS))
             assert_same_bits(p.gamma.grad, (g * xhat).sum(axis=lead))
             assert_same_bits(p.beta.grad, g.sum(axis=lead))
 

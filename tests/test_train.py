@@ -53,6 +53,12 @@ class TestUnetTraining:
         last = res.trace[-1][2]
         assert last < first
 
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_settings_below_one_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            tiny_settings(**{field: value})
+
     def test_dual_head_trace_has_ce_and_reg(self):
         samples = tiny_samples()
         res = tr.train_unet(samples, tiny_settings(arch="2mdu", epochs=1))

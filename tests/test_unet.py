@@ -9,8 +9,7 @@ from canopyheights.train import make_unet, UNET_ARCHS
 from canopyheights.unet import (DualHeadOutput, UNetConfig, _init_cdb,
                                 _init_ceb, _init_saa, cdb_forward,
                                 ceb_forward, head_dual, head_single,
-                                init_unet, saa_forward, teacher_config,
-                                teacher_forward, unet_forward)
+                                init_unet, saa_forward, unet_forward)
 
 TOL = 1e-4
 RNG = np.random.default_rng
@@ -121,7 +120,7 @@ class TestFullModels:
         for arch, channels in [("teacher_s1", 2), ("teacher_s2", 10)]:
             params, cfg = make_unet(arch, RNG(29), stem_width=4)
             x = Tensor(RNG(30).normal(size=(32, 32, channels)))
-            out = teacher_forward(x, params, cfg)
+            out = unet_forward(x, None, params, cfg)
             assert out.shape == (32, 32)
             assert (out.data > 0).all()
 
