@@ -299,12 +299,12 @@ def cmd_eval(cfg, out_dir: str) -> None:
 def cmd_gsi(cfg, out_dir: str) -> None:
     pred_dir = cfg.get("eval", "pred_dir")
     preds = sorted(glob.glob(os.path.join(pred_dir, "pred_*.tnsr")))
-    if not preds:
-        raise FileNotFoundError(f"no predictions under {pred_dir}")
     samples = _samples(cfg)
+    if len(preds) != len(samples):
+        raise ValueError(f"{pred_dir}: {len(preds)} predictions for "
+                         f"{len(samples)} dataset tiles")
     os.makedirs(out_dir, exist_ok=True)
-    reports = [mt.gsi(load_tensor(p), samples[i].s2)
-               for i, p in enumerate(preds)]
+    reports = [mt.gsi(load_tensor(p), s.s2) for p, s in zip(preds, samples)]
     mean_gsi = float(np.mean([r.gsi for r in reports]))
     _write_gsi_csv(os.path.join(out_dir, "gsi.csv"), reports,
                    [["mean", "", "", repr(mean_gsi),

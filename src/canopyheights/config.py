@@ -1,7 +1,8 @@
 """Run configuration: flat INI-style sections with typed, defaulted keys.
 
-Unknown sections or keys are rejected so typos fail loudly, and the
-serialized form is canonical — parse, serialize, parse is the identity.
+Unknown sections or keys, and values of the wrong type, are rejected so
+typos fail loudly; the serialized form is canonical — parse, serialize,
+parse is the identity.
 """
 
 from __future__ import annotations
@@ -66,6 +67,15 @@ SCHEMA = {
 VALID_ARCHS = ("2mou", "2mdu", "a2mdu", "teacher_s1", "teacher_s2", "hytec")
 
 
+def _typed(typ, value, section: str, key: str):
+    """``typ(value)``, or a ``ValueError`` naming the entry ``[section] key``."""
+    try:
+        return typ(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"[{section}] {key}: {value!r} is not of type "
+                         f"{typ.__name__}") from None
+
+
 class RunConfig:
     """Typed view over the schema with attribute-style section access."""
 
@@ -86,8 +96,8 @@ class RunConfig:
     def set(self, section: str, key: str, value) -> None:
         if section not in SCHEMA or key not in SCHEMA[section]:
             raise KeyError(f"unknown config entry [{section}] {key}")
-        typ = SCHEMA[section][key][0]
-        self._values[section][key] = typ(value)
+        self._values[section][key] = _typed(SCHEMA[section][key][0], value,
+                                            section, key)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RunConfig) and self._values == other._values
@@ -99,10 +109,12 @@ class RunConfig:
 
     # convenience typed list accessors
     def floats(self, section: str, key: str) -> list:
-        return [float(v) for v in str(self.get(section, key)).split(",") if v]
+        return [_typed(float, v, section, key)
+                for v in str(self.get(section, key)).split(",") if v]
 
     def ints(self, section: str, key: str) -> list:
-        return [int(v) for v in str(self.get(section, key)).split(",") if v]
+        return [_typed(int, v, section, key)
+                for v in str(self.get(section, key)).split(",") if v]
 
     def validate(self) -> "RunConfig":
         if self.get("run", "arch") not in VALID_ARCHS:

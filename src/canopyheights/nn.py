@@ -57,11 +57,12 @@ from scipy.special import erf
 
 from .tensor import Tensor, _channel_sum, concat, matmul
 
-# batch norm's running-estimate momentum and variance floor, and layer
-# norm's variance floor
+# batch norm's running-estimate momentum and variance floor, layer norm's
+# variance floor, and leaky ReLU's negative slope
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 LN_EPS = 1e-6
+LEAKY_SLOPE = 0.01
 
 
 # -- parameter containers ---------------------------------------------
@@ -380,24 +381,21 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
 
 # -- activations ------------------------------------------------------
 
-def _leaky_slopes(x: np.ndarray, slope: float) -> np.ndarray:
-    """1 where ``x >= 0``, else ``slope``, in the dtype of ``x``.
+def _leaky_slopes(x: np.ndarray) -> np.ndarray:
+    """1 where ``x >= 0``, else ``LEAKY_SLOPE``, in the dtype of ``x``.
     Arithmetic on the sign test: ``np.where`` branches per element and
-    costs ~5x more on mixed signs; (1 - slope) + slope rounds to exactly 1
-    for 0 < slope <= 2, in f32 as in f64."""
-    f = (x >= 0) * x.dtype.type(1.0 - slope)
-    f += slope
+    costs ~5x more on mixed signs; (1 - slope) + slope rounds to exactly 1,
+    in f32 as in f64."""
+    f = (x >= 0) * x.dtype.type(1.0 - LEAKY_SLOPE)
+    f += LEAKY_SLOPE
     return f
 
 
-def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    # for 0 < slope < 1, max(x, slope * x) is x * slope-or-1 bit for bit
-    # and twice as fast; the backward rebuilds the slopes, keeps no mask
-    if 0 < slope < 1:
-        out = np.maximum(x.data, x.data * x.dtype.type(slope))
-    else:
-        out = x.data * _leaky_slopes(x.data, slope)
-    return Tensor.from_op(out, (x,), lambda g: (g * _leaky_slopes(x.data, slope),))
+def leaky_relu(x: Tensor) -> Tensor:
+    # max(x, slope * x) is x * slope-or-1 bit for bit and twice as fast;
+    # the backward rebuilds the slopes, keeps no mask
+    out = np.maximum(x.data, x.data * x.dtype.type(LEAKY_SLOPE))
+    return Tensor.from_op(out, (x,), lambda g: (g * _leaky_slopes(x.data),))
 
 
 def softplus(x: Tensor) -> Tensor:

@@ -20,6 +20,11 @@ import numpy as np
 from .nn import BatchNormState
 from .tensor import Tensor
 
+# AdamW's (beta1, beta2), epsilon and decoupled weight decay
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01
+
 
 def collect_tensors(obj) -> dict:
     """Flatten every trainable Tensor reachable from a model object."""
@@ -135,7 +140,8 @@ class SGD(_Optimizer):
 
 
 class AdamW(_Optimizer):
-    """Adam with decoupled weight decay (Loshchilov & Hutter 2019).
+    """Adam with decoupled weight decay (Loshchilov & Hutter 2019, arXiv
+    1711.05101) at the paper's ``ADAM_BETAS``, ``ADAM_EPS`` and ``WEIGHT_DECAY``.
 
     The moments are two vectors laid out like ``master``; ``m`` and ``v``
     map each parameter name to its views of them.  A step gathers the
@@ -147,13 +153,9 @@ class AdamW(_Optimizer):
     gradients of a training step do); a tensor without a gradient keeps
     its value and moments.  The scratch vectors live for one step only."""
 
-    def __init__(self, params: dict, lr: float = 1e-4, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.01):
+    def __init__(self, params: dict, lr: float = 1e-4):
         super().__init__(params)
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self._m = np.zeros_like(self.master)
         self._v = np.zeros_like(self.master)
@@ -181,27 +183,28 @@ class AdamW(_Optimizer):
 
     def step(self):
         self.t += 1
-        bc1 = 1.0 - self.b1 ** self.t
-        bc2 = 1.0 - self.b2 ** self.t
+        b1, b2 = ADAM_BETAS
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
         for lo, hi, grads in self._grad_runs():
             g = np.concatenate(grads, axis=None)
             w, m, v = self.master[lo:hi], self._m[lo:hi], self._v[lo:hi]
             # m = b1 * m + (1 - b1) * g, the product in g's dtype
-            m *= self.b1
-            scratch = np.multiply(g, 1 - self.b1)
+            m *= b1
+            scratch = np.multiply(g, 1 - b1)
             m += scratch
             # v = b2 * v + (1 - b2) * g * g
-            v *= self.b2
-            np.multiply(g, 1 - self.b2, out=scratch)
+            v *= b2
+            np.multiply(g, 1 - b2, out=scratch)
             scratch *= g
             v += scratch
             # w -= lr * (m / bc1 / (sqrt(v / bc2) + eps) + weight_decay * w)
             upd = np.divide(m, bc1)
             denom = np.divide(v, bc2)
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += ADAM_EPS
             upd /= denom
-            np.multiply(w, self.weight_decay, out=denom)
+            np.multiply(w, WEIGHT_DECAY, out=denom)
             upd += denom
             upd *= self.lr
             w -= upd

@@ -1,9 +1,10 @@
 """Dense tensor engine with reverse-mode automatic differentiation.
 
 Tensors wrap numpy arrays and record the operations that produced them.
-Calling ``backward`` on a scalar result walks the recorded graph in reverse
-topological order and accumulates gradients into every leaf that requested
-them.  Gradients are summed across uses; callers zero them between steps.
+``backward(root)`` (or ``root.backward()``) orders the graph below a scalar
+root (``Tape.from_root``), walks it in reverse and accumulates gradients
+into every leaf that requested them.  Gradients are summed across uses;
+callers zero them between steps.
 
 Every op computes in the dtype of its inputs, and ``backward`` hands each
 node its adjoint in that node's own dtype.  64-bit floats are the library
@@ -20,17 +21,15 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import itertools
 import math
 import os
 import struct
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 DEFAULT_DTYPE = np.float64
 
-_id_counter = itertools.count()
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
 
@@ -64,7 +63,7 @@ def _channel_sum(a: np.ndarray, axis: tuple, keepdims: bool = False) -> np.ndarr
 class Tensor:
     """A dense n-dimensional value with an optional gradient."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn", "_id")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -74,7 +73,6 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self._parents: tuple = ()
         self._grad_fn: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]] = None
-        self._id = next(_id_counter)
 
     # -- construction -------------------------------------------------
 
@@ -94,7 +92,6 @@ class Tensor:
         else:
             out._parents = ()
             out._grad_fn = None
-        out._id = next(_id_counter)
         return out
 
     # -- basic properties ---------------------------------------------
@@ -311,7 +308,7 @@ class Tensor:
     # -- backward -----------------------------------------------------
 
     def backward(self, seed: Optional[np.ndarray] = None):
-        backward(Tape.from_root(self), self, seed)
+        backward(self, seed)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -355,66 +352,55 @@ def tpow(a: Tensor, b: Tensor) -> Tensor:
         Tensor._unbroadcast(g * data * np.log(a.data), b.shape)))
 
 
-class Tape:
-    """Ordered record of the graph below a root, parents before children."""
+class Tape(NamedTuple):
+    """The graph below a root in walk order, parents before children."""
 
-    def __init__(self, nodes: Sequence[Tensor], root: Tensor):
-        self.nodes = list(nodes)
-        self.outputs = [root._id]
+    nodes: list
 
     @staticmethod
     def from_root(root: Tensor) -> "Tape":
         order: list[Tensor] = []
-        seen: set[int] = set()
+        seen: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
                 order.append(node)
-                continue
-            if node._id in seen:
-                continue
-            seen.add(node._id)
-            stack.append((node, True))
-            for p in node._parents:
-                if p._id not in seen:
+            elif node not in seen:
+                seen.add(node)
+                stack.append((node, True))
+                for p in node._parents:
                     stack.append((p, False))
-        return Tape(order, root)
+        return Tape(order)
 
 
-def backward(tape: Tape, root: Tensor, seed: Optional[np.ndarray] = None) -> None:
-    """Reverse accumulation over a tape; leaves receive summed gradients.
-    Each adjoint is cast to its node's dtype before it accumulates, so an
-    f32 node never holds an f64 adjoint an f64 loss above it produced."""
-    if not any(n is root for n in tape.nodes):
-        raise ValueError("root is not on the tape")
+def backward(root: Tensor, seed: Optional[np.ndarray] = None) -> None:
+    """Reverse accumulation from ``root`` over the graph below it; leaves
+    receive summed gradients.  Each adjoint is cast to its node's dtype
+    before it accumulates, so an f32 node never holds an f64 adjoint an
+    f64 loss above it produced.  Nodes key the walk's sets and dicts by
+    identity, which holds while ``Tensor`` keeps ``object``'s ``__eq__``."""
     if seed is None:
         if root.size != 1:
             raise ValueError("backward on a non-scalar root requires a seed gradient")
         seed = np.ones_like(root.data)
-    seed = np.asarray(seed, dtype=root.data.dtype)
-    if seed.shape != root.data.shape:
-        seed = seed.reshape(root.data.shape)
+    seed = np.asarray(seed, dtype=root.data.dtype).reshape(root.data.shape)
 
-    adjoint: dict[int, np.ndarray] = {root._id: seed}
-    for node in reversed(tape.nodes):
-        g = adjoint.pop(node._id, None)
+    adjoint: dict[Tensor, np.ndarray] = {root: seed}
+    for node in reversed(Tape.from_root(root).nodes):
+        g = adjoint.pop(node, None)
         if g is None:
             continue
-        if node.requires_grad and node._grad_fn is None:
-            # leaf: accumulate
-            node.grad = g.copy() if node.grad is None else node.grad + g
-        if node._grad_fn is not None:
-            parent_grads = node._grad_fn(g)
-            for p, pg in zip(node._parents, parent_grads):
+        if node._grad_fn is None:
+            if node.requires_grad:      # a leaf: accumulate
+                node.grad = g.copy() if node.grad is None else node.grad + g
+        else:
+            for p, pg in zip(node._parents, node._grad_fn(g)):
                 if pg is None or not p.requires_grad:
                     continue
-                if pg.dtype != p.data.dtype:
-                    pg = pg.astype(p.data.dtype)
-                if p._id in adjoint:
-                    adjoint[p._id] = adjoint[p._id] + pg
-                else:
-                    adjoint[p._id] = pg
+                pg = pg.astype(p.data.dtype, copy=False)
+                prev = adjoint.get(p)
+                adjoint[p] = pg if prev is None else prev + pg
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5,

@@ -56,8 +56,7 @@ from .hytec import HyTecConfig, HyTecOutputs, hytec_forward, init_hytec
 from .losses import (AdaptiveLossState, ClassTarget, HyTecLossConfig,
                      bin_assign_map, combined_cr_loss, huber,
                      hytec_total_loss, kd_teacher_consensus)
-from .tensor import (Tape, Tensor, atomic_open, backward, no_grad,
-                     read_record, write_record)
+from .tensor import Tensor, atomic_open, no_grad, read_record, write_record
 from .unet import (DualHeadOutput, UNetConfig, UNetParams, init_unet,
                    unet_forward)
 
@@ -74,6 +73,8 @@ UNET_ARCHS = tuple(UNET_CONFIGS)
 TRACE_COLUMNS = ["step", "lr", "total", "aux1", "aux2", "aux3", "ce", "reg"]
 # the dtype of a training step's forward and backward; masters stay f64
 WORK_DTYPE = np.float32
+# epoch checkpoints kept in a run's checkpoint directory, the newest ones
+KEEP_LAST = 3
 
 
 class TrainingDiverged(RuntimeError):
@@ -104,7 +105,6 @@ class TrainSettings:
     loss: HyTecLossConfig = field(default_factory=HyTecLossConfig)
     bins: object = None
     checkpoint_dir: Optional[str] = None
-    keep_last: int = 3
     # learning rate for the loss's own scalars (adaptive alpha / scale);
     # kept far below the model lr so the scale cannot inflate and mute
     # the regression gradient before the network has fit the data
@@ -214,11 +214,15 @@ _EPOCH_RE = re.compile(r"^epoch_(\d{4})\.ckpt$")
 _HEADER_RE = re.compile(rb"CKPT/1 (\d+)\n")
 
 
+def _adaptive_tensors(adaptive: AdaptiveLossState) -> dict:
+    """The adaptive loss's scalars by optimizer-registry and checkpoint name."""
+    return {"adaptive.alpha": adaptive.alpha, "adaptive.c_raw": adaptive.c_raw}
+
+
 def _checkpoint_arrays(model, adaptive, extra: Optional[dict] = None) -> dict:
     arrays = dict(optim.export_arrays(model))
     if adaptive is not None:
-        arrays["adaptive.alpha"] = adaptive.alpha.data
-        arrays["adaptive.c_raw"] = adaptive.c_raw.data
+        arrays.update((k, t.data) for k, t in _adaptive_tensors(adaptive).items())
     if extra:
         arrays.update(extra)
     return arrays
@@ -253,13 +257,13 @@ def _read_arrays(path: str) -> dict:
 
 
 def save_checkpoint(directory: str, epoch: int, model, adaptive,
-                    extra: Optional[dict] = None, keep_last: int = 3) -> str:
+                    extra: Optional[dict] = None) -> str:
     """Write ``epoch_NNNN.ckpt`` under ``directory`` and return its path,
-    then delete all but the newest ``keep_last`` epoch files."""
+    then delete all but the newest ``KEEP_LAST`` epoch files."""
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"epoch_{epoch:04d}.ckpt")
     _write_arrays(path, _checkpoint_arrays(model, adaptive, extra))
-    for old in _epoch_files(directory)[:-keep_last]:
+    for old in _epoch_files(directory)[:-KEEP_LAST]:
         os.remove(os.path.join(directory, old))
     return path
 
@@ -365,7 +369,7 @@ def _backward_batch(batch: list, targets: list, forward: Callable,
         for key in agg:
             agg[key] += parts.get(key, 0.0) / len(batch)
         _check_finite(float(loss.data), step, parts)
-    backward(Tape.from_root(total), total)
+    total.backward()
     return [float(total.data), *agg.values()]
 
 
@@ -432,7 +436,7 @@ def _fit(samples: Sequence[Sample], settings: TrainSettings, resume: bool,
             for opt in optimizers:
                 extra.update(opt.state_arrays())
             save_checkpoint(settings.checkpoint_dir, epoch, model, adaptive,
-                            extra=extra, keep_last=settings.keep_last)
+                            extra=extra)
     return trace
 
 
@@ -446,8 +450,7 @@ def train_unet(samples: Sequence[Sample], settings: TrainSettings,
 
     optimizers = [optim.SGD(optim.collect_tensors(params), settings.base_lr)]
     if adaptive is not None:
-        optimizers.append(optim.SGD({"adaptive.alpha": adaptive.alpha,
-                                     "adaptive.c_raw": adaptive.c_raw},
+        optimizers.append(optim.SGD(_adaptive_tensors(adaptive),
                                     settings.adaptive_lr))
 
     trace = _fit(samples, settings, resume, params, adaptive, optimizers,
@@ -523,20 +526,17 @@ def hytec_sample_loss(sample: Sample, targets: tuple, out,
 
 
 def train_hytec(samples: Sequence[Sample], teachers: Sequence[Teacher],
-                settings: TrainSettings, cfg: Optional[HyTecConfig] = None,
+                settings: TrainSettings, cfg: HyTecConfig,
                 resume: bool = False) -> TrainResult:
     """AdamW + warmup/cosine distillation training for the hybrid model."""
     if len(teachers) != 2:
         raise ValueError("distillation needs exactly two teachers")
     rng = np.random.default_rng(settings.seed)
-    if cfg is None:
-        cfg = HyTecConfig()
     params = init_hytec(rng, cfg)
     adaptive = AdaptiveLossState.create()
 
     registry = optim.collect_tensors(params)
-    registry["adaptive.alpha"] = adaptive.alpha
-    registry["adaptive.c_raw"] = adaptive.c_raw
+    registry.update(_adaptive_tensors(adaptive))
     opt = optim.AdamW(registry, lr=settings.lr_peak)
 
     trace = _fit(samples, settings, resume, params, adaptive, [opt],

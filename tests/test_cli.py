@@ -4,6 +4,8 @@ import csv
 import io
 import logging
 import os
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -261,6 +263,22 @@ class TestTrainEvalGsi:
             rows = list(csv.reader(fh))
         assert rows[-1][0] == "mean"
         assert float(rows[-1][3]) > 0.0
+
+    @pytest.mark.parametrize("kept,extra", [(2, 0), (3, 1)])
+    def test_gsi_needs_one_prediction_per_tile(self, evaluated, tmp_path,
+                                               kept, extra):
+        cfg, pred_dir = evaluated
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        for i in range(kept + extra):
+            shutil.copy(os.path.join(pred_dir, f"pred_{i % 3:03d}.tnsr"),
+                        preds / f"pred_{i:03d}.tnsr")
+        cfg = cfg.copy()
+        cfg.set("eval", "pred_dir", str(preds))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{preds}: {kept + extra} predictions for 3 dataset tiles")):
+            cli.cmd_gsi(cfg, str(tmp_path / "gsi"))
+        assert not os.path.exists(tmp_path / "gsi")
 
 
 @pytest.fixture(scope="module")

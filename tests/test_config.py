@@ -1,5 +1,7 @@
 """Configuration: schema typing, canonical serialization, validation."""
 
+import re
+
 import pytest
 
 from canopyheights import config as cf
@@ -29,6 +31,27 @@ class TestSchema:
         cfg = cf.RunConfig()
         assert cfg.floats("loss", "betas") == [0.7, 0.7, 0.7, 1.0]
         assert cfg.ints("model", "taps") == [3, 6, 9, 12]
+
+    def test_value_of_the_wrong_type_names_the_entry(self):
+        cfg = cf.RunConfig()
+        with pytest.raises(ValueError, match=r"\[optimizer\] batch_size: "
+                                             r"'twelve' is not of type int"):
+            cfg.set("optimizer", "batch_size", "twelve")
+        with pytest.raises(ValueError, match=r"\[data\] violation_rate: "
+                                             r"'lots' is not of type float"):
+            cf.parse("[data]\nviolation_rate = lots\n")
+
+    @pytest.mark.parametrize("section,key,text,accessor,bad", [
+        ("model", "taps", "1,x", "ints", "'x' is not of type int"),
+        ("model", "taps", "3,6.5", "ints", "'6.5' is not of type int"),
+        ("loss", "betas", "0.7,,high", "floats", "'high' is not of type float"),
+    ])
+    def test_list_item_of_the_wrong_type_names_the_entry(
+            self, section, key, text, accessor, bad):
+        cfg = cf.parse(f"[{section}]\n{key} = {text}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"[{section}] {key}: {bad}")):
+            getattr(cfg, accessor)(section, key)
 
 
 class TestSerialization:

@@ -138,10 +138,15 @@ class TestTapeMechanics:
         out.backward()
         np.testing.assert_allclose(x.grad, [2.0])
 
-    def test_explicit_tape_matches_backward_method(self):
+    def test_explicit_tape_matches_backward_method(self, monkeypatch):
+        roots = []
+        from_root = Tape.from_root
+        monkeypatch.setattr(Tape, "from_root", staticmethod(
+            lambda root: roots.append(root) or from_root(root)))
         x = Tensor(np.arange(4.0), requires_grad=True)
         loss = (x * x).sum()
-        backward(Tape.from_root(loss), loss)
+        backward(loss)
+        assert roots == [loss]           # the walk order is built once
         np.testing.assert_allclose(x.grad, 2.0 * x.data)
 
     def test_grad_accumulates_across_backward_calls(self):

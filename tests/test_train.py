@@ -83,8 +83,8 @@ class TestUnetTraining:
 
     def test_one_backward_per_optimizer_step(self, monkeypatch):
         roots = []
-        from_root = tr.Tape.from_root
-        monkeypatch.setattr(tr.Tape, "from_root", staticmethod(
+        from_root = tensor_module.Tape.from_root
+        monkeypatch.setattr(tensor_module.Tape, "from_root", staticmethod(
             lambda root: roots.append(root) or from_root(root)))
         res = tr.train_unet(tiny_samples(), tiny_settings(epochs=2))
         assert len(res.trace) == 4           # 3 samples in batches of 2
@@ -278,15 +278,15 @@ class TestCheckpointing:
         samples = tiny_samples()
         full_dir, part_dir = tmp_path / "full", tmp_path / "part"
         full = tr.train_unet(samples, tiny_settings(
-            epochs=4, checkpoint_dir=str(full_dir), keep_last=10))
+            epochs=4, checkpoint_dir=str(full_dir)))
         # replay: train the same schedule but stop by copying an early
         # checkpoint directory and resuming from it
         tr.train_unet(samples, tiny_settings(
-            epochs=4, checkpoint_dir=str(part_dir), keep_last=10))
+            epochs=4, checkpoint_dir=str(part_dir)))
         for late in ("epoch_0002.ckpt", "epoch_0003.ckpt"):
             os.remove(part_dir / late)
         resumed = tr.train_unet(samples, tiny_settings(
-            epochs=4, checkpoint_dir=str(part_dir), keep_last=10),
+            epochs=4, checkpoint_dir=str(part_dir)),
             resume=True)
         ef, er = (optim.export_arrays(full.params),
                   optim.export_arrays(resumed.params))
@@ -295,8 +295,7 @@ class TestCheckpointing:
 
     def test_resume_keeps_the_whole_trace(self, tmp_path):
         samples = tiny_samples()
-        st = tiny_settings(epochs=4, checkpoint_dir=str(tmp_path),
-                           keep_last=10)
+        st = tiny_settings(epochs=4, checkpoint_dir=str(tmp_path))
         full = tr.train_unet(samples, st)
         for late in ("epoch_0002.ckpt", "epoch_0003.ckpt"):
             os.remove(tmp_path / late)
@@ -311,7 +310,7 @@ class TestCheckpointing:
         cfg = HyTecConfig.desk_scale(image_size=32, patch=8, embed_dim=16,
                                      blocks=4, heads=2, l_hat=16)
         base = dict(arch="hytec", epochs=3, batch_size=2, seed=3,
-                    warmup_epochs=1, lr_peak=1e-3, keep_last=10)
+                    warmup_epochs=1, lr_peak=1e-3)
         full = tr.train_hytec(samples, teachers, tr.TrainSettings(
             **base, checkpoint_dir=str(tmp_path / "full")), cfg=cfg)
         tr.train_hytec(samples, teachers, tr.TrainSettings(
@@ -384,7 +383,8 @@ class TestDistillation:
     def test_needs_exactly_two_teachers(self):
         samples = tiny_samples(n_tiles=1)
         with pytest.raises(ValueError):
-            tr.train_hytec(samples, [], tr.TrainSettings(arch="hytec"))
+            tr.train_hytec(samples, [], tr.TrainSettings(arch="hytec"),
+                           cfg=HyTecConfig())
 
     def test_targets_built_once_per_run(self, monkeypatch, tmp_path):
         samples = tiny_samples(n_tiles=3)
