@@ -4,7 +4,8 @@ Tensors wrap numpy arrays and record the operations that produced them.
 ``backward(root)`` (or ``root.backward()``) orders the graph below a scalar
 root (``Tape.from_root``), walks it in reverse and accumulates gradients
 into every leaf that requested them.  Gradients are summed across uses;
-callers zero them between steps.
+callers zero them between steps.  The walk frees the graph behind it, so
+a graph serves one backward, as by default in PyTorch.
 
 Every op computes in the dtype of its inputs, and ``backward`` hands each
 node its adjoint in that node's own dtype.  64-bit floats are the library
@@ -374,12 +375,27 @@ class Tape(NamedTuple):
         return Tape(order)
 
 
+def _freed(g):
+    raise RuntimeError("backward through a graph a previous backward freed")
+
+
 def backward(root: Tensor, seed: Optional[np.ndarray] = None) -> None:
     """Reverse accumulation from ``root`` over the graph below it; leaves
     receive summed gradients.  Each adjoint is cast to its node's dtype
     before it accumulates, so an f32 node never holds an f64 adjoint an
     f64 loss above it produced.  Nodes key the walk's sets and dicts by
-    identity, which holds while ``Tensor`` keeps ``object``'s ``__eq__``."""
+    identity, which holds while ``Tensor`` keeps ``object``'s ``__eq__``.
+
+    The walk frees the graph as it goes: once an op node's gradient
+    function has run, or it got no adjoint, it drops its parents and its
+    gradient function becomes ``_freed``.  So an array only the graph held
+    dies once the walk is past every node that reads it; tensors the
+    caller holds, the root among them, keep their ``data``.  A second
+    backward through a freed node raises ``RuntimeError``, and so does a
+    root that records no graph (built under ``no_grad`` or from tensors
+    that need no gradient)."""
+    if not root.requires_grad:
+        raise RuntimeError("backward from a root that records no graph")
     if seed is None:
         if root.size != 1:
             raise ValueError("backward on a non-scalar root requires a seed gradient")
@@ -387,20 +403,22 @@ def backward(root: Tensor, seed: Optional[np.ndarray] = None) -> None:
     seed = np.asarray(seed, dtype=root.data.dtype).reshape(root.data.shape)
 
     adjoint: dict[Tensor, np.ndarray] = {root: seed}
-    for node in reversed(Tape.from_root(root).nodes):
+    nodes = Tape.from_root(root).nodes
+    while nodes:
+        node = nodes.pop()
         g = adjoint.pop(node, None)
-        if g is None:
-            continue
         if node._grad_fn is None:
-            if node.requires_grad:      # a leaf: accumulate
+            if g is not None:       # a leaf: accumulate
                 node.grad = g.copy() if node.grad is None else node.grad + g
-        else:
+            continue
+        if g is not None:
             for p, pg in zip(node._parents, node._grad_fn(g)):
                 if pg is None or not p.requires_grad:
                     continue
                 pg = pg.astype(p.data.dtype, copy=False)
                 prev = adjoint.get(p)
                 adjoint[p] = pg if prev is None else prev + pg
+        node._parents, node._grad_fn = (), _freed
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5,

@@ -57,8 +57,8 @@ from .losses import (AdaptiveLossState, ClassTarget, HyTecLossConfig,
                      bin_assign_map, combined_cr_loss, huber,
                      hytec_total_loss, kd_teacher_consensus)
 from .tensor import Tensor, atomic_open, no_grad, read_record, write_record
-from .unet import (DualHeadOutput, UNetConfig, UNetParams, init_unet,
-                   unet_forward)
+from .unet import (DualHeadOutput, UNetConfig, UNetParams, batch_norms,
+                   init_unet, unet_forward)
 
 # each convolutional variant's UNetConfig (in_channels_s2, in_channels_s1,
 # head_kind); a teacher's one encoder reads one modality
@@ -169,8 +169,11 @@ def _forward(params, cfg, batch: Sequence[Sample], dtype):
 
 
 def _infer(params, cfg, sample: Sample) -> np.ndarray:
-    """Eval-mode height map of one sample as a plain array (no gradient)."""
-    optim.set_bn_mode(params, "eval")
+    """Eval-mode height map of one sample as a plain array (no gradient);
+    only a U-Net has batch-norm states to switch (``unet.batch_norms``)."""
+    if isinstance(params, UNetParams):
+        for bn in batch_norms(params):
+            bn.mode = "eval"
     with no_grad():
         out = _forward(params, cfg, [sample], np.float64)
     if isinstance(out, HyTecOutputs):
@@ -357,7 +360,8 @@ def _backward_batch(batch: list, targets: list, forward: Callable,
                     sample_loss: Callable, step: int) -> list:
     """One forward over ``batch``, each sample's loss on its share of the
     outputs, and one backward from their mean; returns the trace values
-    after ``lr``.  The graph dies on return, before the next forward."""
+    after ``lr``.  The graph dies during the backward, which frees it as
+    it walks; ``total`` keeps its value."""
     out = forward(batch)
     total, agg = None, dict.fromkeys(TRACE_COLUMNS[3:], 0.0)
     for t, (sample, target) in enumerate(zip(batch, targets)):

@@ -161,6 +161,14 @@ def init_unet(rng: np.random.Generator, cfg: UNetConfig) -> UNetParams:
     return UNetParams(stem_s2, cebs_s2, stem_s1, cebs_s1, saa, fuse, cdbs, head)
 
 
+def batch_norms(params: UNetParams):
+    """Every batch-norm state of a model: ``bn1`` and ``bn2`` of each
+    encoder and decoder block, the only blocks that normalize."""
+    for block in (*params.cebs_s2, *(params.cebs_s1 or ()), *params.cdbs):
+        yield block.bn1
+        yield block.bn2
+
+
 # -- block forwards ---------------------------------------------------
 
 def ceb_forward(x: Tensor, p: CebParams, tiles: int = 1) -> Tensor:

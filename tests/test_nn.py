@@ -399,14 +399,16 @@ class TestBitIdenticalKernels:
 
         q = nn.init_convt(rng, 2, 3, c)
         q.kernel, q.bias = params_in(dtype, q.kernel, q.bias)
-        out = nn.conv2d_transpose(
-            Tensor(rng.normal(size=(tiles * 8, 10, 3)), dtype=dtype), q)
+        xq = Tensor(rng.normal(size=(tiles * 8, 10, 3)), dtype=dtype)
+        out = nn.conv2d_transpose(xq, q)
         g = rng.normal(size=out.shape).astype(dtype)
         out.backward(g)
         assert_same_bits(q.bias.grad, g.sum(axis=(0, 1)))
-        # a strided adjoint: the sum falls back to ndarray.sum
+        # a strided adjoint: the sum falls back to ndarray.sum; the first
+        # backward freed its graph, so the same op runs again
         q.bias.grad = None
         gs = rng.normal(size=out.shape[:2] + (2 * c,)).astype(dtype)[..., ::2]
+        out = nn.conv2d_transpose(xq, q)
         out.backward(gs)
         assert_same_bits(q.bias.grad, gs.sum(axis=(0, 1)))
 

@@ -2,6 +2,7 @@
 
 import os
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -154,6 +155,36 @@ class TestTapeMechanics:
         (x * 2.0).backward()
         (x * 3.0).backward()
         assert x.grad == pytest.approx(5.0)
+
+    def test_backward_frees_the_graph_below_a_live_root(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        mid = x * 2.0
+        ref = weakref.ref(mid.data)
+        root = mid.exp().sum()
+        del mid
+        root.backward()
+        assert ref() is None             # only the graph held it
+        assert root.data == np.exp(2.0 * x.data).sum()
+        np.testing.assert_array_equal(x.grad, 2.0 * np.exp(2.0 * x.data))
+
+    def test_second_backward_from_one_root_raises(self):
+        x = Tensor(np.array(3.0), requires_grad=True)
+        y = x * x + x * 2.0
+        y.backward()
+        with pytest.raises(RuntimeError, match="previous backward freed"):
+            y.backward()
+        assert x.grad == pytest.approx(8.0)
+        assert x._grad_fn is None        # a leaf stays a leaf
+
+    def test_backward_from_a_root_without_graph_raises(self):
+        x = Tensor(np.array(3.0), requires_grad=True)
+        with no_grad():
+            y = x * 2.0
+        with pytest.raises(RuntimeError, match="records no graph"):
+            y.backward()
+        with pytest.raises(RuntimeError, match="records no graph"):
+            (Tensor(np.array(3.0)) * 2.0).backward()
+        assert x.grad is None
 
     def test_non_scalar_backward_requires_seed(self):
         x = Tensor(np.zeros((2, 2)), requires_grad=True)

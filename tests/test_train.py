@@ -9,7 +9,7 @@ from canopyheights import datapipe as dp
 from canopyheights import nn, optim
 from canopyheights import tensor as tensor_module
 from canopyheights import train as tr
-from canopyheights.hytec import HyTecConfig
+from canopyheights.hytec import HyTecConfig, init_hytec
 from canopyheights.losses import AdaptiveLossState, HyTecLossConfig
 from canopyheights.tensor import Tensor
 from canopyheights.unet import unet_forward
@@ -435,6 +435,24 @@ class TestDistillation:
         assert np.array_equal(pred, graph.height.data)
         assert nodes and all(n._grad_fn is None and not n._parents
                              for n in nodes)
+
+    def test_inference_walks_no_model(self, monkeypatch):
+        s = tiny_samples(n_tiles=1)[0]
+        params, cfg = tr.make_unet("a2mdu", np.random.default_rng(3),
+                                   stem_width=4)
+        bns = [item for _, item in optim._walk(params)
+               if isinstance(item, nn.BatchNormState)]
+        hy_cfg = HyTecConfig.desk_scale(image_size=32, patch=8, embed_dim=16,
+                                        blocks=4, heads=2, l_hat=16)
+        hy_params = init_hytec(np.random.default_rng(4), hy_cfg)
+        walks = []
+        walk = optim._walk
+        monkeypatch.setattr(optim, "_walk",
+                            lambda *args: walks.append(args) or walk(*args))
+        tr.predict_heights(params, cfg, s)
+        tr.predict_heights(hy_params, hy_cfg, s)
+        assert walks == []
+        assert bns and all(bn.mode == "eval" for bn in bns)
 
     def test_predict_heights_positive_for_all_models(self):
         samples = tiny_samples(n_tiles=1)
