@@ -11,11 +11,20 @@ stacked along rows: the same bytes as n x rows x cols x channels, and
 every op keeps its 3-D shape contract.  Elementwise ops, ``layer_norm``,
 ``softmax``, ``linear``, channel concats, ``conv2d_transpose`` and convs
 with k = stride never reach across a row boundary between tiles, so they
-run on the stack as on one tall tile.  The three ops that would reach
-across one take the tile count as ``tiles`` (default 1): ``conv2d`` pads
-each tile on its own, ``batch_norm`` normalizes each tile by its own
+run on the stack as on one tall tile.  The ops that would reach across
+one take the tile count as ``tiles`` (default 1): ``conv2d`` pads each
+tile on its own, ``batch_norm`` normalizes each tile by its own
 statistics and updates the running estimates once per tile, in tile
-order, and ``mhsa`` attends within each tile's block of token rows.
+order, ``conv_bn`` (a conv into a batch norm) does both, and ``mhsa``
+attends within each tile's block of token rows.
+
+An eval-mode batch norm is a fixed per-channel affine map.  Where no
+graph is recorded (inside ``tensor.no_grad``, as at inference),
+``conv_bn`` applies it to the conv's fresh output in place, as one
+scale and one shift per channel (Jacob et al. 2018, arXiv 1712.05877,
+section 3.2): within about 1e-13 relative of the composition, and no
+``batch_norm`` call.  Train mode, or a recorded graph, runs
+``batch_norm(conv2d(...))`` itself, bit for bit.
 
 The graph keeps no array that a backward can rebuild from what it holds
 already (Chen et al. 2016, arXiv 1604.06174): ``leaky_relu`` rebuilds its
@@ -33,8 +42,9 @@ Convolutions are matrix products (im2col + GEMM).  A conv kernel is
 k x k x C_in x C_out, so ``kmat = kernel.reshape(k*k*C_in, C_out)`` has
 its rows in (ki, kj, c) order.  The padded tile is unrolled into an
 (oh*ow) x (k*k*C_in) patch matrix with its columns in that same order:
-one strided view of the tile, reshaped, which is free for 1x1 stride 1
-and one copy otherwise.  The forward is ``patches @ kmat + bias``.  The
+an ``ndarray`` of windows over the tile's buffer (bounds-checked by the
+constructor, read-only), reshaped, which is free for 1x1 stride 1 and
+one copy otherwise.  The forward is ``patches @ kmat + bias``.  The
 backward rebuilds the padded tile and the patch matrix from the input
 and takes the kernel gradient as ``patches.T @ g``.  The input gradient
 is ``g @ kmat.T`` folded back onto the tile (col2im): a
@@ -52,10 +62,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf
 
-from .tensor import Tensor, _channel_sum, concat, matmul
+from .tensor import Tensor, _channel_sum, concat, grad_enabled, matmul
 
 # batch norm's running-estimate momentum and variance floor, layer norm's
 # variance floor, and leaky ReLU's negative slope
@@ -201,9 +210,13 @@ def _patches(xp: np.ndarray, k: int, s: int, oh: int, ow: int) -> np.ndarray:
     """(tiles*oh*ow) x (k*k*C) patch matrix of a block of padded tiles,
     columns in the kernel's (ki, kj, c) order: a view for 1x1 stride 1,
     one copy else."""
+    xp = np.ascontiguousarray(xp)
     s0, s1, s2, s3 = xp.strides
-    win = as_strided(xp, (xp.shape[0], oh, ow, k, k, xp.shape[3]),
-                     (s0, s * s1, s * s2, s1, s2, s3), writeable=False)
+    # an ndarray over xp's buffer: the constructor bounds-checks the
+    # windows, which ``as_strided`` does not, and skips its Python setup
+    win = np.ndarray((xp.shape[0], oh, ow, k, k, xp.shape[3]), xp.dtype, xp,
+                     0, (s0, s * s1, s * s2, s1, s2, s3))
+    win.flags.writeable = False
     return win.reshape(-1, k * k * xp.shape[3])
 
 
@@ -355,6 +368,30 @@ def batch_norm(x: Tensor, s: BatchNormState, tiles: int = 1) -> Tensor:
                 gsum.sum(axis=(0, 1)))
 
     return Tensor.from_op(out.reshape(x.shape), (x, s.gamma, s.beta), grad_fn)
+
+
+def conv_bn(x: Tensor, conv: Conv2dParams, bn: BatchNormState,
+            tiles: int = 1) -> Tensor:
+    """``batch_norm(conv2d(x, conv, tiles=tiles), bn, tiles=tiles)``.
+
+    In eval mode with no graph recorded (inside ``tensor.no_grad``) the
+    batch norm is a fixed per-channel affine map, applied in place to the
+    conv's fresh output: ``y * scale + (beta - mean * scale)``, ``scale =
+    gamma / sqrt(var + eps)`` (the inference fold of Jacob et al. 2018,
+    arXiv 1712.05877, section 3.2).  That is the composition up to
+    rounding, about 1e-13 relative; train mode, or a recorded graph, runs
+    the composition itself.
+    """
+    y = conv2d(x, conv, tiles=tiles)
+    if bn.mode == "train" or grad_enabled():
+        return batch_norm(y, bn, tiles=tiles)
+    scale = bn.gamma.data / np.sqrt(bn.running_var + BN_EPS)
+    dtype = np.result_type(y.data, scale)
+    if y.dtype != dtype:  # the composition would widen
+        y.data = y.data.astype(dtype)
+    y.data *= scale
+    y.data += bn.beta.data - bn.running_mean * scale
+    return y
 
 
 def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:

@@ -46,6 +46,11 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
+def grad_enabled() -> bool:
+    """Whether ops record a graph here: False inside ``no_grad``."""
+    return _grad_enabled.get()
+
+
 def _channel_sum(a: np.ndarray, axis: tuple, keepdims: bool = False) -> np.ndarray:
     """``a.sum(axis=axis, keepdims=keepdims)`` bit for bit, ``axis`` being
     consecutive axes before the last.  ``ndarray.sum`` adds the rows of a

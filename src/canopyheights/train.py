@@ -170,7 +170,10 @@ def _forward(params, cfg, batch: Sequence[Sample], dtype):
 
 def _infer(params, cfg, sample: Sample) -> np.ndarray:
     """Eval-mode height map of one sample as a plain array (no gradient);
-    only a U-Net has batch-norm states to switch (``unet.batch_norms``)."""
+    only a U-Net has batch-norm states to switch (``unet.batch_norms``).
+    It records no graph, so each eval batch norm runs folded into its
+    conv's output (``nn.conv_bn``): within about 1e-13 relative of the
+    graph-recording eval forward, not bit for bit."""
     if isinstance(params, UNetParams):
         for bn in batch_norms(params):
             bn.mode = "eval"

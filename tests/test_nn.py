@@ -4,9 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 
 from canopyheights import nn
-from canopyheights.tensor import Tensor, grad_check
+from canopyheights.tensor import Tensor, grad_check, no_grad
 
 TOL = 1e-4
 RNG = np.random.default_rng
@@ -443,6 +444,135 @@ class TestBitIdenticalKernels:
         f = (x >= 0) * x.dtype.type(1.0 - slope)
         f += slope
         assert_same_bits(nn.leaky_relu(Tensor(x, dtype=dtype)).data, x * f)
+
+
+class TestConvBn:
+    """``conv_bn`` is ``batch_norm(conv2d(...))``: exactly so in train mode
+    and wherever a graph is recorded, and within rounding in eval mode
+    under ``no_grad``, where it folds the batch norm into the conv's
+    output in place."""
+
+    @staticmethod
+    def layer(dtype, seed=80):
+        """A 3x3 conv into a batch norm with non-trivial bias, running
+        statistics, gamma and beta; the same seed gives an equal copy."""
+        rng = RNG(seed)
+        conv = nn.init_conv(rng, 3, 3, 4, padding=1)
+        conv.bias.data = rng.normal(size=4)
+        bn = nn.init_bn(4)
+        bn.gamma.data = rng.uniform(0.5, 1.5, 4)
+        bn.beta.data = rng.normal(size=4)
+        bn.running_mean = rng.normal(size=4)
+        bn.running_var = rng.uniform(0.5, 2.0, 4)
+        conv.kernel, conv.bias, bn.gamma, bn.beta = params_in(
+            dtype, conv.kernel, conv.bias, bn.gamma, bn.beta)
+        return conv, bn
+
+    @staticmethod
+    def composed(x, conv, bn, tiles=1):
+        return nn.batch_norm(nn.conv2d(x, conv, tiles=tiles), bn, tiles=tiles)
+
+    def run_both(self, x, g, dtype, tiles, mode):
+        """Output, running statistics and every gradient of ``conv_bn``
+        and of the composition, each on its own copy of the layer."""
+        results = []
+        for op in (nn.conv_bn, self.composed):
+            conv, bn = self.layer(dtype)
+            bn.mode = mode
+            xt = Tensor(x, requires_grad=True, dtype=dtype)
+            out = op(xt, conv, bn, tiles)
+            out.backward(g)
+            results.append([out.data, bn.running_mean, bn.running_var,
+                            xt.grad, conv.kernel.grad, conv.bias.grad,
+                            bn.gamma.grad, bn.beta.grad])
+        return results
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tiles", [1, 2])
+    def test_train_mode_is_the_composition(self, dtype, tiles):
+        x = RNG(81).normal(size=(tiles * 6, 5, 3)).astype(dtype)
+        g = RNG(82).normal(size=(tiles * 6, 5, 4)).astype(dtype)
+        fused, ref = self.run_both(x, g, dtype, tiles, "train")
+        for a, b in zip(fused, ref):
+            assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_mode_with_a_graph_is_the_composition(self, dtype):
+        x = RNG(83).normal(size=(2 * 6, 5, 3)).astype(dtype)
+        g = RNG(84).normal(size=(2 * 6, 5, 4)).astype(dtype)
+        fused, ref = self.run_both(x, g, dtype, 2, "eval")
+        for a, b in zip(fused, ref):
+            assert_same_bits(a, b)
+        conv, bn = self.layer(np.float64)
+        bn.mode = "eval"
+        x1 = t((6, 5, 3), seed=86)
+        w = Tensor(RNG(85).normal(size=(6, 5, 4)))
+        assert grad_check(lambda v: (nn.conv_bn(v, conv, bn) * w).sum(),
+                          x1) < TOL
+
+        def fk(kernel):
+            q = nn.Conv2dParams(kernel, conv.bias, stride=1, padding=1)
+            return (nn.conv_bn(x1, q, bn) * w).sum()
+        assert grad_check(fk, conv.kernel) < TOL
+
+    # f32 parameters: the f64 running statistics widen the output, as
+    # in the composition
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tiles", [1, 2])
+    def test_eval_mode_without_a_graph_folds(self, dtype, tiles, monkeypatch):
+        x = Tensor(RNG(87).normal(size=(tiles * 6, 5, 3)), dtype=dtype)
+        conv, bn = self.layer(dtype)
+        bn.mode = "eval"
+        ref = self.composed(x, conv, bn, tiles).data
+        arrays = [conv.kernel.data, conv.bias.data, bn.gamma.data,
+                  bn.beta.data, bn.running_mean, bn.running_var]
+        before = [a.tobytes() for a in arrays]
+        monkeypatch.setattr(nn, "batch_norm", None)   # the fold calls none
+        with no_grad():
+            out = nn.conv_bn(x, conv, bn, tiles=tiles)
+        assert out.dtype == ref.dtype == np.float64
+        np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=0)
+        assert [a.tobytes() for a in arrays] == before
+        assert arrays[4] is bn.running_mean and arrays[5] is bn.running_var
+
+
+class TestPatches:
+    """``_patches`` builds its windows as an ``ndarray`` over the padded
+    block's buffer: the ``as_strided`` windows, byte for byte."""
+
+    @staticmethod
+    def reference(xp, k, s, oh, ow):
+        s0, s1, s2, s3 = xp.strides
+        win = as_strided(xp, (xp.shape[0], oh, ow, k, k, xp.shape[3]),
+                         (s0, s * s1, s * s2, s1, s2, s3), writeable=False)
+        return win.reshape(-1, k * k * xp.shape[3])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tiles", [1, 2])
+    @pytest.mark.parametrize("k,s,pad", [(k, s, pad) for k in (1, 2, 3)
+                                         for s in (1, 2) for pad in (0, 1)])
+    def test_equals_the_strided_windows(self, k, s, pad, tiles, dtype):
+        x = RNG(90).normal(size=(tiles * 7, 6, 3)).astype(dtype)
+        xp = nn._pad(x, pad, tiles)
+        oh = (7 + 2 * pad - k) // s + 1
+        ow = (6 + 2 * pad - k) // s + 1
+        got = nn._patches(xp, k, s, oh, ow)
+        assert_same_bits(got, self.reference(xp, k, s, oh, ow))
+        # a view of the input (1x1, stride 1) is read-only; else a copy
+        if np.shares_memory(got, xp):
+            assert (k, s) == (1, 1) and not got.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                got[0, 0] = 1.0
+
+    @pytest.mark.parametrize("k,s", [(1, 1), (2, 2), (3, 1)])
+    def test_a_non_contiguous_input(self, k, s):
+        xp = RNG(91).normal(size=(2, 8, 7, 6))[:, :, ::2, ::2]
+        assert not xp.flags.c_contiguous
+        oh, ow = (8 - k) // s + 1, (4 - k) // s + 1
+        got = nn._patches(xp, k, s, oh, ow)
+        assert_same_bits(got, self.reference(xp, k, s, oh, ow))
+        assert_same_bits(got, nn._patches(np.ascontiguousarray(xp), k, s,
+                                          oh, ow))
 
 
 class TestAttentionAndLinear:

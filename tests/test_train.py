@@ -12,7 +12,8 @@ from canopyheights import train as tr
 from canopyheights.hytec import HyTecConfig, init_hytec
 from canopyheights.losses import AdaptiveLossState, HyTecLossConfig
 from canopyheights.tensor import Tensor
-from canopyheights.unet import unet_forward
+from canopyheights.unet import DualHeadOutput, unet_forward
+from canopyheights.unet import batch_norms as unet_batch_norms
 
 
 def tiny_samples(n_tiles=3, size=32, seed=21, shots=60):
@@ -432,7 +433,9 @@ class TestDistillation:
             return out
         monkeypatch.setattr(Tensor, "from_op", staticmethod(recording))
         pred = tr.predict_heights(res.params, res.config, s)
-        assert np.array_equal(pred, graph.height.data)
+        # eval batch norm runs folded into its conv when no graph is kept
+        np.testing.assert_allclose(pred, graph.height.data, rtol=1e-12,
+                                   atol=0)
         assert nodes and all(n._grad_fn is None and not n._parents
                              for n in nodes)
 
@@ -462,6 +465,40 @@ class TestDistillation:
             pred = tr.predict_heights(res.params, res.config, s)
             assert pred.shape == s.target_h.shape
             assert (pred > 0).all()
+
+
+class TestEvalPrediction:
+    """``predict_heights`` records no graph, so each eval batch norm runs
+    folded into its conv's output (``nn.conv_bn``); the graph-recording
+    eval forward runs the composition.  They agree within 1e-12."""
+
+    @pytest.mark.parametrize("arch", tr.UNET_ARCHS)
+    def test_unet_prediction_matches_the_graph_forward(self, arch):
+        s = tiny_samples(n_tiles=1)[0]
+        params, cfg = tr.make_unet(arch, np.random.default_rng(8),
+                                   stem_width=4)
+        rng = np.random.default_rng(9)
+        for bn in unet_batch_norms(params):
+            c = bn.gamma.shape[0]
+            bn.gamma.data[...] = rng.uniform(0.5, 1.5, c)
+            bn.beta.data[...] = rng.normal(size=c)
+            bn.running_mean = rng.normal(size=c)
+            bn.running_var = rng.uniform(0.5, 2.0, c)
+        pred = tr.predict_heights(params, cfg, s)
+        out = tr._forward(params, cfg, [s], np.float64)
+        ref = out.height if isinstance(out, DualHeadOutput) else out
+        assert ref._grad_fn is not None
+        np.testing.assert_allclose(pred, ref.data, rtol=1e-12, atol=0)
+
+    def test_hytec_prediction_is_the_graph_forward(self):
+        s = tiny_samples(n_tiles=1)[0]
+        cfg = HyTecConfig.desk_scale(image_size=32, patch=8, embed_dim=16,
+                                     blocks=4, heads=2, l_hat=16)
+        params = init_hytec(np.random.default_rng(4), cfg)
+        pred = tr.predict_heights(params, cfg, s)
+        out = tr._forward(params, cfg, [s], np.float64).main.height
+        assert out._grad_fn is not None
+        assert np.array_equal(pred, out.data)
 
 
 class TestPrecision:
