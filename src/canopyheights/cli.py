@@ -110,7 +110,11 @@ def _samples(cfg) -> list:
 
 def cmd_synth(cfg, out_dir: str) -> None:
     seed = cfg.get("run", "seed")
-    tiles = dp.synth_dataset(cfg.get("data", "n_tiles"),
+    n_tiles = cfg.get("data", "n_tiles")
+    if n_tiles < 1:
+        # the compositing stack below is drawn over tile 0
+        raise ValueError(f"[data] n_tiles must be at least 1, got {n_tiles}")
+    tiles = dp.synth_dataset(n_tiles,
                              cfg.get("data", "tile_size"), seed,
                              shots_per_tile=cfg.get("data", "shots_per_tile"),
                              violation_rate=cfg.get("data", "violation_rate"))

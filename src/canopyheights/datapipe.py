@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .tensor import atomic_open
 
@@ -430,13 +429,45 @@ class SynthTile:
     bounds: tuple
 
 
+def _gaussian_filter(x: np.ndarray, sigma: float) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter(x, sigma)`` of a 2-D float64 array,
+    bit for bit (``tests/test_datapipe.py::TestGaussianFilter`` pins it).
+
+    scipy's order-0 kernel of radius ``int(4 sigma + 0.5)``, run along
+    axis 0 and then axis 1 in the order ``correlate1d`` runs a symmetric
+    kernel: ``x[0]*w[0]``, then ``+= (x[-j] + x[j]) * w[j]`` for j = r
+    down to 1.  The border is scipy's ``reflect`` (index -1 reads 0, n
+    reads n-1), one reflection deep, so the radius must stay below each
+    extent.
+    """
+    r = int(4.0 * sigma + 0.5)
+    taps = np.arange(-r, r + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * taps ** 2)
+    w = w / w.sum()
+    for _ in range(2):      # axis 0, then axis 1 as axis 0 of the transpose
+        n = len(x)
+        if r >= n:
+            raise ValueError(f"blur radius {r} needs an extent above it, got {n}")
+        idx = np.arange(-r, n + r)
+        idx = np.where(idx < 0, -1 - idx, np.where(idx >= n, 2 * n - 1 - idx, idx))
+        xp = x.take(idx, axis=0)
+        out = xp[r:r + n] * w[r]
+        pair = np.empty_like(out)
+        for j in range(r, 0, -1):
+            np.add(xp[r - j:r - j + n], xp[r + j:r + j + n], out=pair)
+            pair *= w[r + j]
+            out += pair
+        x = out.T
+    return x
+
+
 def _height_field(rng: np.random.Generator, size: int) -> np.ndarray:
     """Blobby forest patches over a low-vegetation background.
 
     Roughly 95% of the area stays below 15 m with a tall-tree tail up to
     the generator clamp.
     """
-    base = ndimage.gaussian_filter(rng.normal(size=(size, size)), size / 16)
+    base = _gaussian_filter(rng.normal(size=(size, size)), size / 16)
     base = 8.0 * (base - base.min()) / (np.ptp(base) + 1e-12)
 
     forest = np.zeros((size, size))

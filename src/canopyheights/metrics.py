@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.ndimage import convolve
 
 from .tensor import atomic_open
 
@@ -103,13 +102,28 @@ def msd_decomposition(y: np.ndarray, yhat: np.ndarray) -> tuple:
 
 # -- sharpness ---------------------------------------------------------
 
+def _box_blur9(img: np.ndarray, axis: int) -> np.ndarray:
+    """``scipy.ndimage.convolve(img, k, mode="nearest")`` with k nine taps
+    of 1/9 along ``axis``, bit for bit
+    (``tests/test_metrics.py::TestBoxBlur`` pins it).
+
+    convolve sums ``0 + w*x[i-4] + ... + w*x[i+4]`` in tap order.  Every
+    tap has the same weight, so the products are formed once, on the
+    edge-padded image, and the nine shifted slices are added in order.
+    """
+    x = img if axis == 0 else img.T
+    n = len(x)
+    pw = x.take(np.clip(np.arange(-4, n + 4), 0, n - 1), axis=0) * (1.0 / 9.0)
+    out = pw[:n] + 0.0      # 0.0 + w*x, as convolve starts its sum
+    for t in range(1, 9):
+        out += pw[t:t + n]
+    return out if axis == 0 else out.T
+
+
 def _directional_blur(img: np.ndarray, axis: int) -> float:
     """One-direction blur estimate: re-blur with a 9-tap average and
     compare neighbor absolute-difference totals."""
-    k = np.ones(9) / 9.0
-    shape = [1, 1]
-    shape[axis] = 9
-    blurred = convolve(img, k.reshape(shape), mode="nearest")
+    blurred = _box_blur9(img, axis)
 
     d_orig = np.abs(np.diff(img, axis=axis))
     d_blur = np.abs(np.diff(blurred, axis=axis))

@@ -62,7 +62,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .tensor import Tensor, _channel_sum, concat, grad_enabled, matmul
 
@@ -463,6 +462,9 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
+    # imported here, not at the top: only HyTeC runs GELU, and scipy is
+    # most of the package's import time and memory
+    from scipy.special import erf
     cdf = 0.5 * (1.0 + erf(x.data / _SQRT2))
     out = x.data * cdf
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data ** 2)

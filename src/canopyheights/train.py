@@ -111,7 +111,7 @@ class TrainSettings:
     adaptive_lr: float = 1e-5
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size"):
+        for name in ("epochs", "batch_size", "stem_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got "
                                  f"{getattr(self, name)}")

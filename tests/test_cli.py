@@ -6,6 +6,8 @@ import logging
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -445,6 +447,7 @@ class TestErrors:
         (("loss", "betas"), "0.7,0.7", "betas needs 4 values"),
         (("optimizer", "batch_size"), 0, "batch_size must be at least 1"),
         (("optimizer", "max_epochs"), -1, "epochs must be at least 1"),
+        (("model", "stem_width"), 0, "stem_width must be at least 1"),
     ])
     def test_malformed_training_config_returns_one(
             self, workspace, tmp_path, monkeypatch, caplog, key, value,
@@ -458,6 +461,18 @@ class TestErrors:
                        tmp_path) == 1
         assert f"ValueError: {message}" in caplog.text
         assert not os.path.exists(tmp_path / "t" / "checkpoints")
+
+    def test_synth_with_no_tiles_returns_one(self, tmp_path, monkeypatch,
+                                              caplog):
+        monkeypatch.delenv("CANOPY_LOG", raising=False)
+        cfg = small_cfg()
+        cfg.set("data", "n_tiles", 0)
+        with caplog.at_level(logging.ERROR, logger="canopyheights"):
+            assert run(cfg, ["synth", "--out", str(tmp_path / "d")],
+                       tmp_path) == 1
+        assert "ValueError: [data] n_tiles must be at least 1, got 0" \
+            in caplog.text
+        assert not os.path.exists(tmp_path / "d")
 
     def test_grid_with_no_retained_shot_returns_one(self, workspace, tmp_path,
                                                     monkeypatch, caplog):
@@ -479,3 +494,36 @@ class TestErrors:
         cfg = small_cfg()
         cfg.set("run", "arch", "nonesuch")
         assert run(cfg, ["synth", "--out", str(tmp_path)], tmp_path) == 1
+
+
+# A U-Net run end to end, then one GELU: prints the scipy modules loaded
+# before the GELU, then whether scipy.special is loaded after it.
+COLD_RUN = """
+import sys
+import numpy as np
+import canopyheights.cli
+from canopyheights import datapipe, metrics, nn, train
+from canopyheights.tensor import Tensor
+tiles = datapipe.synth_dataset(2, 32, seed=0, shots_per_tile=20)
+samples = train.samples_from_tiles(tiles)
+res = train.train_unet(samples, train.TrainSettings(
+    arch="a2mdu", epochs=1, batch_size=2, stem_width=4))
+for s, t in zip(samples, tiles):
+    metrics.gsi(train.predict_heights(res.params, res.config, s), t.s2)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+nn.gelu(Tensor(np.linspace(-3.0, 3.0, 7)))
+print("scipy.special" in sys.modules)
+"""
+
+
+class TestColdImport:
+    def test_unet_run_never_loads_scipy(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", COLD_RUN], cwd=root,
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines() == ["[]", "True"]

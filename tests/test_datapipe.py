@@ -8,6 +8,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 from canopyheights import datapipe as dp
 
@@ -419,6 +420,27 @@ class TestSynthetic:
         dp.shots_to_csv(tiles[0].shots, path)
         back = dp.shots_from_csv(path)
         assert [dp.GediShot(*row) for row in back.tolist()] == tiles[0].shots
+
+
+class TestGaussianFilter:
+    """``_gaussian_filter`` is ``scipy.ndimage.gaussian_filter`` bit for bit
+    at the synthesizer's sigma, size / 16."""
+
+    @pytest.mark.parametrize("shape", [(n, n) for n in (8, 9, 16, 31, 32, 64,
+                                                        100, 128, 256)]
+                             + [(40, 70)])
+    def test_equals_scipy(self, shape):
+        sigma = min(shape) / 16
+        for seed in range(10):
+            for scale in (1.0, 30.0):
+                x = scale * np.random.default_rng(seed).normal(size=shape)
+                assert np.array_equal(dp._gaussian_filter(x, sigma),
+                                      gaussian_filter(x, sigma))
+
+    def test_radius_past_the_extent_is_rejected(self):
+        # radius int(4 * 1.0 + 0.5) = 4 would need a second reflection
+        with pytest.raises(ValueError, match="radius 4"):
+            dp._gaussian_filter(np.zeros((4, 4)), 1.0)
 
 
 def csv_writer_text(rows, header=dp.SHOT_FIELDS) -> str:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.ndimage import gaussian_filter
+from scipy.ndimage import convolve, gaussian_filter
 
 from canopyheights import metrics as mx
 
@@ -72,6 +72,25 @@ class TestBlurMetric:
     def test_small_image_rejected(self):
         with pytest.raises(ValueError):
             mx.blur_metric(np.zeros((4, 4)))
+
+
+class TestBoxBlur:
+    """``_box_blur9`` is ``scipy.ndimage.convolve`` with a 9-tap 1/9
+    kernel and ``mode="nearest"``, bit for bit, along either axis."""
+
+    @pytest.mark.parametrize("shape", [(n, n) for n in (8, 9, 16, 31, 32, 64,
+                                                        100, 128, 256)]
+                             + [(12, 40)])
+    def test_equals_scipy(self, shape):
+        for seed in range(10):
+            for scale in (1.0, 30.0):
+                img = scale * np.random.default_rng(seed).normal(size=shape)
+                for axis in (0, 1):
+                    kshape = [1, 1]
+                    kshape[axis] = 9
+                    want = convolve(img, (np.ones(9) / 9.0).reshape(kshape),
+                                    mode="nearest")
+                    assert np.array_equal(mx._box_blur9(img, axis), want)
 
 
 class TestGsi:
