@@ -169,12 +169,21 @@ def cmd_composite(cfg, out_dir: str) -> None:
     log.info("composited %d frames, %d missing pixels", len(frames), missing)
 
 
+def _positive(cfg, section: str, key: str) -> float:
+    """The config entry ``[section] key``, or a ``ValueError`` naming it
+    unless it is above 0."""
+    value = cfg.get(section, key)
+    if not value > 0:   # NaN fails too
+        raise ValueError(f"[{section}] {key} must be positive, got {value}")
+    return value
+
+
 def cmd_grid(cfg, out_dir: str) -> None:
+    cell = _positive(cfg, "data", "cell_size_m")
     path = os.path.join(cfg.get("data", "dataset_dir"), "shots.csv")
     shots, _ = dp.filter_gedi(dp.shots_from_csv(path))
     if not len(shots):
         raise ValueError(f"{path}: no shot passes the quality filter")
-    cell = cfg.get("data", "cell_size_m")
     x0, x1 = float(shots.lon.min()), float(shots.lon.max())
     y0, y1 = float(shots.lat.min()), float(shots.lat.max())
     bounds = (x0, y0, x0 + np.ceil((x1 - x0) / cell + 1e-9) * cell,
@@ -267,6 +276,8 @@ def _write_gsi_csv(path: str, reports: list, tail=()) -> None:
 
 
 def cmd_eval(cfg, out_dir: str) -> None:
+    step = _positive(cfg, "eval", "range_step")
+    top = _positive(cfg, "eval", "range_max")
     samples = _samples(cfg)
     params, mcfg = _restore_model(cfg, cfg.get("run", "arch"),
                                   "eval.checkpoint")
@@ -292,8 +303,7 @@ def cmd_eval(cfg, out_dir: str) -> None:
                     repr(overall.rmse),
                     "" if overall.rmspe is None else repr(overall.rmspe),
                     repr(overall.bias), repr(overall.sdsd), repr(overall.lcs)])
-    step = cfg.get("eval", "range_step")
-    edges = np.arange(0.0, cfg.get("eval", "range_max") + step, step)
+    edges = np.arange(0.0, top + step, step)
     mt.report_to_csv(mt.binned_report(y, yhat, edges),
                      os.path.join(out_dir, "binned.csv"))
     _write_gsi_csv(os.path.join(out_dir, "gsi.csv"), reports)

@@ -15,20 +15,20 @@ run on the stack as on one tall tile.  The ops that would reach across
 one take the tile count as ``tiles`` (default 1): ``conv2d`` pads each
 tile on its own, ``batch_norm`` normalizes each tile by its own
 statistics and updates the running estimates once per tile, in tile
-order, ``conv_bn`` (a conv into a batch norm) does both, and ``mhsa``
-attends within each tile's block of token rows.
+order, and ``mhsa`` attends within each tile's block of token rows.
 
-An eval-mode batch norm is a fixed per-channel affine map.  Where no
-graph is recorded (inside ``tensor.no_grad``, as at inference),
-``conv_bn`` applies it to the conv's fresh output in place, as one
-scale and one shift per channel (Jacob et al. 2018, arXiv 1712.05877,
-section 3.2): within about 1e-13 relative of the composition, and no
-``batch_norm`` call.  Train mode, or a recorded graph, runs
-``batch_norm(conv2d(...))`` itself, bit for bit.
+Batch norm follows ``tensor.no_grad``, the one switch between training
+and inference (Ioffe & Szegedy 2015, arXiv 1502.03167, section 3.1):
+while a graph is recorded it uses batch statistics and updates the
+running estimates; inside ``no_grad`` it uses the running statistics as
+one scale and one shift per channel (the inference fold of Jacob et al.
+2018, arXiv 1712.05877, section 3.2) and changes no state.  So an
+inference run changes no model, and training after it is the training
+it would have been without it.
 
 The graph keeps no array that a backward can rebuild from what it holds
 already (Chen et al. 2016, arXiv 1604.06174): ``leaky_relu`` rebuilds its
-mask from its input, train-mode ``batch_norm`` its normalized input from
+mask from its input, a training ``batch_norm`` its normalized input from
 the input and the statistics, and ``conv2d`` its padded tiles.
 
 Per-channel sums over pixels or rows (batch-norm statistics, bias and
@@ -111,7 +111,6 @@ class BatchNormState:
     beta: Tensor             # C
     running_mean: np.ndarray
     running_var: np.ndarray
-    mode: str = "train"      # train | eval
 
 
 @dataclass
@@ -315,33 +314,36 @@ def batch_norm(x: Tensor, s: BatchNormState, tiles: int = 1) -> Tensor:
     """Per-channel normalization over all the leading axes of each tile of
     a row-stacked input.
 
-    Train mode normalizes each tile by its own population statistics and
-    updates the running estimates once per tile, in tile order; eval mode
-    uses running statistics only.
+    While a graph is recorded (training) it normalizes each tile by its own
+    population statistics and updates the running estimates once per tile,
+    in tile order.  Inside ``tensor.no_grad`` (inference) it is the fixed
+    per-channel affine map of the running statistics, ``x * scale + (beta
+    - running_mean * scale)`` with ``scale = gamma / sqrt(running_var +
+    eps)``, and writes nothing to ``s``.
     """
-    c = x.shape[-1]
     tile_rows(x.shape[0], tiles)
+    if not grad_enabled():
+        scale = s.gamma.data / np.sqrt(s.running_var + BN_EPS)
+        out = x.data * scale
+        out += s.beta.data - s.running_mean * scale
+        return Tensor(out, dtype=out.dtype)
+    c = x.shape[-1]
     shape = (tiles, -1, c)
     n = x.size // (tiles * c)          # pixels per tile
+    if n < 2:
+        raise ValueError("batch_norm training needs >= 2 samples per channel")
     xs = x.data.reshape(shape)
-    train = s.mode == "train"
-    if train:
-        if n < 2:
-            raise ValueError("batch_norm train mode needs >= 2 samples per channel")
-        # np.mean and np.var (a sum over an intp count), centring once
-        mu = _channel_sum(xs, (1,), keepdims=True)
-        mu /= np.intp(n)
-        xc = xs - mu
-        var = _channel_sum(np.square(xc), (1,), keepdims=True)
-        var /= np.intp(n)
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(var))):
-            raise FloatingPointError("non-finite batch statistics")
-        for t in range(tiles):
-            s.running_mean = (1 - BN_MOMENTUM) * s.running_mean + BN_MOMENTUM * mu[t, 0]
-            s.running_var = (1 - BN_MOMENTUM) * s.running_var + BN_MOMENTUM * var[t, 0]
-    else:
-        mu, var = s.running_mean, s.running_var
-        xc = xs - mu
+    # np.mean and np.var (a sum over an intp count), centring once
+    mu = _channel_sum(xs, (1,), keepdims=True)
+    mu /= np.intp(n)
+    xc = xs - mu
+    var = _channel_sum(np.square(xc), (1,), keepdims=True)
+    var /= np.intp(n)
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(var))):
+        raise FloatingPointError("non-finite batch statistics")
+    for t in range(tiles):
+        s.running_mean = (1 - BN_MOMENTUM) * s.running_mean + BN_MOMENTUM * mu[t, 0]
+        s.running_var = (1 - BN_MOMENTUM) * s.running_var + BN_MOMENTUM * var[t, 0]
 
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xc *= inv                          # xc's dtype covers inv's
@@ -355,42 +357,15 @@ def batch_norm(x: Tensor, s: BatchNormState, tiles: int = 1) -> Tensor:
         gx = g * xhat
         gsum = _channel_sum(g, (1,), keepdims=True)
         gx_sum = _channel_sum(gx, (1,), keepdims=True)
-        if train:
-            # in place; g has the output's dtype, the widest of them all
-            dx = g * n
-            dx -= gsum
-            dx -= np.multiply(xhat, gx_sum, out=gx)
-            dx *= s.gamma.data * inv / n
-        else:
-            dx = g * s.gamma.data * inv
+        # in place; g has the output's dtype, the widest of them all
+        dx = g * n
+        dx -= gsum
+        dx -= np.multiply(xhat, gx_sum, out=gx)
+        dx *= s.gamma.data * inv / n
         return (dx.reshape(x.shape), gx_sum.sum(axis=(0, 1)),
                 gsum.sum(axis=(0, 1)))
 
     return Tensor.from_op(out.reshape(x.shape), (x, s.gamma, s.beta), grad_fn)
-
-
-def conv_bn(x: Tensor, conv: Conv2dParams, bn: BatchNormState,
-            tiles: int = 1) -> Tensor:
-    """``batch_norm(conv2d(x, conv, tiles=tiles), bn, tiles=tiles)``.
-
-    In eval mode with no graph recorded (inside ``tensor.no_grad``) the
-    batch norm is a fixed per-channel affine map, applied in place to the
-    conv's fresh output: ``y * scale + (beta - mean * scale)``, ``scale =
-    gamma / sqrt(var + eps)`` (the inference fold of Jacob et al. 2018,
-    arXiv 1712.05877, section 3.2).  That is the composition up to
-    rounding, about 1e-13 relative; train mode, or a recorded graph, runs
-    the composition itself.
-    """
-    y = conv2d(x, conv, tiles=tiles)
-    if bn.mode == "train" or grad_enabled():
-        return batch_norm(y, bn, tiles=tiles)
-    scale = bn.gamma.data / np.sqrt(bn.running_var + BN_EPS)
-    dtype = np.result_type(y.data, scale)
-    if y.dtype != dtype:  # the composition would widen
-        y.data = y.data.astype(dtype)
-    y.data *= scale
-    y.data += bn.beta.data - bn.running_mean * scale
-    return y
 
 
 def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:

@@ -17,7 +17,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .nn import BatchNormState
 from .tensor import Tensor
 
 # AdamW's (beta1, beta2), epsilon and decoupled weight decay
@@ -57,10 +56,9 @@ def _walk(obj, prefix: str = "") -> Iterator[tuple]:
 
 
 def set_bn_mode(obj, mode: str) -> None:
-    """Switch every BatchNormState under a model to train or eval."""
-    for _, item in _walk(obj):
-        if isinstance(item, BatchNormState):
-            item.mode = mode
+    """Does nothing: batch norm follows ``tensor.no_grad`` and keeps no
+    mode (see ``nn``).  Kept because ``perfbench/workloads.py`` calls it;
+    it goes once the benchmark drops that call."""
 
 
 def check_shapes(targets: dict, arrays: dict, source: str) -> None:

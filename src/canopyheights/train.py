@@ -12,7 +12,10 @@ resumed run keeps its history), and aborts on non-finite loss.
 ``UNET_CONFIGS`` maps each convolutional variant to its ``UNetConfig``,
 ``_model_input`` each model config to the inputs it reads, ``_forward``
 runs either model family for both trainers, and ``_infer`` is the one
-eval-mode inference behind ``predict_heights`` and ``teacher_heights``.
+inference behind ``predict_heights`` and ``teacher_heights``.  Batch norm
+follows ``tensor.no_grad`` (see ``nn``): a step's graph-recording forward
+uses batch statistics, and ``_infer``, which records no graph, uses the
+running statistics and changes no model.
 
 Each batch is one graph: its tiles are stacked along rows (see ``nn``)
 and run through one forward, each tile's outputs are row slices of the
@@ -57,8 +60,8 @@ from .losses import (AdaptiveLossState, ClassTarget, HyTecLossConfig,
                      bin_assign_map, combined_cr_loss, huber,
                      hytec_total_loss, kd_teacher_consensus)
 from .tensor import Tensor, atomic_open, no_grad, read_record, write_record
-from .unet import (DualHeadOutput, UNetConfig, UNetParams, batch_norms,
-                   init_unet, unet_forward)
+from .unet import (DualHeadOutput, UNetConfig, UNetParams, init_unet,
+                   unet_forward)
 
 # each convolutional variant's UNetConfig (in_channels_s2, in_channels_s1,
 # head_kind); a teacher's one encoder reads one modality
@@ -115,6 +118,11 @@ class TrainSettings:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got "
                                  f"{getattr(self, name)}")
+        for name in ("base_lr", "adaptive_lr", "lr_start", "lr_peak",
+                     "warmup_epochs"):
+            if not getattr(self, name) >= 0:   # NaN fails too
+                raise ValueError(f"{name} must not be negative, got "
+                                 f"{getattr(self, name)}")
 
 
 @dataclass
@@ -169,14 +177,9 @@ def _forward(params, cfg, batch: Sequence[Sample], dtype):
 
 
 def _infer(params, cfg, sample: Sample) -> np.ndarray:
-    """Eval-mode height map of one sample as a plain array (no gradient);
-    only a U-Net has batch-norm states to switch (``unet.batch_norms``).
-    It records no graph, so each eval batch norm runs folded into its
-    conv's output (``nn.conv_bn``): within about 1e-13 relative of the
-    graph-recording eval forward, not bit for bit."""
-    if isinstance(params, UNetParams):
-        for bn in batch_norms(params):
-            bn.mode = "eval"
+    """Height map of one sample as a plain array.  It records no graph
+    (``no_grad``), so every batch norm uses its running statistics and
+    the model is left exactly as it was."""
     with no_grad():
         out = _forward(params, cfg, [sample], np.float64)
     if isinstance(out, HyTecOutputs):
@@ -559,5 +562,5 @@ def train_hytec(samples: Sequence[Sample], teachers: Sequence[Teacher],
 
 
 def predict_heights(params, cfg, sample: Sample) -> np.ndarray:
-    """Inference: the model's height map for one sample, eval-mode."""
+    """Inference: the model's height map for one sample (see ``_infer``)."""
     return _infer(params, cfg, sample)

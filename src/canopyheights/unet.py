@@ -161,14 +161,6 @@ def init_unet(rng: np.random.Generator, cfg: UNetConfig) -> UNetParams:
     return UNetParams(stem_s2, cebs_s2, stem_s1, cebs_s1, saa, fuse, cdbs, head)
 
 
-def batch_norms(params: UNetParams):
-    """Every batch-norm state of a model: ``bn1`` and ``bn2`` of each
-    encoder and decoder block, the only blocks that normalize."""
-    for block in (*params.cebs_s2, *(params.cebs_s1 or ()), *params.cdbs):
-        yield block.bn1
-        yield block.bn2
-
-
 # -- block forwards ---------------------------------------------------
 
 def ceb_forward(x: Tensor, p: CebParams, tiles: int = 1) -> Tensor:
@@ -177,8 +169,8 @@ def ceb_forward(x: Tensor, p: CebParams, tiles: int = 1) -> Tensor:
     h = nn.tile_rows(rows, tiles)
     if h % 2 or w % 2:
         raise ValueError(f"encoder block needs even extents, got {h}x{w}")
-    y = nn.leaky_relu(nn.conv_bn(x, p.conv1, p.bn1, tiles=tiles))
-    y = nn.leaky_relu(nn.conv_bn(y, p.conv2, p.bn2, tiles=tiles))
+    y = nn.leaky_relu(nn.batch_norm(nn.conv2d(x, p.conv1, tiles), p.bn1, tiles))
+    y = nn.leaky_relu(nn.batch_norm(nn.conv2d(y, p.conv2, tiles), p.bn2, tiles))
     y = nn.conv2d(y, p.down)
     assert y.shape == (rows // 2, w // 2, 2 * c), f"encoder shape law violated: {y.shape}"
     return y
@@ -194,8 +186,8 @@ def cdb_forward(x: Tensor, skip: Tensor, p: CdbParams, tiles: int = 1) -> Tensor
         raise ValueError(f"skip shape mismatch: {skip.shape} for input {x.shape}")
     y = nn.conv2d_transpose(x, p.up)
     y = concat([y, skip], axis=2)
-    y = nn.leaky_relu(nn.conv_bn(y, p.conv1, p.bn1, tiles=tiles))
-    y = nn.leaky_relu(nn.conv_bn(y, p.conv2, p.bn2, tiles=tiles))
+    y = nn.leaky_relu(nn.batch_norm(nn.conv2d(y, p.conv1, tiles), p.bn1, tiles))
+    y = nn.leaky_relu(nn.batch_norm(nn.conv2d(y, p.conv2, tiles), p.bn2, tiles))
     assert y.shape == (2 * rows, 2 * w, c // 2), f"decoder shape law violated: {y.shape}"
     return y
 

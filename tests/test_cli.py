@@ -448,6 +448,9 @@ class TestErrors:
         (("optimizer", "batch_size"), 0, "batch_size must be at least 1"),
         (("optimizer", "max_epochs"), -1, "epochs must be at least 1"),
         (("model", "stem_width"), 0, "stem_width must be at least 1"),
+        (("optimizer", "lr"), -1.0, "base_lr must not be negative, got -1.0"),
+        (("optimizer", "lr_adaptive"), -1e-5,
+         "adaptive_lr must not be negative, got -1e-05"),
     ])
     def test_malformed_training_config_returns_one(
             self, workspace, tmp_path, monkeypatch, caplog, key, value,
@@ -488,6 +491,27 @@ class TestErrors:
             assert run(cfg, ["grid", "--out", str(tmp_path / "g")],
                        tmp_path) == 1
         assert "no shot passes the quality filter" in caplog.text
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("grid", ("data", "cell_size_m"), 0.0),
+        ("grid", ("data", "cell_size_m"), -160.0),
+        ("eval", ("eval", "range_step"), 0.0),
+        ("eval", ("eval", "range_step"), -5.0),
+        ("eval", ("eval", "range_max"), 0.0),
+    ])
+    def test_non_positive_cell_or_range_returns_one(
+            self, workspace, tmp_path, monkeypatch, caplog, command, key,
+            value):
+        monkeypatch.delenv("CANOPY_LOG", raising=False)
+        _, cfg, _ = workspace
+        cfg = cfg.copy()
+        cfg.set(*key, value)
+        out = tmp_path / "o"
+        with caplog.at_level(logging.ERROR, logger="canopyheights"):
+            assert run(cfg, [command, "--out", str(out)], tmp_path) == 1
+        assert (f"ValueError: [{key[0]}] {key[1]} must be positive, got "
+                f"{value}") in caplog.text
+        assert not os.path.exists(out)
 
     def test_invalid_config_value_returns_one(self, tmp_path, monkeypatch):
         monkeypatch.delenv("CANOPY_LOG", raising=False)

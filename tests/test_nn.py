@@ -202,26 +202,29 @@ class TestNorms:
     def test_batch_norm_train_normalizes(self):
         s = nn.init_bn(3)
         x = t((16, 16, 3), seed=10)
-        s.mode = "train"
         out = nn.batch_norm(x, s).data
         assert np.allclose(out.reshape(-1, 3).mean(axis=0), 0.0, atol=1e-7)
         assert np.allclose(out.reshape(-1, 3).std(axis=0), 1.0, atol=1e-3)
 
     def test_batch_norm_eval_uses_running_stats(self):
+        """Inside ``no_grad`` batch norm is the running-statistics formula,
+        on a single pixel too, and writes nothing to its state."""
         s = nn.init_bn(2)
-        x = t((8, 8, 2), seed=11)
-        s.mode = "train"
-        nn.batch_norm(x, s)
-        s.mode = "eval"
-        y = Tensor(np.zeros((4, 4, 2)))
-        out = nn.batch_norm(y, s).data
-        expect = (0.0 - s.running_mean) / np.sqrt(s.running_var + nn.BN_EPS)
-        expect = expect * s.gamma.data + s.beta.data
-        np.testing.assert_allclose(out[0, 0], expect, atol=1e-12)
+        s.gamma.data[...] = [0.7, 1.3]
+        s.beta.data[...] = [0.2, -0.4]
+        nn.batch_norm(t((8, 8, 2), seed=11), s)   # non-trivial estimates
+        rm, rv = s.running_mean, s.running_var
+        before = rm.tobytes() + rv.tobytes()
+        y = RNG(14).normal(size=(1, 1, 2))
+        with no_grad():
+            out = nn.batch_norm(Tensor(y), s).data
+        expect = (y - rm) / np.sqrt(rv + nn.BN_EPS) * s.gamma.data + s.beta.data
+        np.testing.assert_allclose(out, expect, rtol=1e-12, atol=1e-14)
+        assert s.running_mean is rm and s.running_var is rv
+        assert rm.tobytes() + rv.tobytes() == before
 
     def test_batch_norm_grad(self):
         s = nn.init_bn(2)
-        s.mode = "train"
         assert grad_check(lambda x: nn.batch_norm(x, s).sum(),
                           t((5, 5, 2), seed=12)) < TOL
 
@@ -320,26 +323,22 @@ class TestBitIdenticalKernels:
     BLAS sum, fails here."""
 
     @staticmethod
-    def reference_bn(xs, g, gamma, beta, eps, train=True, mu=None, var=None):
+    def reference_bn(xs, g, gamma, beta, eps):
         """batch_norm's forward and backward as np.mean / np.var and whole-
         array expressions, on a tiles x pixels x C input."""
-        if train:
-            mu = xs.mean(axis=1, keepdims=True)
-            var = xs.var(axis=1, keepdims=True)
+        mu = xs.mean(axis=1, keepdims=True)
+        var = xs.var(axis=1, keepdims=True)
         inv = 1.0 / np.sqrt(var + eps)
         out = gamma * ((xs - mu) * inv) + beta
         n = xs.shape[1]
         xhat = (xs - mu) * inv
         gsum = g.sum(axis=1, keepdims=True)
         gx_sum = (g * xhat).sum(axis=1, keepdims=True)
-        if train:
-            dx = (gamma * inv / n) * (n * g - gsum - xhat * gx_sum)
-        else:
-            dx = g * gamma * inv
+        dx = (gamma * inv / n) * (n * g - gsum - xhat * gx_sum)
         return out, mu, var, (dx, gx_sum.sum(axis=(0, 1)), gsum.sum(axis=(0, 1)))
 
-    def check_bn(self, x, g, tiles, dtype, param_dtype, mode="train"):
-        c = x.shape[-1]
+    @staticmethod
+    def state(c, param_dtype):
         rng = RNG(c)
         s = nn.init_bn(c)
         s.gamma.data = rng.uniform(0.5, 1.5, c)
@@ -347,20 +346,22 @@ class TestBitIdenticalKernels:
         s.running_mean = rng.normal(size=c)
         s.running_var = rng.uniform(0.5, 2.0, c)
         s.gamma, s.beta = params_in(param_dtype, s.gamma, s.beta)
-        s.mode = mode
+        return s
+
+    def check_bn(self, x, g, tiles, dtype, param_dtype):
+        c = x.shape[-1]
+        s = self.state(c, param_dtype)
         rm, rv = s.running_mean, s.running_var
         xt = Tensor(x, requires_grad=True, dtype=dtype)
         out = nn.batch_norm(xt, s, tiles=tiles)
         out.backward(g)
-        train = mode == "train"
         ref, mu, var, grads = self.reference_bn(
             x.reshape(tiles, -1, c), g.astype(out.dtype).reshape(tiles, -1, c),
-            s.gamma.data, s.beta.data, nn.BN_EPS, train, rm, rv)
+            s.gamma.data, s.beta.data, nn.BN_EPS)
         assert_same_bits(out.data, ref.reshape(x.shape))
-        if train:
-            for t in range(tiles):
-                rm = (1 - nn.BN_MOMENTUM) * rm + nn.BN_MOMENTUM * mu[t, 0]
-                rv = (1 - nn.BN_MOMENTUM) * rv + nn.BN_MOMENTUM * var[t, 0]
+        for t in range(tiles):
+            rm = (1 - nn.BN_MOMENTUM) * rm + nn.BN_MOMENTUM * mu[t, 0]
+            rv = (1 - nn.BN_MOMENTUM) * rv + nn.BN_MOMENTUM * var[t, 0]
         assert_same_bits(s.running_mean, rm)
         assert_same_bits(s.running_var, rv)
         dx, dgamma, dbeta = grads
@@ -369,13 +370,27 @@ class TestBitIdenticalKernels:
         assert_same_bits(s.gamma.grad, dgamma.astype(param_dtype))
         assert_same_bits(s.beta.grad, dbeta.astype(param_dtype))
 
+    def check_bn_inference(self, x, tiles, dtype, param_dtype):
+        """Inside ``no_grad``: the running-statistics affine map, bit for
+        bit, and not one byte of the state written."""
+        s = self.state(x.shape[-1], param_dtype)
+        rm, rv = s.running_mean, s.running_var
+        before = [a.tobytes() for a in (s.gamma.data, s.beta.data, rm, rv)]
+        with no_grad():
+            out = nn.batch_norm(Tensor(x, dtype=dtype), s, tiles=tiles)
+        scale = s.gamma.data / np.sqrt(rv + nn.BN_EPS)
+        assert_same_bits(out.data, x * scale + (s.beta.data - rm * scale))
+        assert s.running_mean is rm and s.running_var is rv
+        assert [a.tobytes() for a in (s.gamma.data, s.beta.data, rm, rv)] \
+            == before
+
     @pytest.mark.parametrize("dtype, tiles, c", KERNEL_CASES)
     def test_batch_norm(self, dtype, tiles, c):
         rng = RNG(tiles * c)
         x = (rng.normal(size=(tiles * 16, 20, c)) * 3.0 + 1.0).astype(dtype)
         g = rng.normal(size=x.shape).astype(dtype)
         self.check_bn(x, g, tiles, dtype, dtype)
-        self.check_bn(x, g, tiles, dtype, dtype, mode="eval")
+        self.check_bn_inference(x, tiles, dtype, dtype)
 
     def test_batch_norm_strided_and_mixed_dtypes(self):
         rng = RNG(70)
@@ -447,10 +462,10 @@ class TestBitIdenticalKernels:
 
 
 class TestConvBn:
-    """``conv_bn`` is ``batch_norm(conv2d(...))``: exactly so in train mode
-    and wherever a graph is recorded, and within rounding in eval mode
-    under ``no_grad``, where it folds the batch norm into the conv's
-    output in place."""
+    """A conv into a batch norm, as every U-Net encoder and decoder block
+    runs it.  While a graph is recorded the batch norm uses batch
+    statistics, whatever ran before; inside ``no_grad`` it is the running-
+    statistics affine map and changes no state."""
 
     @staticmethod
     def layer(dtype, seed=80):
@@ -472,65 +487,86 @@ class TestConvBn:
     def composed(x, conv, bn, tiles=1):
         return nn.batch_norm(nn.conv2d(x, conv, tiles=tiles), bn, tiles=tiles)
 
-    def run_both(self, x, g, dtype, tiles, mode):
-        """Output, running statistics and every gradient of ``conv_bn``
-        and of the composition, each on its own copy of the layer."""
-        results = []
-        for op in (nn.conv_bn, self.composed):
-            conv, bn = self.layer(dtype)
-            bn.mode = mode
-            xt = Tensor(x, requires_grad=True, dtype=dtype)
-            out = op(xt, conv, bn, tiles)
-            out.backward(g)
-            results.append([out.data, bn.running_mean, bn.running_var,
-                            xt.grad, conv.kernel.grad, conv.bias.grad,
-                            bn.gamma.grad, bn.beta.grad])
-        return results
+    def run(self, x, g, dtype, tiles, infer_first):
+        """Output, running statistics and every gradient of one graph-
+        recording pass through a fresh layer, after an inference on it
+        when ``infer_first``."""
+        conv, bn = self.layer(dtype)
+        if infer_first:
+            with no_grad():
+                self.composed(Tensor(x, dtype=dtype), conv, bn, tiles)
+        xt = Tensor(x, requires_grad=True, dtype=dtype)
+        out = self.composed(xt, conv, bn, tiles)
+        out.backward(g)
+        return [out.data, bn.running_mean, bn.running_var, xt.grad,
+                conv.kernel.grad, conv.bias.grad, bn.gamma.grad, bn.beta.grad]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("tiles", [1, 2])
     def test_train_mode_is_the_composition(self, dtype, tiles):
+        """With a graph: the conv's output normalized by its own batch
+        statistics (``TestBitIdenticalKernels.reference_bn``), and the
+        conv's gradients those of that formula's input adjoint."""
         x = RNG(81).normal(size=(tiles * 6, 5, 3)).astype(dtype)
         g = RNG(82).normal(size=(tiles * 6, 5, 4)).astype(dtype)
-        fused, ref = self.run_both(x, g, dtype, tiles, "train")
-        for a, b in zip(fused, ref):
+        got = self.run(x, g, dtype, tiles, infer_first=False)
+        conv, bn = self.layer(dtype)
+        xr = Tensor(x, requires_grad=True, dtype=dtype)
+        y = nn.conv2d(xr, conv, tiles=tiles)
+        ref, mu, var, (dy, dgamma, dbeta) = \
+            TestBitIdenticalKernels.reference_bn(
+                y.data.reshape(tiles, -1, 4), g.reshape(tiles, -1, 4),
+                bn.gamma.data, bn.beta.data, nn.BN_EPS)
+        rm, rv = bn.running_mean, bn.running_var
+        for t in range(tiles):
+            rm = (1 - nn.BN_MOMENTUM) * rm + nn.BN_MOMENTUM * mu[t, 0]
+            rv = (1 - nn.BN_MOMENTUM) * rv + nn.BN_MOMENTUM * var[t, 0]
+        y.backward(dy.reshape(y.shape).astype(dtype))
+        want = [ref.reshape(y.shape), rm, rv, xr.grad, conv.kernel.grad,
+                conv.bias.grad, dgamma, dbeta]
+        for a, b in zip(got, want):
             assert_same_bits(a, b)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_eval_mode_with_a_graph_is_the_composition(self, dtype):
+        """An inference leaves nothing behind: a graph-recording pass after
+        one is bit for bit the pass on a fresh layer, and its gradients
+        pass ``grad_check``."""
         x = RNG(83).normal(size=(2 * 6, 5, 3)).astype(dtype)
         g = RNG(84).normal(size=(2 * 6, 5, 4)).astype(dtype)
-        fused, ref = self.run_both(x, g, dtype, 2, "eval")
-        for a, b in zip(fused, ref):
+        after = self.run(x, g, dtype, 2, infer_first=True)
+        fresh = self.run(x, g, dtype, 2, infer_first=False)
+        for a, b in zip(after, fresh):
             assert_same_bits(a, b)
         conv, bn = self.layer(np.float64)
-        bn.mode = "eval"
         x1 = t((6, 5, 3), seed=86)
         w = Tensor(RNG(85).normal(size=(6, 5, 4)))
-        assert grad_check(lambda v: (nn.conv_bn(v, conv, bn) * w).sum(),
+        assert grad_check(lambda v: (self.composed(v, conv, bn) * w).sum(),
                           x1) < TOL
 
         def fk(kernel):
             q = nn.Conv2dParams(kernel, conv.bias, stride=1, padding=1)
-            return (nn.conv_bn(x1, q, bn) * w).sum()
+            return (self.composed(x1, q, bn) * w).sum()
         assert grad_check(fk, conv.kernel) < TOL
 
-    # f32 parameters: the f64 running statistics widen the output, as
-    # in the composition
+    # f32 parameters: the f64 running statistics widen the output
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("tiles", [1, 2])
-    def test_eval_mode_without_a_graph_folds(self, dtype, tiles, monkeypatch):
+    def test_eval_mode_without_a_graph_folds(self, dtype, tiles):
+        """Inside ``no_grad``: the conv's output under the running-
+        statistics formula within 1e-12 relative, every state byte kept."""
         x = Tensor(RNG(87).normal(size=(tiles * 6, 5, 3)), dtype=dtype)
         conv, bn = self.layer(dtype)
-        bn.mode = "eval"
-        ref = self.composed(x, conv, bn, tiles).data
+        y = nn.conv2d(x, conv, tiles=tiles).data
+        ref = ((y - bn.running_mean) / np.sqrt(bn.running_var + nn.BN_EPS)
+               * bn.gamma.data + bn.beta.data)
         arrays = [conv.kernel.data, conv.bias.data, bn.gamma.data,
                   bn.beta.data, bn.running_mean, bn.running_var]
         before = [a.tobytes() for a in arrays]
-        monkeypatch.setattr(nn, "batch_norm", None)   # the fold calls none
         with no_grad():
-            out = nn.conv_bn(x, conv, bn, tiles=tiles)
+            out = self.composed(x, conv, bn, tiles)
         assert out.dtype == ref.dtype == np.float64
+        assert out._grad_fn is None and not out._parents
         np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=0)
         assert [a.tobytes() for a in arrays] == before
         assert arrays[4] is bn.running_mean and arrays[5] is bn.running_var

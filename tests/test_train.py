@@ -13,13 +13,25 @@ from canopyheights.hytec import HyTecConfig, init_hytec
 from canopyheights.losses import AdaptiveLossState, HyTecLossConfig
 from canopyheights.tensor import Tensor
 from canopyheights.unet import DualHeadOutput, unet_forward
-from canopyheights.unet import batch_norms as unet_batch_norms
 
 
 def tiny_samples(n_tiles=3, size=32, seed=21, shots=60):
     tiles = dp.synth_dataset(n_tiles, size, seed=seed, shots_per_tile=shots,
                              violation_rate=0.0)
     return tr.samples_from_tiles(tiles)
+
+
+def running_stats_forward(monkeypatch, params, cfg, sample):
+    """The graph-recording forward of a model whose every batch norm applies
+    the running-statistics formula ``(y - mean) / sqrt(var + eps) * gamma
+    + beta``."""
+    def bn(x, s, tiles=1):
+        inv = 1.0 / np.sqrt(s.running_var + nn.BN_EPS)
+        out = (x.data - s.running_mean) * inv * s.gamma.data + s.beta.data
+        return Tensor.from_op(out, (x,), lambda g: (g * inv * s.gamma.data,))
+    with monkeypatch.context() as m:
+        m.setattr(nn, "batch_norm", bn)
+        return tr._forward(params, cfg, [sample], np.float64)
 
 
 def tiny_settings(**kw):
@@ -59,6 +71,15 @@ class TestUnetTraining:
     def test_settings_below_one_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be at least 1"):
             tiny_settings(**{field: value})
+
+    @pytest.mark.parametrize("field", ["base_lr", "adaptive_lr", "lr_start",
+                                       "lr_peak", "warmup_epochs"])
+    @pytest.mark.parametrize("value", [-1, float("nan")])
+    def test_negative_rates_rejected(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"{field} must not be negative, got {value}"):
+            tiny_settings(**{field: value})
+        tiny_settings(**{field: 0})
 
     def test_dual_head_trace_has_ce_and_reg(self):
         samples = tiny_samples()
@@ -420,9 +441,7 @@ class TestDistillation:
         samples = tiny_samples(n_tiles=1)
         s = samples[0]
         res = tr.train_unet(samples, tiny_settings(arch="a2mdu", epochs=1))
-        optim.set_bn_mode(res.params, "eval")
-        graph = unet_forward(Tensor(s.s2), Tensor(s.s1), res.params,
-                             res.config)
+        graph = running_stats_forward(monkeypatch, res.params, res.config, s)
         assert graph.height._grad_fn is not None
         nodes = []
         from_op = Tensor.from_op
@@ -433,29 +452,34 @@ class TestDistillation:
             return out
         monkeypatch.setattr(Tensor, "from_op", staticmethod(recording))
         pred = tr.predict_heights(res.params, res.config, s)
-        # eval batch norm runs folded into its conv when no graph is kept
         np.testing.assert_allclose(pred, graph.height.data, rtol=1e-12,
                                    atol=0)
         assert nodes and all(n._grad_fn is None and not n._parents
                              for n in nodes)
 
     def test_inference_walks_no_model(self, monkeypatch):
+        """A prediction neither walks a model nor writes a byte of it."""
         s = tiny_samples(n_tiles=1)[0]
-        params, cfg = tr.make_unet("a2mdu", np.random.default_rng(3),
-                                   stem_width=4)
-        bns = [item for _, item in optim._walk(params)
-               if isinstance(item, nn.BatchNormState)]
+        models = [tr.make_unet(arch, np.random.default_rng(3), stem_width=4)
+                  for arch in tr.UNET_ARCHS]
         hy_cfg = HyTecConfig.desk_scale(image_size=32, patch=8, embed_dim=16,
                                         blocks=4, heads=2, l_hat=16)
-        hy_params = init_hytec(np.random.default_rng(4), hy_cfg)
+        models.append((init_hytec(np.random.default_rng(4), hy_cfg), hy_cfg))
+        before = [{k: a.tobytes() for k, a in
+                   optim.export_arrays(params).items()}
+                  for params, _ in models]
         walks = []
         walk = optim._walk
         monkeypatch.setattr(optim, "_walk",
                             lambda *args: walks.append(args) or walk(*args))
-        tr.predict_heights(params, cfg, s)
-        tr.predict_heights(hy_params, hy_cfg, s)
+        for params, cfg in models:
+            tr.predict_heights(params, cfg, s)
         assert walks == []
-        assert bns and all(bn.mode == "eval" for bn in bns)
+        monkeypatch.undo()
+        after = [{k: a.tobytes() for k, a in
+                  optim.export_arrays(params).items()}
+                 for params, _ in models]
+        assert after == before
 
     def test_predict_heights_positive_for_all_models(self):
         samples = tiny_samples(n_tiles=1)
@@ -468,27 +492,53 @@ class TestDistillation:
 
 
 class TestEvalPrediction:
-    """``predict_heights`` records no graph, so each eval batch norm runs
-    folded into its conv's output (``nn.conv_bn``); the graph-recording
-    eval forward runs the composition.  They agree within 1e-12."""
+    """``predict_heights`` records no graph, so every batch norm uses its
+    running statistics: within 1e-12 of a graph-recording forward whose
+    batch norms apply the running-statistics formula."""
 
     @pytest.mark.parametrize("arch", tr.UNET_ARCHS)
-    def test_unet_prediction_matches_the_graph_forward(self, arch):
+    def test_unet_prediction_matches_the_graph_forward(self, arch,
+                                                       monkeypatch):
         s = tiny_samples(n_tiles=1)[0]
         params, cfg = tr.make_unet(arch, np.random.default_rng(8),
                                    stem_width=4)
         rng = np.random.default_rng(9)
-        for bn in unet_batch_norms(params):
-            c = bn.gamma.shape[0]
-            bn.gamma.data[...] = rng.uniform(0.5, 1.5, c)
-            bn.beta.data[...] = rng.normal(size=c)
-            bn.running_mean = rng.normal(size=c)
-            bn.running_var = rng.uniform(0.5, 2.0, c)
+        for _, bn in optim._walk(params):
+            if isinstance(bn, nn.BatchNormState):
+                c = bn.gamma.shape[0]
+                bn.gamma.data[...] = rng.uniform(0.5, 1.5, c)
+                bn.beta.data[...] = rng.normal(size=c)
+                bn.running_mean = rng.normal(size=c)
+                bn.running_var = rng.uniform(0.5, 2.0, c)
         pred = tr.predict_heights(params, cfg, s)
-        out = tr._forward(params, cfg, [s], np.float64)
+        out = running_stats_forward(monkeypatch, params, cfg, s)
         ref = out.height if isinstance(out, DualHeadOutput) else out
         assert ref._grad_fn is not None
         np.testing.assert_allclose(pred, ref.data, rtol=1e-12, atol=0)
+
+    def test_training_after_a_prediction_is_unchanged(self):
+        """Two equal models, one of which predicted a tile first: one
+        graph-recording forward and backward on each gives the same
+        outputs, gradients and running statistics, bit for bit."""
+        s = tiny_samples(n_tiles=1)[0]
+        w = np.random.default_rng(10).normal(size=s.target_h.shape)
+        runs = []
+        for predict_first in (True, False):
+            params, cfg = tr.make_unet("a2mdu", np.random.default_rng(8),
+                                       stem_width=4)
+            if predict_first:
+                tr.predict_heights(params, cfg, s)
+            out = tr._forward(params, cfg, [s], np.float64)
+            (out.height * Tensor(w)).sum().backward()
+            grads = {k: t.grad for k, t in
+                     optim.collect_tensors(params).items()}
+            runs.append((out.height.data, out.probs.data, grads,
+                         optim.collect_state(params)))
+        (h1, p1, g1, st1), (h2, p2, g2, st2) = runs
+        assert h1.tobytes() == h2.tobytes() and p1.tobytes() == p2.tobytes()
+        assert g1.keys() == g2.keys() and st1.keys() == st2.keys() and st1
+        assert all(g1[k].tobytes() == g2[k].tobytes() for k in g1)
+        assert all(st1[k].tobytes() == st2[k].tobytes() for k in st1)
 
     def test_hytec_prediction_is_the_graph_forward(self):
         s = tiny_samples(n_tiles=1)[0]

@@ -7,7 +7,7 @@ from canopyheights import nn, optim
 from canopyheights.tensor import Tape, Tensor, grad_check
 from canopyheights.train import make_unet, UNET_ARCHS
 from canopyheights.unet import (DualHeadOutput, UNetConfig, _init_cdb,
-                                _init_ceb, _init_saa, batch_norms, cdb_forward,
+                                _init_ceb, _init_saa, cdb_forward,
                                 ceb_forward, head_dual, head_single,
                                 init_unet, saa_forward, unet_forward)
 
@@ -128,13 +128,6 @@ class TestFullModels:
         for arch in UNET_ARCHS:
             params, cfg = make_unet(arch, RNG(31), stem_width=4)
             assert params is not None and cfg.stem_width == 4
-
-    def test_batch_norms_are_every_state_a_model_walk_finds(self):
-        for arch in UNET_ARCHS:
-            params, _ = make_unet(arch, RNG(31), stem_width=4)
-            walked = [item for _, item in optim._walk(params)
-                      if isinstance(item, nn.BatchNormState)]
-            assert list(map(id, batch_norms(params))) == list(map(id, walked))
 
     def test_unknown_arch_rejected(self):
         with pytest.raises(ValueError):
