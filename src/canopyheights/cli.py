@@ -114,10 +114,17 @@ def cmd_synth(cfg, out_dir: str) -> None:
     if n_tiles < 1:
         # the compositing stack below is drawn over tile 0
         raise ValueError(f"[data] n_tiles must be at least 1, got {n_tiles}")
-    tiles = dp.synth_dataset(n_tiles,
-                             cfg.get("data", "tile_size"), seed,
-                             shots_per_tile=cfg.get("data", "shots_per_tile"),
-                             violation_rate=cfg.get("data", "violation_rate"))
+    shots_per_tile = cfg.get("data", "shots_per_tile")
+    if shots_per_tile < 0:
+        raise ValueError("[data] shots_per_tile must not be negative, "
+                         f"got {shots_per_tile}")
+    violation_rate = cfg.get("data", "violation_rate")
+    if not 0.0 <= violation_rate <= 1.0:      # NaN fails too
+        raise ValueError("[data] violation_rate must lie in [0, 1], "
+                         f"got {violation_rate}")
+    tiles = dp.synth_dataset(n_tiles, cfg.get("data", "tile_size"), seed,
+                             shots_per_tile=shots_per_tile,
+                             violation_rate=violation_rate)
     write_dataset(tiles, out_dir)
     # a small noisy time-series stack over tile 0 for compositing runs
     rng = np.random.default_rng(seed + 1)

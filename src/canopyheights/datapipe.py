@@ -16,6 +16,15 @@ groups cell ids with one stable sort; ``shots_to_csv`` formats whole
 columns.  Each of them also takes a list (or any iterable) of
 ``GediShot`` and converts it on entry through ``shot_table``, so code
 that builds shots one at a time, like ``synth_dataset``, keeps doing so.
+
+``synth_dataset`` draws every shot from one generator, value by value in
+a fixed order; the synthetic and acceptance data are that stream, so its
+draws are never reordered or batched.  The per-shot loop keeps numpy's
+draws but makes no scalar numpy calls around them: ``_clip``,
+``_uniform`` and ``_sign`` return what ``np.clip``,
+``Generator.uniform`` and ``Generator.choice`` return, bit for bit and
+with the same generator state, in plain Python
+(``tests/test_datapipe.py::TestShotStream`` pins both).
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -235,23 +245,30 @@ def rasterize_targets(shots: Sequence[GediShot], bounds: tuple,
     """Burn shot heights into a raster; later-timestamped shots win ties.
 
     ``bounds`` is (xmin, ymin, xmax, ymax) in local meters; shot lon/lat
-    are local meter coordinates.  Returns (target, mask).
+    are local meter coordinates.  Each pixel keeps the shot with the
+    latest ``acquired_at``, and of equal stamps the last one.  Returns
+    (target, mask).
     """
     xmin, ymin, xmax, ymax = bounds
     w = int(round((xmax - xmin) / pixel))
     h = int(round((ymax - ymin) / pixel))
     target = np.zeros((w, h))
     mask = np.zeros((w, h), dtype=bool)
-    stamp = np.full((w, h), -np.inf)
-    for s in shots:
-        if not (xmin <= s.lon < xmax and ymin <= s.lat < ymax):
-            raise ValueError("shot outside the tile bounds")
-        i = int((s.lon - xmin) // pixel)
-        j = int((s.lat - ymin) // pixel)
-        if s.acquired_at >= stamp[i, j]:
-            target[i, j] = s.rh98
-            mask[i, j] = True
-            stamp[i, j] = s.acquired_at
+    lon, lat, rh98, stamp = (np.array(list(map(attrgetter(name), shots)), float)
+                             for name in ("lon", "lat", "rh98", "acquired_at"))
+    if not np.all((xmin <= lon) & (lon < xmax) & (ymin <= lat) & (lat < ymax)):
+        raise ValueError("shot outside the tile bounds")
+    cell = np.ravel_multi_index((((lon - xmin) // pixel).astype(np.intp),
+                                 ((lat - ymin) // pixel).astype(np.intp)),
+                                (w, h))
+    # lexsort is stable, so each pixel's last row in (pixel, stamp) order
+    # is its latest shot, and of equal stamps the last in input order
+    order = np.lexsort((stamp, cell))
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = cell[order[1:]] != cell[order[:-1]]
+    won = order[last]
+    target.flat[cell[won]] = rh98[won]
+    mask.flat[cell[won]] = True
     return target, mask
 
 
@@ -500,40 +517,58 @@ def bands_from_height(heights: np.ndarray,
     return s2, s1
 
 
+def _clip(v: float, lo: float, hi: float) -> float:
+    """``float(np.clip(v, lo, hi))`` of Python floats, without numpy's
+    per-call cost: ``lo`` below, ``hi`` above, else ``v`` itself, so
+    -0.0 and NaN pass through as they do in numpy."""
+    return lo if v < lo else hi if v > hi else v
+
+
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """``rng.uniform(lo, hi)`` as numpy defines it, one ``next_double``
+    scaled to [lo, hi): the same value and the same generator state."""
+    return lo + (hi - lo) * rng.random()
+
+
+def _sign(rng: np.random.Generator) -> float:
+    """``rng.choice([-1.0, 1.0])`` as numpy draws it, one
+    ``integers(0, 2)``, without its array work."""
+    return (-1.0, 1.0)[int(rng.integers(0, 2))]
+
+
 def _make_shot(rng, x, y, rh98, t, violation=None) -> GediShot:
     """A clean shot, then at most one planted rule violation."""
-    elm = rng.uniform(100.0, 400.0)
-    cover = float(np.clip(rh98 / MAX_HEIGHT_M + rng.normal(0, 0.02), 0, 1))
-    kw = dict(
-        lon=x, lat=y, rh98=max(rh98, 0.0),
-        num_detectedmodes=int(rng.integers(1, 5)),
-        snr_db=rng.uniform(13.0, 30.0),
-        view_angle=rng.uniform(0.0, 4.5),
-        sensitivity=rng.uniform(0.955, 1.0),
-        elm=elm, srtm=elm + rng.uniform(-20.0, 20.0),
-        rx_sample_count=int(rng.integers(500, 1000)),
-        search_end=int(rng.integers(200, 400)),
-        canopy_cover=cover, ndvi30=float(np.clip(cover + rng.normal(0, 0.01), 0, 1)),
-        acquired_at=t,
-        beam_kind="full_power" if rng.random() < 0.5 else "coverage")
+    elm = _uniform(rng, 100.0, 400.0)
+    cover = _clip(rh98 / MAX_HEIGHT_M + rng.normal(0, 0.02), 0.0, 1.0)
+    modes = int(rng.integers(1, 5))
+    snr_db = _uniform(rng, 13.0, 30.0)
+    view_angle = _uniform(rng, 0.0, 4.5)
+    sensitivity = _uniform(rng, 0.955, 1.0)
+    srtm = elm + _uniform(rng, -20.0, 20.0)
+    rx_sample_count = int(rng.integers(500, 1000))
+    search_end = int(rng.integers(200, 400))
+    ndvi30 = _clip(cover + rng.normal(0, 0.01), 0.0, 1.0)
+    beam_kind = "full_power" if rng.random() < 0.5 else "coverage"
     if violation == "modes":
-        kw["num_detectedmodes"] = 0
+        modes = 0
     elif violation == "snr_va":
         if rng.random() < 0.5:
-            kw["snr_db"] = rng.uniform(2.0, 11.5)
+            snr_db = _uniform(rng, 2.0, 11.5)
         else:
-            kw["view_angle"] = rng.uniform(5.5, 8.0)
+            view_angle = _uniform(rng, 5.5, 8.0)
     elif violation == "sensitivity":
-        kw["sensitivity"] = rng.uniform(0.5, 0.94)
+        sensitivity = _uniform(rng, 0.5, 0.94)
     elif violation == "elevation":
-        kw["srtm"] = elm + rng.choice([-1.0, 1.0]) * rng.uniform(80.0, 200.0)
+        srtm = elm + _sign(rng) * _uniform(rng, 80.0, 200.0)
     elif violation == "waveform":
-        kw["search_end"] = kw["rx_sample_count"] - int(rng.integers(0, 2))
+        search_end = rx_sample_count - int(rng.integers(0, 2))
     elif violation == "ndvi":
-        kw["ndvi30"] = float(np.clip(kw["canopy_cover"] + 5.0, 0, None))
+        ndvi30 = cover + 5.0            # cover lies in [0, 1]
     elif violation is not None:
         raise ValueError(f"unknown violation {violation!r}")
-    return GediShot(**kw)
+    return GediShot(x, y, max(rh98, 0.0), modes, snr_db, view_angle,
+                    sensitivity, elm, srtm, rx_sample_count, search_end,
+                    cover, ndvi30, t, beam_kind)
 
 
 def synth_dataset(n_tiles: int, size: int, seed: int,
@@ -559,8 +594,8 @@ def synth_dataset(n_tiles: int, size: int, seed: int,
             j = int(rng.integers(0, size))
             x = bounds[0] + (i + 0.5) * PIXEL_SIZE_M
             y = bounds[1] + (j + 0.5) * PIXEL_SIZE_M
-            rh = float(heights[i, j] + rng.normal(0, 0.3))
-            rh = float(np.clip(rh, 0.0, MAX_HEIGHT_M))
+            rh = _clip(float(heights[i, j]) + rng.normal(0, 0.3),
+                       0.0, MAX_HEIGHT_M)
             violation = None
             if rng.random() < violation_rate:
                 violation = FILTER_RULES[int(rng.integers(len(FILTER_RULES)))]

@@ -330,8 +330,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    """Concatenate along ``axis``; other extents must agree."""
+    """Concatenate along ``axis`` (negative counts from the end); other
+    extents must agree."""
     ref = tensors[0].shape
+    if not -len(ref) <= axis < len(ref):
+        raise ValueError(f"concat axis {axis} out of range for rank {len(ref)}")
+    axis %= len(ref)
     for t in tensors[1:]:
         if len(t.shape) != len(ref):
             raise ValueError("concat rank mismatch")

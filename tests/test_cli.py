@@ -477,6 +477,24 @@ class TestErrors:
             in caplog.text
         assert not os.path.exists(tmp_path / "d")
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("shots_per_tile", -1, "shots_per_tile must not be negative, got -1"),
+        ("violation_rate", 1.5, "violation_rate must lie in [0, 1], got 1.5"),
+        ("violation_rate", -0.1, "violation_rate must lie in [0, 1], got -0.1"),
+        ("violation_rate", float("nan"),
+         "violation_rate must lie in [0, 1], got nan"),
+    ], ids=["shots_negative", "rate_above_1", "rate_below_0", "rate_nan"])
+    def test_synth_rejects_malformed_data_entry(self, tmp_path, monkeypatch,
+                                                caplog, key, value, message):
+        monkeypatch.delenv("CANOPY_LOG", raising=False)
+        cfg = small_cfg()
+        cfg.set("data", key, value)
+        with caplog.at_level(logging.ERROR, logger="canopyheights"):
+            assert run(cfg, ["synth", "--out", str(tmp_path / "d")],
+                       tmp_path) == 1
+        assert f"ValueError: [data] {message}" in caplog.text
+        assert not os.path.exists(tmp_path / "d")
+
     def test_grid_with_no_retained_shot_returns_one(self, workspace, tmp_path,
                                                     monkeypatch, caplog):
         monkeypatch.delenv("CANOPY_LOG", raising=False)

@@ -2,6 +2,8 @@
 
 import csv
 import dataclasses
+import hashlib
+import inspect
 import io
 import math
 import re
@@ -249,6 +251,32 @@ class TestRasterize:
         with pytest.raises(ValueError):
             dp.rasterize_targets([clean_shot(lon=25.0)], (0, 0, 20, 20))
 
+    def test_matches_a_sequential_burn(self):
+        """Many shots per pixel and many equal stamps: each pixel keeps the
+        latest shot, and of equal stamps the last one, as a burn in input
+        order that replaces on ``>=`` does."""
+        rng = np.random.default_rng(4)
+        bounds = (100.0, 50.0, 160.0, 90.0)
+        shots = [clean_shot(lon=float(rng.uniform(100.0, 160.0)),
+                            lat=float(rng.uniform(50.0, 90.0)),
+                            rh98=float(k), acquired_at=int(rng.integers(0, 3)))
+                 for k in range(300)]
+        want = np.zeros((6, 4))
+        stamp = np.full((6, 4), -np.inf)
+        for s in shots:
+            i, j = int((s.lon - 100.0) // 10.0), int((s.lat - 50.0) // 10.0)
+            if s.acquired_at >= stamp[i, j]:
+                want[i, j], stamp[i, j] = s.rh98, s.acquired_at
+        for given in (shots, dp.shot_table(shots)):
+            target, mask = dp.rasterize_targets(given, bounds)
+            np.testing.assert_array_equal(target, want)
+            assert mask.all()
+
+    def test_no_shots_burn_nothing(self):
+        target, mask = dp.rasterize_targets([], (0.0, 0.0, 30.0, 20.0))
+        assert target.shape == mask.shape == (3, 2)
+        assert not target.any() and not mask.any()
+
 
 class TestGrid:
     def test_height_range_ratios_oracle(self):
@@ -420,6 +448,80 @@ class TestSynthetic:
         dp.shots_to_csv(tiles[0].shots, path)
         back = dp.shots_from_csv(path)
         assert [dp.GediShot(*row) for row in back.tolist()] == tiles[0].shots
+
+
+def synth_digest(tiles) -> str:
+    """SHA-256 over every tile array, every shot field and every label."""
+    h = hashlib.sha256()
+    for t in tiles:
+        for a in (t.s2, t.s1, t.heights, t.target, t.mask):
+            h.update(np.ascontiguousarray(a).tobytes())
+        for name in dp.SHOT_FIELDS:
+            col = [getattr(s, name) for s in t.shots]
+            if dp.SHOT_DTYPE[name] == object:
+                h.update("\n".join(col).encode())
+            else:
+                h.update(np.array(col, dp.SHOT_DTYPE[name]).tobytes())
+        h.update("\n".join(t.shot_labels).encode())
+        h.update(repr(t.bounds).encode())
+    return h.hexdigest()
+
+
+class TestShotStream:
+    """The synthetic shots are the acceptance data: ``synth_dataset`` must
+    keep drawing the same values in the same order, and its scalar helpers
+    must equal the numpy calls they stand for, bit for bit."""
+
+    # digests of the stream as drawn through numpy's own scalar calls
+    # (np.clip, Generator.uniform, Generator.choice)
+    @pytest.mark.parametrize("n_tiles,seed,shots,rate,digest", [
+        # every shot carries a planted violation, so every branch draws
+        (2, 7, 300, 1.0,
+         "ab08dfc59d06475955a14852575474842ec1e30f3cac81d8c95f164b7da1432a"),
+        (3, 1, 120, 0.2,
+         "ac0b9050f7b1c38aed1b98382faa6ee194550b0d0721f7dece0e257d69b6c6de"),
+    ])
+    def test_stream_is_pinned(self, n_tiles, seed, shots, rate, digest):
+        tiles = dp.synth_dataset(n_tiles, 32, seed, shots_per_tile=shots,
+                                 violation_rate=rate)
+        if rate == 1.0:
+            assert set(dp.FILTER_RULES) <= {lab for t in tiles
+                                            for lab in t.shot_labels}
+        assert synth_digest(tiles) == digest
+
+    @staticmethod
+    def bits(values) -> bytes:
+        return np.asarray(values, dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (0.0, dp.MAX_HEIGHT_M)])
+    def test_clip_is_numpy_clip(self, lo, hi):
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, lo, hi,
+                   math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
+        assert self.bits([dp._clip(v, lo, hi) for v in special]) == \
+            self.bits([float(np.clip(v, lo, hi)) for v in special])
+        v = np.random.default_rng(5).normal(hi / 2, hi, 10 ** 5)
+        assert self.bits([dp._clip(x, lo, hi) for x in v.tolist()]) == \
+            self.bits(np.clip(v, lo, hi))
+
+    # every (lo, hi) that datapipe passes to _uniform
+    UNIFORM_BOUNDS = sorted({(float(lo), float(hi)) for lo, hi in re.findall(
+        r"_uniform\(rng, ([-\d.]+), ([-\d.]+)\)", inspect.getsource(dp))})
+
+    def test_uniform_bounds_are_found(self):
+        assert len(self.UNIFORM_BOUNDS) == 9
+
+    @pytest.mark.parametrize("lo,hi", UNIFORM_BOUNDS)
+    def test_uniform_is_generator_uniform(self, lo, hi):
+        ours, numpys = np.random.default_rng(6), np.random.default_rng(6)
+        got = [dp._uniform(ours, lo, hi) for _ in range(10 ** 5)]
+        assert self.bits(got) == self.bits(numpys.uniform(lo, hi, 10 ** 5))
+        assert ours.bit_generator.state == numpys.bit_generator.state
+
+    def test_sign_is_generator_choice(self):
+        ours, numpys = np.random.default_rng(8), np.random.default_rng(8)
+        got = [dp._sign(ours) for _ in range(10 ** 5)]
+        assert self.bits(got) == self.bits(numpys.choice([-1.0, 1.0], 10 ** 5))
+        assert ours.bit_generator.state == numpys.bit_generator.state
 
 
 class TestGaussianFilter:

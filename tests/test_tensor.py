@@ -113,6 +113,21 @@ class TestPrimitiveGradients:
             return concat([x, other], axis=0).mean()
         assert grad_check(f, rand((3, 6))) < TOL
 
+    def test_concat_negative_axis(self):
+        other = rand((2, 5), seed=4)
+        x = rand((2, 3))
+        np.testing.assert_array_equal(concat([x, other], axis=-1).data,
+                                      concat([x, other], axis=1).data)
+
+        def f(x):
+            return concat([x, other], axis=-1).mean()
+        assert grad_check(f, rand((2, 3))) < TOL
+
+    @pytest.mark.parametrize("axis", [2, -3])
+    def test_concat_rejects_axis_out_of_range(self, axis):
+        with pytest.raises(ValueError, match="out of range"):
+            concat([rand((2, 3)), rand((2, 3))], axis=axis)
+
     def test_tpow_tensor_exponent(self):
         def f(x):
             return tpow(x, Tensor(np.full(x.shape, 1.7))).sum()
