@@ -8,14 +8,15 @@ predicted maps).  Everything is seeded; single-threaded runs are
 byte-reproducible.  Every output file is written under a temporary name
 and renamed into place once complete (``tensor.atomic_open``), so a
 crashed stage leaves the previous file, or none, for the next stage to
-read.  ``CANOPY_LOG`` sets the log level.
+read.  Each report is one ``tensor.write_csv`` call, a missing statistic
+``None``.  ``CANOPY_LOG`` sets the log level.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import glob
+import itertools
 import logging
 import os
 import sys
@@ -28,7 +29,7 @@ from . import metrics as mt
 from . import train as tr
 from .hytec import HyTecConfig, init_hytec
 from .losses import HeightBinning, HyTecLossConfig
-from .tensor import atomic_open, load_tensor, save_tensor
+from .tensor import load_tensor, save_tensor, write_csv
 
 log = logging.getLogger("canopyheights")
 
@@ -40,11 +41,13 @@ def _bins_from_config(cfg) -> HeightBinning:
                          overlap=cfg.get("loss", "overlap"))
 
 
-def _loss_from_config(cfg) -> HyTecLossConfig:
-    return HyTecLossConfig(betas=tuple(cfg.floats("loss", "betas")),
-                           alpha_cr=cfg.get("loss", "alpha_cr"),
-                           delta=cfg.get("loss", "delta"),
-                           consensus_tol=cfg.get("loss", "consensus_tol"))
+def _positive(cfg, section: str, key: str) -> float:
+    """The config entry ``[section] key``, or a ``ValueError`` naming it
+    unless it is above 0."""
+    value = cfg.get(section, key)
+    if not value > 0:   # NaN fails too
+        raise ValueError(f"[{section}] {key} must be positive, got {value}")
+    return value
 
 
 # -- dataset directory layout -----------------------------------------
@@ -54,27 +57,18 @@ TILE_PARTS = ("s2", "s1", "heights", "target", "mask")
 
 def write_dataset(tiles, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    shots, rows = [], []
     for i, t in enumerate(tiles):
         for part in TILE_PARTS:
-            arr = getattr(t, part)
             save_tensor(os.path.join(out_dir, f"tile_{i:03d}.{part}.tnsr"),
-                        np.asarray(arr, dtype=float))
-        shots.extend(t.shots)
-        rows.append([i, *t.bounds, len(t.shots)])
-    dp.shots_to_csv(shots, os.path.join(out_dir, "shots.csv"))
-    with atomic_open(os.path.join(out_dir, "labels.csv"), "w",
-                     newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tile", "shot", "label"])
-        for i, t in enumerate(tiles):
-            for j, lab in enumerate(t.shot_labels):
-                w.writerow([i, j, lab])
-    with atomic_open(os.path.join(out_dir, "manifest.csv"), "w",
-                     newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tile", "xmin", "ymin", "xmax", "ymax", "n_shots"])
-        w.writerows(rows)
+                        np.asarray(getattr(t, part), dtype=float))
+    dp.shots_to_csv([s for t in tiles for s in t.shots],
+                    os.path.join(out_dir, "shots.csv"))
+    write_csv(os.path.join(out_dir, "labels.csv"), ["tile", "shot", "label"],
+              ([i, j, lab] for i, t in enumerate(tiles)
+               for j, lab in enumerate(t.shot_labels)))
+    write_csv(os.path.join(out_dir, "manifest.csv"),
+              ["tile", "xmin", "ymin", "xmax", "ymax", "n_shots"],
+              ([i, *t.bounds, len(t.shots)] for i, t in enumerate(tiles)))
 
 
 def read_dataset(dataset_dir: str) -> list:
@@ -99,6 +93,10 @@ def _samples(cfg) -> list:
     rng = np.random.default_rng(cfg.get("run", "seed") + 17)
     out = []
     for t in read_dataset(cfg.get("data", "dataset_dir")):
+        w, h = t.s2.shape[:2]
+        if not 1 <= size <= min(w, h):
+            raise ValueError(f"[model] input_size must lie in [1, {min(w, h)}]"
+                             f" for {w} x {h} px dataset tiles, got {size}")
         (s2, s1, th, m), _ = dp.sample_patch(
             [t.s2, t.s1, t.target, np.asarray(t.mask, dtype=float)],
             size, rng)
@@ -114,6 +112,7 @@ def cmd_synth(cfg, out_dir: str) -> None:
     if n_tiles < 1:
         # the compositing stack below is drawn over tile 0
         raise ValueError(f"[data] n_tiles must be at least 1, got {n_tiles}")
+    tile_size = _positive(cfg, "data", "tile_size")
     shots_per_tile = cfg.get("data", "shots_per_tile")
     if shots_per_tile < 0:
         raise ValueError("[data] shots_per_tile must not be negative, "
@@ -122,7 +121,7 @@ def cmd_synth(cfg, out_dir: str) -> None:
     if not 0.0 <= violation_rate <= 1.0:      # NaN fails too
         raise ValueError("[data] violation_rate must lie in [0, 1], "
                          f"got {violation_rate}")
-    tiles = dp.synth_dataset(n_tiles, cfg.get("data", "tile_size"), seed,
+    tiles = dp.synth_dataset(n_tiles, tile_size, seed,
                              shots_per_tile=shots_per_tile,
                              violation_rate=violation_rate)
     write_dataset(tiles, out_dir)
@@ -146,13 +145,9 @@ def cmd_filter(cfg, out_dir: str) -> None:
     retained, counts = dp.filter_gedi(shots)
     os.makedirs(out_dir, exist_ok=True)
     dp.shots_to_csv(retained, os.path.join(out_dir, "retained.csv"))
-    with atomic_open(os.path.join(out_dir, "filter_report.csv"), "w",
-                     newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["rule", "rejected"])
-        for rule in dp.FILTER_RULES:
-            w.writerow([rule, counts[rule]])
-        w.writerow(["retained", len(retained)])
+    write_csv(os.path.join(out_dir, "filter_report.csv"), ["rule", "rejected"],
+              [*([rule, counts[rule]] for rule in dp.FILTER_RULES),
+               ["retained", len(retained)]])
     log.info("retained %d of %d shots", len(retained), len(shots))
 
 
@@ -168,21 +163,9 @@ def cmd_composite(cfg, out_dir: str) -> None:
     comp, missing = dp.median_composite(stack)
     os.makedirs(out_dir, exist_ok=True)
     save_tensor(os.path.join(out_dir, "composite.tnsr"), comp)
-    with atomic_open(os.path.join(out_dir, "composite_report.csv"), "w",
-                     newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["frames", "missing_pixels"])
-        w.writerow([len(frames), missing])
+    write_csv(os.path.join(out_dir, "composite_report.csv"),
+              ["frames", "missing_pixels"], [[len(frames), missing]])
     log.info("composited %d frames, %d missing pixels", len(frames), missing)
-
-
-def _positive(cfg, section: str, key: str) -> float:
-    """The config entry ``[section] key``, or a ``ValueError`` naming it
-    unless it is above 0."""
-    value = cfg.get(section, key)
-    if not value > 0:   # NaN fails too
-        raise ValueError(f"[{section}] {key} must be positive, got {value}")
-    return value
 
 
 def cmd_grid(cfg, out_dir: str) -> None:
@@ -215,7 +198,10 @@ def _settings_from_config(cfg, out_dir: str) -> tr.TrainSettings:
         lr_peak=cfg.get("optimizer", "lr_peak"),
         seed=cfg.get("run", "seed"),
         stem_width=cfg.get("model", "stem_width"),
-        loss=_loss_from_config(cfg),
+        loss=HyTecLossConfig(betas=tuple(cfg.floats("loss", "betas")),
+                             alpha_cr=cfg.get("loss", "alpha_cr"),
+                             delta=cfg.get("loss", "delta"),
+                             consensus_tol=cfg.get("loss", "consensus_tol")),
         bins=_bins_from_config(cfg),
         checkpoint_dir=os.path.join(out_dir, "checkpoints"))
 
@@ -267,19 +253,12 @@ def cmd_train(cfg, out_dir: str, resume: bool = False) -> None:
              result.trace[-1][2] if result.trace else float("nan"))
 
 
-GSI_COLUMNS = ["patch", "si_output", "si_reference", "gsi",
-               "effective_resolution_m"]
-
-
 def _write_gsi_csv(path: str, reports: list, tail=()) -> None:
-    """One row per sharpness report (exact ``repr`` floats), then ``tail``."""
-    with atomic_open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(GSI_COLUMNS)
-        w.writerows([i, repr(r.si_output), repr(r.si_reference), repr(r.gsi),
-                     repr(r.effective_resolution_m)]
-                    for i, r in enumerate(reports))
-        w.writerows(tail)
+    """One row per sharpness report, then the rows of ``tail``."""
+    rows = ([i, r.si_output, r.si_reference, r.gsi, r.effective_resolution_m]
+            for i, r in enumerate(reports))
+    write_csv(path, ["patch", "si_output", "si_reference", "gsi",
+                     "effective_resolution_m"], itertools.chain(rows, tail))
 
 
 def cmd_eval(cfg, out_dir: str) -> None:
@@ -301,15 +280,10 @@ def cmd_eval(cfg, out_dir: str) -> None:
     yhat = np.concatenate(yhats)
 
     overall = mt.summary_stats(y, yhat)
-    with atomic_open(os.path.join(out_dir, "overall.csv"), "w",
-                     newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "r", "rmse", "rmspe", "bias", "sdsd", "lcs"])
-        w.writerow([overall.n,
-                    "" if overall.r is None else repr(overall.r),
-                    repr(overall.rmse),
-                    "" if overall.rmspe is None else repr(overall.rmspe),
-                    repr(overall.bias), repr(overall.sdsd), repr(overall.lcs)])
+    write_csv(os.path.join(out_dir, "overall.csv"),
+              ["n", "r", "rmse", "rmspe", "bias", "sdsd", "lcs"],
+              [[overall.n, overall.r, overall.rmse, overall.rmspe,
+                overall.bias, overall.sdsd, overall.lcs]])
     edges = np.arange(0.0, top + step, step)
     mt.report_to_csv(mt.binned_report(y, yhat, edges),
                      os.path.join(out_dir, "binned.csv"))
@@ -328,8 +302,8 @@ def cmd_gsi(cfg, out_dir: str) -> None:
     reports = [mt.gsi(load_tensor(p), s.s2) for p, s in zip(preds, samples)]
     mean_gsi = float(np.mean([r.gsi for r in reports]))
     _write_gsi_csv(os.path.join(out_dir, "gsi.csv"), reports,
-                   [["mean", "", "", repr(mean_gsi),
-                     repr(mt.resolution_from_gsi(mean_gsi))]])
+                   [["mean", None, None, mean_gsi,
+                     mt.resolution_from_gsi(mean_gsi)]])
     log.info("mean gsi %.3f over %d patches", mean_gsi, len(reports))
 
 

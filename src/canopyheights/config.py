@@ -12,6 +12,8 @@ import copy
 import io
 from typing import Optional
 
+from .train import UNET_CONFIGS
+
 # section -> key -> (type, default)
 SCHEMA = {
     "run": {
@@ -64,7 +66,7 @@ SCHEMA = {
     },
 }
 
-VALID_ARCHS = ("2mou", "2mdu", "a2mdu", "teacher_s1", "teacher_s2", "hytec")
+VALID_ARCHS = (*UNET_CONFIGS, "hytec")
 
 
 def _typed(typ, value, section: str, key: str):
@@ -122,19 +124,13 @@ class RunConfig:
         return self
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def serialize(cfg: RunConfig) -> str:
     """Canonical INI text in schema order."""
     out = io.StringIO()
     for section in SCHEMA:
         out.write(f"[{section}]\n")
         for key in SCHEMA[section]:
-            out.write(f"{key} = {_fmt(cfg.get(section, key))}\n")
+            out.write(f"{key} = {cfg.get(section, key)}\n")
         out.write("\n")
     return out.getvalue()
 

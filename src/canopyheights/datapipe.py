@@ -39,7 +39,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .tensor import atomic_open
+from .tensor import atomic_open, write_csv
 
 RAIN_LIMIT_MM = 40.0
 MIN_CELL_SHOTS = 600
@@ -706,10 +706,7 @@ def shots_from_csv(path: str) -> np.recarray:
 
 
 def grid_to_csv(cells: Sequence[GridCell], path: str) -> None:
-    with atomic_open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["col", "row", "xmin", "ymin", "xmax", "ymax",
-                    "n_shots", "set_id", "split", "duplication"])
-        for c in cells:
-            w.writerow([c.cell_id[0], c.cell_id[1], *c.bounds,
-                        len(c.shot_indices), c.set_id, c.split, c.duplication])
+    write_csv(path, ["col", "row", "xmin", "ymin", "xmax", "ymax", "n_shots",
+                     "set_id", "split", "duplication"],
+              ([*c.cell_id, *c.bounds, len(c.shot_indices), c.set_id, c.split,
+                c.duplication] for c in cells))

@@ -43,8 +43,8 @@ class HeightBinning:
             raise ValueError("need at least 2 base edges")
         if not np.all(np.diff(self.base_edges) > 0):
             raise ValueError("base edges must be strictly ascending")
-        if self.overlap < 0:
-            raise ValueError("overlap must be non-negative")
+        if not self.overlap >= 0:    # NaN fails too
+            raise ValueError(f"overlap must be non-negative, got {self.overlap}")
 
     @property
     def k(self) -> int:
@@ -262,10 +262,13 @@ class HyTecLossConfig:
         if len(self.betas) != 4:
             raise ValueError(f"betas needs 4 values (3 auxiliary terms and "
                              f"the main term), got {len(self.betas)}")
-        if any(b < 0 for b in self.betas) or self.alpha_cr < 0:
+        # each check is written so that NaN fails it too
+        if not all(b >= 0 for b in (*self.betas, self.alpha_cr)):
             raise ValueError("scale factors must be non-negative")
-        if self.delta <= 0 or self.consensus_tol <= 0:
-            raise ValueError("delta and consensus_tol must be positive")
+        for name, value in (("delta", self.delta),
+                            ("consensus_tol", self.consensus_tol)):
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 def combined_cr_loss(probs: Tensor, reg: Tensor, target: ClassTarget,

@@ -6,14 +6,13 @@ derivation, and per-height-range reporting.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .tensor import atomic_open
+from .tensor import write_csv
 
 RMSPE_MIN_HEIGHT_M = 1.0
 
@@ -237,19 +236,10 @@ REPORT_COLUMNS = ["range_lo", "range_hi", "n", "r", "rmse", "rmspe",
                   "bias", "sdsd", "lcs"]
 
 
-def _fmt(v) -> str:
-    return "" if v is None else repr(float(v))
-
-
 def report_to_csv(rows: list, path: str) -> None:
     """Emit binned_report rows as CSV (empty buckets keep their range)."""
-    with atomic_open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(REPORT_COLUMNS)
-        for (lo, hi), rep in rows:
-            if rep is None:
-                w.writerow([lo, hi, 0, "", "", "", "", "", ""])
-            else:
-                w.writerow([lo, hi, rep.n, _fmt(rep.r), _fmt(rep.rmse),
-                            _fmt(rep.rmspe), _fmt(rep.bias), _fmt(rep.sdsd),
-                            _fmt(rep.lcs)])
+    write_csv(path, REPORT_COLUMNS,
+              ([lo, hi, 0] + [None] * 6 if rep is None else
+               [lo, hi, rep.n, rep.r, rep.rmse, rep.rmspe, rep.bias, rep.sdsd,
+                rep.lcs]
+               for (lo, hi), rep in rows))

@@ -16,12 +16,14 @@ arrays, and the scalar losses on top of it are f64.
 
 The TNSR/1 writers and the CLI write each output file through
 ``atomic_open``: under a temporary name, renamed into place once complete.
+``write_csv`` writes every CSV but the column-formatted shot tables.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import csv
 import math
 import os
 import struct
@@ -485,6 +487,18 @@ def atomic_open(path, mode: str = "w", **kwargs):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_csv(path, header: Sequence, rows) -> None:
+    """Write ``header``, then ``rows`` (any iterable, read once), as one
+    CSV file through ``atomic_open``: a float or ``np.float64`` as its
+    ``repr``, ``None`` as an empty field, ``\\r\\n`` line ends.  An
+    ``np.float32`` is no float and comes out short (``0.1``, where the
+    float64 it widens to is ``0.10000000149011612``): pass floats."""
+    with atomic_open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 _TNSR_MAGIC = b"TNSR"

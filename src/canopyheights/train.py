@@ -46,7 +46,6 @@ checkpoint.
 from __future__ import annotations
 
 import contextlib
-import csv
 import os
 import re
 from dataclasses import dataclass, field
@@ -59,18 +58,19 @@ from .hytec import HyTecConfig, HyTecOutputs, hytec_forward, init_hytec
 from .losses import (AdaptiveLossState, ClassTarget, HyTecLossConfig,
                      bin_assign_map, combined_cr_loss, huber,
                      hytec_total_loss, kd_teacher_consensus)
-from .tensor import Tensor, atomic_open, no_grad, read_record, write_record
+from .tensor import (Tensor, atomic_open, no_grad, read_record, write_csv,
+                     write_record)
 from .unet import (DualHeadOutput, UNetConfig, UNetParams, init_unet,
                    unet_forward)
 
 # each convolutional variant's UNetConfig (in_channels_s2, in_channels_s1,
-# head_kind); a teacher's one encoder reads one modality
+# head_kind) and adaptive-loss flag; a teacher's encoder reads one modality
 UNET_CONFIGS = {
-    "2mou": (10, 2, "single"),
-    "2mdu": (10, 2, "dual"),
-    "a2mdu": (10, 2, "dual"),
-    "teacher_s1": (2, None, "single"),
-    "teacher_s2": (10, None, "single"),
+    "2mou": (10, 2, "single", False),
+    "2mdu": (10, 2, "dual", False),
+    "a2mdu": (10, 2, "dual", True),
+    "teacher_s1": (2, None, "single", False),
+    "teacher_s2": (10, None, "single", False),
 }
 UNET_ARCHS = tuple(UNET_CONFIGS)
 TRACE_COLUMNS = ["step", "lr", "total", "aux1", "aux2", "aux3", "ce", "reg"]
@@ -145,7 +145,7 @@ def make_unet(arch: str, rng: np.random.Generator,
     """Fresh parameters and model configuration for a named variant."""
     if arch not in UNET_CONFIGS:
         raise ValueError(f"unknown architecture {arch!r}")
-    c_s2, c_s1, head = UNET_CONFIGS[arch]
+    c_s2, c_s1, head, _ = UNET_CONFIGS[arch]
     cfg = UNetConfig(in_channels_s2=c_s2, in_channels_s1=c_s1,
                      stem_width=stem_width, head_kind=head,
                      bins=bins if head == "dual" else None)
@@ -316,12 +316,7 @@ def load_checkpoint(path: str, model, adaptive=None) -> dict:
 
 
 def write_trace(rows: Sequence[Sequence], path: str) -> None:
-    with atomic_open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_COLUMNS)
-        for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, float) else v
-                        for v in row])
+    write_csv(path, TRACE_COLUMNS, rows)
 
 
 # -- the shared training loop -----------------------------------------
@@ -456,7 +451,8 @@ def train_unet(samples: Sequence[Sample], settings: TrainSettings,
     rng = np.random.default_rng(settings.seed)
     params, cfg = make_unet(settings.arch, rng, settings.stem_width,
                             settings.bins)
-    adaptive = AdaptiveLossState.create() if settings.arch == "a2mdu" else None
+    adaptive = (AdaptiveLossState.create() if UNET_CONFIGS[settings.arch][3]
+                else None)
 
     optimizers = [optim.SGD(optim.collect_tensors(params), settings.base_lr)]
     if adaptive is not None:

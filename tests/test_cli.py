@@ -358,7 +358,7 @@ class TestCrashSafeOutputs:
 
     @pytest.mark.parametrize("previous", [True, False])
     @pytest.mark.parametrize("writer", ["trace", "shots", "grid", "report",
-                                        "gsi"])
+                                        "gsi", "write_csv"])
     def test_interrupted_csv_writer(self, workspace, tmp_path, writer,
                                     previous):
         _, _, ds = workspace
@@ -376,6 +376,9 @@ class TestCrashSafeOutputs:
                        mt.report_to_csv),
             "gsi": ([["mean", "", "", "1.0", "10.0"], ["tail", "", "", "", ""]],
                     lambda tail, p: cli._write_gsi_csv(p, [], tail)),
+            "write_csv": ([[0, 0.5, None], [1, "a,b", 2.5]],
+                          lambda items, p: tn.write_csv(p, ["k", "u", "v"],
+                                                        items)),
         }
         items, write = rows[writer]
         path = str(tmp_path / f"{writer}.csv")
@@ -451,6 +454,11 @@ class TestErrors:
         (("optimizer", "lr"), -1.0, "base_lr must not be negative, got -1.0"),
         (("optimizer", "lr_adaptive"), -1e-5,
          "adaptive_lr must not be negative, got -1e-05"),
+        (("loss", "consensus_tol"), float("nan"),
+         "consensus_tol must be positive, got nan"),
+        (("loss", "delta"), float("nan"), "delta must be positive, got nan"),
+        (("loss", "overlap"), float("nan"),
+         "overlap must be non-negative, got nan"),
     ])
     def test_malformed_training_config_returns_one(
             self, workspace, tmp_path, monkeypatch, caplog, key, value,
@@ -478,12 +486,15 @@ class TestErrors:
         assert not os.path.exists(tmp_path / "d")
 
     @pytest.mark.parametrize("key,value,message", [
+        ("tile_size", 0, "tile_size must be positive, got 0"),
+        ("tile_size", -8, "tile_size must be positive, got -8"),
         ("shots_per_tile", -1, "shots_per_tile must not be negative, got -1"),
         ("violation_rate", 1.5, "violation_rate must lie in [0, 1], got 1.5"),
         ("violation_rate", -0.1, "violation_rate must lie in [0, 1], got -0.1"),
         ("violation_rate", float("nan"),
          "violation_rate must lie in [0, 1], got nan"),
-    ], ids=["shots_negative", "rate_above_1", "rate_below_0", "rate_nan"])
+    ], ids=["tile_zero", "tile_negative", "shots_negative", "rate_above_1",
+            "rate_below_0", "rate_nan"])
     def test_synth_rejects_malformed_data_entry(self, tmp_path, monkeypatch,
                                                 caplog, key, value, message):
         monkeypatch.delenv("CANOPY_LOG", raising=False)
@@ -494,6 +505,21 @@ class TestErrors:
                        tmp_path) == 1
         assert f"ValueError: [data] {message}" in caplog.text
         assert not os.path.exists(tmp_path / "d")
+
+    @pytest.mark.parametrize("command,size", [
+        ("train", 64), ("eval", 64), ("gsi", 33), ("train", 0), ("train", -4)])
+    def test_input_that_does_not_fit_the_tiles_returns_one(
+            self, workspace, tmp_path, monkeypatch, caplog, command, size):
+        monkeypatch.delenv("CANOPY_LOG", raising=False)
+        _, cfg, _ = workspace
+        cfg = cfg.copy()
+        cfg.set("model", "input_size", size)
+        out = tmp_path / "o"
+        with caplog.at_level(logging.ERROR, logger="canopyheights"):
+            assert run(cfg, [command, "--out", str(out)], tmp_path) == 1
+        assert ("ValueError: [model] input_size must lie in [1, 32] for "
+                f"32 x 32 px dataset tiles, got {size}") in caplog.text
+        assert not os.path.exists(out)
 
     def test_grid_with_no_retained_shot_returns_one(self, workspace, tmp_path,
                                                     monkeypatch, caplog):

@@ -25,6 +25,12 @@ class TestBinning:
         np.testing.assert_allclose(iv[0], [0.0, 7.5])   # low edge clips at 0
         np.testing.assert_allclose(iv[1], [4.5, 13.5])
 
+    @pytest.mark.parametrize("overlap", [-0.5, float("nan")])
+    def test_negative_or_nan_overlap_rejected(self, overlap):
+        message = f"overlap must be non-negative, got {overlap}"
+        with pytest.raises(ValueError, match=message):
+            HeightBinning(np.arange(0.0, 66.0, 6.0), overlap=overlap)
+
     def test_overlap_region_splits_mass(self):
         b = HeightBinning.default()
         out = bin_assign(5.0, b)        # inside bins 0 and 1 (4.5 <= 5 < 7.5)
@@ -247,6 +253,23 @@ class TestCombinedAndTotal:
         # 3 auxiliary terms and the main term, one beta each
         with pytest.raises(ValueError, match="betas needs 4 values"):
             HyTecLossConfig(betas=betas)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(delta=float("nan")), "delta must be positive, got nan"),
+        (dict(delta=0.0), "delta must be positive, got 0.0"),
+        (dict(consensus_tol=float("nan")),
+         "consensus_tol must be positive, got nan"),
+        (dict(consensus_tol=-0.1), "consensus_tol must be positive, got -0.1"),
+        (dict(alpha_cr=float("nan")), "scale factors must be non-negative"),
+        (dict(betas=(0.7, float("nan"), 0.7, 1.0)),
+         "scale factors must be non-negative"),
+        (dict(betas=(0.7, 0.7, -0.1, 1.0)),
+         "scale factors must be non-negative"),
+    ], ids=["delta_nan", "delta_zero", "tol_nan", "tol_negative",
+            "alpha_cr_nan", "beta_nan", "beta_negative"])
+    def test_invalid_scalar_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            HyTecLossConfig(**kwargs)
 
     def test_eq10_beta_0001_equals_eq5_bit_exact(self):
         h, tgt, probs, reg = self.setup_case(seed=10)

@@ -1,5 +1,8 @@
-"""Autodiff core: primitive gradients, tape mechanics, TNSR persistence."""
+"""Autodiff core: primitive gradients, tape mechanics, TNSR and CSV output."""
 
+import csv
+import io
+import math
 import os
 import warnings
 import weakref
@@ -10,7 +13,7 @@ import pytest
 import canopyheights.tensor as tn
 from canopyheights.tensor import (Tensor, Tape, atomic_open, backward, concat,
                                   grad_check, load_tensor, matmul, no_grad,
-                                  save_tensor, tpow)
+                                  save_tensor, tpow, write_csv)
 
 TOL = 1e-4
 
@@ -416,3 +419,31 @@ class TestPersistence:
                 raise KeyboardInterrupt
         assert p.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["a.csv"]
+
+    def test_write_csv_matches_explicit_formatting(self, tmp_path):
+        # the text of formatting every field explicitly: repr(float(v)) for
+        # a float, "" for None, csv.writer's quoting for the rest
+        def explicit(v):
+            if v is None:
+                return ""
+            return repr(float(v)) if isinstance(v, float) else v
+        floats = [0.1, 1.0 / 3.0, -0.0, 1e-300, 5e-324, 1e16, 123456.789,
+                  math.nan, math.inf, -math.inf]
+        rows = [floats, [np.float64(v) for v in floats],
+                [0, -7, 2 ** 70, None, None],
+                ["a,b", 'say "x"', "two\nlines", "cr\rhere", "", "plain"],
+                ["mixed", np.float64(0.1), 3, None, 2.5e-8]]
+        buf = io.StringIO(newline="")
+        w = csv.writer(buf)
+        w.writerow(["h,1", "h2"])
+        w.writerows([explicit(v) for v in row] for row in rows)
+        p = tmp_path / "t.csv"
+        write_csv(p, ["h,1", "h2"], iter(rows))
+        with open(p, newline="") as fh:
+            assert fh.read() == buf.getvalue()
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+    def test_write_csv_writes_float32_in_its_short_form(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_csv(p, ["v"], [[np.float32(0.1)], [float(np.float32(0.1))]])
+        assert p.read_bytes() == b"v\r\n0.1\r\n0.10000000149011612\r\n"
