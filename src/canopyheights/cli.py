@@ -19,6 +19,7 @@ import glob
 import itertools
 import logging
 import os
+import re
 import sys
 
 import numpy as np
@@ -55,6 +56,15 @@ def _positive(cfg, section: str, key: str) -> float:
 TILE_PARTS = ("s2", "s1", "heights", "target", "mask")
 
 
+def _indexed(directory: str, prefix: str, suffix: str) -> list:
+    """Paths of the files ``<prefix><N><suffix>`` in ``directory`` in the
+    order of the integer N, so ``tile_1000`` follows ``tile_999``."""
+    name = re.compile(re.escape(prefix) + r"(\d+)" + re.escape(suffix))
+    found = ((name.fullmatch(os.path.basename(p)), p) for p in glob.glob(
+        os.path.join(glob.escape(directory), f"{prefix}*{suffix}")))
+    return [p for _, p in sorted((int(m.group(1)), p) for m, p in found if m)]
+
+
 def write_dataset(tiles, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     for i, t in enumerate(tiles):
@@ -72,7 +82,7 @@ def write_dataset(tiles, out_dir: str) -> None:
 
 
 def read_dataset(dataset_dir: str) -> list:
-    paths = sorted(glob.glob(os.path.join(dataset_dir, "tile_*.s2.tnsr")))
+    paths = _indexed(dataset_dir, "tile_", ".s2.tnsr")
     if not paths:
         raise FileNotFoundError(f"no tiles under {dataset_dir}")
     tiles = []
@@ -121,6 +131,12 @@ def cmd_synth(cfg, out_dir: str) -> None:
     if not 0.0 <= violation_rate <= 1.0:      # NaN fails too
         raise ValueError("[data] violation_rate must lie in [0, 1], "
                          f"got {violation_rate}")
+    # a tile this run would not overwrite would join its dataset
+    ours = {f"tile_{i:03d}.s2.tnsr" for i in range(n_tiles)}
+    for path in _indexed(out_dir, "tile_", ".s2.tnsr"):
+        if os.path.basename(path) not in ours:
+            raise ValueError(f"{path} is not a tile of this run's {n_tiles};"
+                             " remove it or choose another --out")
     tiles = dp.synth_dataset(n_tiles, tile_size, seed,
                              shots_per_tile=shots_per_tile,
                              violation_rate=violation_rate)
@@ -153,13 +169,13 @@ def cmd_filter(cfg, out_dir: str) -> None:
 
 def cmd_composite(cfg, out_dir: str) -> None:
     stack_dir = os.path.join(cfg.get("data", "dataset_dir"), "stack")
-    frames = sorted(glob.glob(os.path.join(stack_dir, "frame_*.tnsr")))
+    frames = _indexed(stack_dir, "frame_", ".tnsr")
     if not frames:
         raise FileNotFoundError(f"no frames under {stack_dir}")
-    stack = dp.ImageStack(
-        frames=[load_tensor(f) for f in frames],
-        masks=[load_tensor(f.replace("frame_", "mask_")) > 0.5
-               for f in frames])
+    masks = [os.path.join(stack_dir, os.path.basename(f).replace(
+        "frame_", "mask_", 1)) for f in frames]
+    stack = dp.ImageStack(frames=[load_tensor(f) for f in frames],
+                          masks=[load_tensor(m) > 0.5 for m in masks])
     comp, missing = dp.median_composite(stack)
     os.makedirs(out_dir, exist_ok=True)
     save_tensor(os.path.join(out_dir, "composite.tnsr"), comp)
@@ -247,7 +263,8 @@ def cmd_train(cfg, out_dir: str, resume: bool = False) -> None:
                                 cfg=_hytec_config(cfg), resume=resume)
     else:
         result = tr.train_unet(samples, settings, resume=resume)
-    tr.write_trace(result.trace, os.path.join(out_dir, "trace.csv"))
+    write_csv(os.path.join(out_dir, "trace.csv"), tr.TRACE_COLUMNS,
+              result.trace)
     log.info("trained %s for %d epochs; final loss %.6g", arch,
              result.epochs_run,
              result.trace[-1][2] if result.trace else float("nan"))
@@ -293,7 +310,7 @@ def cmd_eval(cfg, out_dir: str) -> None:
 
 def cmd_gsi(cfg, out_dir: str) -> None:
     pred_dir = cfg.get("eval", "pred_dir")
-    preds = sorted(glob.glob(os.path.join(pred_dir, "pred_*.tnsr")))
+    preds = _indexed(pred_dir, "pred_", ".tnsr")
     samples = _samples(cfg)
     if len(preds) != len(samples):
         raise ValueError(f"{pred_dir}: {len(preds)} predictions for "

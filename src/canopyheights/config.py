@@ -121,6 +121,9 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.get("run", "arch") not in VALID_ARCHS:
             raise ValueError(f"unknown arch {self.get('run', 'arch')!r}")
+        if self.get("run", "seed") < 0:
+            raise ValueError("[run] seed must not be negative, got "
+                             f"{self.get('run', 'seed')}")
         return self
 
 

@@ -85,7 +85,7 @@ class TransformerBlockParams:
 @dataclass
 class RbParams:
     proj: nn.Conv2dParams                 # 1x1, D -> l_hat
-    resample: Optional[object] = None     # stage-dependent conv / convT / None
+    resample: Optional[object] = None     # strided conv, convT or None
 
 
 @dataclass
@@ -198,27 +198,20 @@ def spatial_concat(tokens: Tensor, grid: int, tiles: int = 1) -> Tensor:
     return tokens.reshape(tiles * grid, grid, d)
 
 
-def rb_forward(f: Tensor, stage: int, p: RbParams, tiles: int = 1) -> Tensor:
-    """Reproject a G x G x D grid to the stage resolution with l_hat channels.
-
-    Stage 1 halves the grid, stage 2 keeps it, stages 3 and 4 upsample by
-    2x and 4x respectively.
-    """
-    if stage not in (1, 2, 3, 4):
-        raise ValueError(f"invalid reprojection stage {stage}")
+def rb_forward(f: Tensor, p: RbParams, tiles: int = 1) -> Tensor:
+    """Reproject a G x G x D grid to l_hat channels at the resolution its
+    resample parameter sets: none keeps the grid, a strided conv divides
+    it by its stride, a transposed conv multiplies it by its kernel size."""
     y = nn.conv2d(f, p.proj)
     g = f.shape[1]
-    if stage == 1:
-        y = nn.conv2d(y, p.resample)
-        expect = g // 2
-    elif stage == 2:
+    if p.resample is None:
         expect = g
-    elif stage == 3:
+    elif isinstance(p.resample, nn.ConvT2dParams):
         y = nn.conv2d_transpose(y, p.resample)
-        expect = 2 * g
+        expect = g * p.resample.kernel.shape[0]
     else:
-        y = nn.conv2d_transpose(y, p.resample)
-        expect = 4 * g
+        y = nn.conv2d(y, p.resample)
+        expect = g // p.resample.stride
     assert y.shape[:2] == (tiles * expect, expect), \
         f"reprojection shape law violated: {y.shape}"
     return y
@@ -227,13 +220,13 @@ def rb_forward(f: Tensor, stage: int, p: RbParams, tiles: int = 1) -> Tensor:
 def db_forward(f: Tensor, conv1: nn.Conv2dParams, conv2: nn.Conv2dParams,
                up: nn.ConvT2dParams, tiles: int = 1) -> Tensor:
     """Decoder block: two 3x3 convs then a transpose conv that multiplies the
-    spatial extent by its stride and divides the channels by eight."""
+    spatial extent by its kernel size and divides the channels by eight."""
     h, w, c = f.shape
     if c % 8:
         raise ValueError("decoder block needs channels divisible by 8")
     y = nn.conv2d(nn.conv2d(f, conv1, tiles=tiles), conv2, tiles=tiles)
     y = nn.conv2d_transpose(y, up)
-    s = up.stride
+    s = up.kernel.shape[0]
     assert y.shape == (s * h, s * w, c // 8), f"decoder shape law violated: {y.shape}"
     return y
 
@@ -265,10 +258,10 @@ def hytec_forward(s2: Tensor, params: HyTecParams, cfg: HyTecConfig,
 
     # only the group-1 tokens feed the decoder
     reproj = []
-    for stage, tap in enumerate(cfg.taps, start=1):
+    for tap, rb in zip(cfg.taps, params.rbs):
         tapped = layer_outs[tap - 1].reshape(tiles, 2 * n, d)[:, :n]
         grid = spatial_concat(tapped.reshape(tiles * n, d), g, tiles)
-        reproj.append(rb_forward(grid, stage, params.rbs[stage - 1], tiles))
+        reproj.append(rb_forward(grid, rb, tiles))
 
     # fusion pathway: upsample each level by 2 and add the next reprojection
     aux = []

@@ -49,9 +49,9 @@ backward rebuilds the padded tile and the patch matrix from the input
 and takes the kernel gradient as ``patches.T @ g``.  The input gradient
 is ``g @ kmat.T`` folded back onto the tile (col2im): a
 reshape/transpose where windows tile the input (k = stride), and k*k
-strided slice-adds of per-tap blocks where they overlap.  The transposed
-conv requires k = stride, so each input pixel owns one k x k output
-block: its forward is one GEMM against ``kernel.reshape(k*k*C_out,
+strided slice-adds of per-tap blocks where they overlap.  A transposed
+conv strides by its kernel size k, so each input pixel owns one k x k
+output block: its forward is one GEMM against ``kernel.reshape(k*k*C_out,
 C_in).T`` followed by a reshape/transpose, and its backward the inverse
 reshape and two GEMMs.
 """
@@ -94,15 +94,11 @@ class Conv2dParams:
 class ConvT2dParams:
     kernel: Tensor           # k x k x C_out x C_in
     bias: Tensor             # C_out
-    stride: int = 2
 
     def __post_init__(self):
         k = self.kernel.shape[0]
         if self.kernel.ndim != 4 or self.kernel.shape[1] != k:
             raise ValueError("convT kernel must be k x k x C_out x C_in")
-        if k != self.stride:
-            # k = stride keeps the output extent exactly stride * input
-            raise ValueError("convT requires kernel size equal to stride")
 
 
 @dataclass
@@ -156,7 +152,7 @@ def init_conv(rng, k, c_in, c_out, stride=1, padding=0) -> Conv2dParams:
 def init_convt(rng, k, c_in, c_out) -> ConvT2dParams:
     kernel = he_uniform(rng, (k, k, c_out, c_in), fan_in=c_in)
     bias = Tensor(np.zeros(c_out), requires_grad=True)
-    return ConvT2dParams(kernel, bias, stride=k)
+    return ConvT2dParams(kernel, bias)
 
 
 def init_bn(c: int) -> BatchNormState:
@@ -283,14 +279,14 @@ def conv2d(x: Tensor, p: Conv2dParams, tiles: int = 1) -> Tensor:
 
 
 def conv2d_transpose(x: Tensor, p: ConvT2dParams) -> Tensor:
-    """Adjoint of the matched strided conv2d; output extent = stride * input."""
+    """Adjoint of the k x k stride-k conv2d; output extent = k * input."""
     h, w, c_in = x.shape
     k = p.kernel.shape[0]
     if p.kernel.shape[3] != c_in:
         raise ValueError(f"channel mismatch: input {c_in}, kernel {p.kernel.shape[3]}")
     c_out = p.kernel.shape[2]
 
-    # k = stride, so every input pixel owns one k x k output block
+    # the stride is k, so every input pixel owns one k x k output block
     x2 = x.data.reshape(h * w, c_in)
     kmat = p.kernel.data.reshape(k * k * c_out, c_in)
     blocks = (x2 @ kmat.T).reshape(h, w, k, k, c_out)
@@ -419,14 +415,14 @@ def softplus(x: Tensor) -> Tensor:
     return Tensor.from_op(out, (x,), lambda g: (g * sig,))
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-subtracted stable softmax; slices along ``axis`` sum to 1."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Max-subtracted stable softmax over the last axis."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def grad_fn(g):
-        return ((g - (g * y).sum(axis=axis, keepdims=True)) * y,)
+        return ((g - (g * y).sum(axis=-1, keepdims=True)) * y,)
 
     return Tensor.from_op(y, (x,), grad_fn)
 
@@ -469,7 +465,7 @@ def mhsa(tokens: Tensor, p: MhsaParams, tiles: int = 1) -> Tensor:
     for h in range(heads):
         sl = slice(h * dh, (h + 1) * dh)
         qh, kh, vh = q[:, :, sl], k[:, :, sl], v[:, :, sl]
-        attn = softmax(matmul(qh, kh.permute(0, 2, 1)) * scale, axis=-1)
+        attn = softmax(matmul(qh, kh.permute(0, 2, 1)) * scale)
         outs.append(matmul(attn, vh))
     merged = concat(outs, axis=2).reshape(rows, d)
     return linear(merged, p.wo)

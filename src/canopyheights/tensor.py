@@ -146,14 +146,6 @@ class Tensor:
         return Tensor(other, dtype=like.data.dtype)
 
     @staticmethod
-    def _check_broadcast(a: "Tensor", b: "Tensor"):
-        # equal shapes, scalar operand, or plain numpy-compatible broadcast
-        try:
-            np.broadcast_shapes(a.shape, b.shape)
-        except ValueError as exc:
-            raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}") from exc
-
-    @staticmethod
     def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
         """Sum a broadcast gradient back down to the original shape."""
         if grad.shape == shape:
@@ -168,7 +160,6 @@ class Tensor:
 
     def __add__(self, other):
         other = Tensor._coerce(other, self)
-        Tensor._check_broadcast(self, other)
         data = self.data + other.data
         return Tensor.from_op(data, (self, other), lambda g: (
             Tensor._unbroadcast(g, self.shape),
@@ -178,7 +169,6 @@ class Tensor:
 
     def __sub__(self, other):
         other = Tensor._coerce(other, self)
-        Tensor._check_broadcast(self, other)
         data = self.data - other.data
         return Tensor.from_op(data, (self, other), lambda g: (
             Tensor._unbroadcast(g, self.shape),
@@ -189,7 +179,6 @@ class Tensor:
 
     def __mul__(self, other):
         other = Tensor._coerce(other, self)
-        Tensor._check_broadcast(self, other)
         data = self.data * other.data
         return Tensor.from_op(data, (self, other), lambda g: (
             Tensor._unbroadcast(g * other.data, self.shape),
@@ -199,7 +188,6 @@ class Tensor:
 
     def __truediv__(self, other):
         other = Tensor._coerce(other, self)
-        Tensor._check_broadcast(self, other)
         if np.any(other.data == 0):
             raise ZeroDivisionError("division by zero in tensor div")
         inv = 1.0 / other.data
@@ -333,17 +321,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     """Concatenate along ``axis`` (negative counts from the end); other
-    extents must agree."""
-    ref = tensors[0].shape
-    if not -len(ref) <= axis < len(ref):
-        raise ValueError(f"concat axis {axis} out of range for rank {len(ref)}")
-    axis %= len(ref)
-    for t in tensors[1:]:
-        if len(t.shape) != len(ref):
-            raise ValueError("concat rank mismatch")
-        for ax, (s, r) in enumerate(zip(t.shape, ref)):
-            if ax != axis and s != r:
-                raise ValueError(f"concat extent mismatch on axis {ax}")
+    extents must agree, or numpy raises ``ValueError``."""
+    rank = tensors[0].ndim
+    if not -rank <= axis < rank:
+        raise ValueError(f"concat axis {axis} out of range for rank {rank}")
     data = np.concatenate([t.data for t in tensors], axis=axis)
     splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
@@ -357,7 +338,6 @@ def tpow(a: Tensor, b: Tensor) -> Tensor:
     """a ** b with gradients for both operands; requires a > 0."""
     if np.any(a.data <= 0):
         raise ValueError("tpow base must be positive")
-    Tensor._check_broadcast(a, b)
     data = a.data ** b.data
     return Tensor.from_op(data, (a, b), lambda g: (
         Tensor._unbroadcast(g * b.data * a.data ** (b.data - 1.0), a.shape),

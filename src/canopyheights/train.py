@@ -4,17 +4,20 @@ model.
 Convolutional variants train with SGD plus cosine decay; the hybrid model
 trains with AdamW under a linear warmup followed by cosine decay, against
 a mix of sparse LiDAR targets and consensus maps from two frozen
-single-modality teachers.  Both run one shared loop that builds each
-sample's targets once per run, emits a per-step loss trace, checkpoints
-every epoch with a rolling keep-last window (the trace included, so a
-resumed run keeps its history), and aborts on non-finite loss.
+single-modality teachers.  Each trainer builds each sample's targets
+once per run and hands them to one shared loop with its model, lr
+schedule and per-sample loss (``unet_sample_loss``, ``hytec_sample_loss``).
+The loop emits a per-step loss trace, checkpoints every epoch with a
+rolling keep-last window (the trace included, so a resumed run keeps its
+history), and aborts on non-finite loss.
 
 ``UNET_CONFIGS`` maps each convolutional variant to its ``UNetConfig``,
 ``_model_input`` each model config to the inputs it reads, ``_forward``
-runs either model family for both trainers, and ``_infer`` is the one
-inference behind ``predict_heights`` and ``teacher_heights``.  Batch norm
-follows ``tensor.no_grad`` (see ``nn``): a step's graph-recording forward
-uses batch statistics, and ``_infer``, which records no graph, uses the
+runs either model family, ``_heights`` finds the height map in either
+family's output, and ``_infer`` is the one inference behind
+``predict_heights`` and ``teacher_heights``.  Batch norm follows
+``tensor.no_grad`` (see ``nn``): a step's graph-recording forward uses
+batch statistics, and ``_infer``, which records no graph, uses the
 running statistics and changes no model.
 
 Each batch is one graph: its tiles are stacked along rows (see ``nn``)
@@ -58,8 +61,7 @@ from .hytec import HyTecConfig, HyTecOutputs, hytec_forward, init_hytec
 from .losses import (AdaptiveLossState, ClassTarget, HyTecLossConfig,
                      bin_assign_map, combined_cr_loss, huber,
                      hytec_total_loss, kd_teacher_consensus)
-from .tensor import (Tensor, atomic_open, no_grad, read_record, write_csv,
-                     write_record)
+from .tensor import Tensor, atomic_open, no_grad, read_record, write_record
 from .unet import (DualHeadOutput, UNetConfig, UNetParams, init_unet,
                    unet_forward)
 
@@ -176,15 +178,19 @@ def _forward(params, cfg, batch: Sequence[Sample], dtype):
                  tiles=len(batch))
 
 
+def _heights(out) -> Tensor:
+    """The height map in either model family's output."""
+    if isinstance(out, HyTecOutputs):
+        out = out.main
+    return out.height if isinstance(out, DualHeadOutput) else out
+
+
 def _infer(params, cfg, sample: Sample) -> np.ndarray:
     """Height map of one sample as a plain array.  It records no graph
     (``no_grad``), so every batch norm uses its running statistics and
     the model is left exactly as it was."""
     with no_grad():
-        out = _forward(params, cfg, [sample], np.float64)
-    if isinstance(out, HyTecOutputs):
-        out = out.main
-    return out.height.data if isinstance(out, DualHeadOutput) else out.data
+        return _heights(_forward(params, cfg, [sample], np.float64)).data
 
 
 def unet_sample_target(sample: Sample, cfg: UNetConfig) -> Optional[ClassTarget]:
@@ -204,16 +210,12 @@ def unet_sample_loss(sample: Sample, target: Optional[ClassTarget], out,
     ``unet_sample_target``.  A dual head regresses with the adaptive loss
     when ``adaptive`` is given, else with Huber."""
     if isinstance(out, DualHeadOutput):
-        loss = combined_cr_loss(out.probs, out.height, target,
+        return combined_cr_loss(out.probs, out.height, target,
                                 sample.target_h, loss_cfg,
                                 adaptive_state=adaptive, parts=parts)
-        if parts is not None:
-            parts["height"] = out.height.data
-    else:
-        loss = huber(out, sample.target_h, sample.mask, loss_cfg.delta)
-        if parts is not None:
-            parts["reg"] = float(loss.data)
-            parts["height"] = out.data
+    loss = huber(out, sample.target_h, sample.mask, loss_cfg.delta)
+    if parts is not None:
+        parts["reg"] = float(loss.data)
     return loss
 
 
@@ -315,19 +317,7 @@ def load_checkpoint(path: str, model, adaptive=None) -> dict:
     return extra
 
 
-def write_trace(rows: Sequence[Sequence], path: str) -> None:
-    write_csv(path, TRACE_COLUMNS, rows)
-
-
 # -- the shared training loop -----------------------------------------
-
-def _check_finite(value: float, step: int, parts: dict) -> None:
-    if not np.isfinite(value):
-        stats = {k: (float(np.nanmin(v)), float(np.nanmax(v)))
-                 for k, v in parts.items() if isinstance(v, np.ndarray)}
-        raise TrainingDiverged(
-            f"non-finite loss {value} at step {step}; output ranges {stats}")
-
 
 def _tile_share(out, t: int, tiles: int):
     """Tile ``t``'s rows of every map in a row-stacked model output (a
@@ -357,50 +347,50 @@ def _working_copies(optimizers: list):
             t.data = master
 
 
-def _backward_batch(batch: list, targets: list, forward: Callable,
-                    sample_loss: Callable, step: int) -> list:
-    """One forward over ``batch``, each sample's loss on its share of the
-    outputs, and one backward from their mean; returns the trace values
-    after ``lr``.  The graph dies during the backward, which frees it as
-    it walks; ``total`` keeps its value."""
-    out = forward(batch)
+def _backward_batch(out, batch: list, targets: list, sample_loss: Callable,
+                    loss_cfg: HyTecLossConfig,
+                    adaptive: Optional[AdaptiveLossState], step: int) -> list:
+    """Each sample's loss on its share of the batch outputs ``out``, and
+    one backward from their mean; returns the trace values after ``lr``.
+    A non-finite loss raises ``TrainingDiverged``.  The graph dies during
+    the backward, which frees it as it walks; ``total`` keeps its value."""
     total, agg = None, dict.fromkeys(TRACE_COLUMNS[3:], 0.0)
     for t, (sample, target) in enumerate(zip(batch, targets)):
         parts: dict = {}
-        loss = sample_loss(sample, target, _tile_share(out, t, len(batch)),
-                           parts)
+        share = _tile_share(out, t, len(batch))
+        loss = sample_loss(sample, target, share, loss_cfg, adaptive, parts)
         scaled = loss * (1.0 / len(batch))
         total = scaled if total is None else total + scaled
         for key in agg:
             agg[key] += parts.get(key, 0.0) / len(batch)
-        _check_finite(float(loss.data), step, parts)
+        if not np.isfinite(loss.data):
+            h = _heights(share).data
+            stats = {"height": (float(np.nanmin(h)), float(np.nanmax(h)))}
+            raise TrainingDiverged(f"non-finite loss {float(loss.data)} at "
+                                   f"step {step}; output ranges {stats}")
     total.backward()
     return [float(total.data), *agg.values()]
 
 
-def _fit(samples: Sequence[Sample], settings: TrainSettings, resume: bool,
-         model, adaptive: Optional[AdaptiveLossState], optimizers: list,
-         lr_at: Callable[[int], float],
-         sample_targets: Callable[[Sample], object],
-         forward: Callable[[Sequence[Sample]], object],
-         sample_loss: Callable[[Sample, object, object, dict], Tensor]) -> list:
+def _fit(samples: Sequence[Sample], targets: list, settings: TrainSettings,
+         resume: bool, model, cfg, adaptive: Optional[AdaptiveLossState],
+         optimizers: list, lr_at: Callable[[int], float],
+         sample_loss: Callable) -> list:
     """Train ``model`` in place and return the trace.
 
-    The samples and whatever their targets derive from are fixed for the
-    run, so ``sample_targets`` builds each sample's targets once, before
-    the first epoch, and every step hands them to ``sample_loss``.
     Each epoch sets the first optimizer's lr from ``lr_at`` and walks a
-    seeded shuffle in batches.  A step runs ``forward`` once on the batch,
-    hands each sample's share of the outputs to ``sample_loss``, runs one
+    seeded shuffle in batches.  A step runs ``_forward`` once on the
+    batch, hands each sample's ``targets`` entry and share of the outputs
+    to ``sample_loss`` with ``settings.loss`` and ``adaptive``, runs one
     backward from the sum of the losses scaled by the batch size, and
     steps every optimizer.  The forward and the backward run on f32
     working copies of the optimizers' tensors, and the f64 masters are
     back in place before the optimizers step: gradient functions read
     parameter arrays lazily, so the swap spans both.  Each epoch
     checkpoints the model, the adaptive loss, the optimizers' state and
-    the trace so far.  A resumed run
-    restores all of these and replays the shuffle history, so it
-    continues exactly where the uninterrupted run would be.
+    the trace so far.  A resumed run restores all of these and replays
+    the shuffle history, so it continues exactly where the uninterrupted
+    run would be.
     """
     start_epoch, trace = 0, []
     if resume and settings.checkpoint_dir:
@@ -419,19 +409,20 @@ def _fit(samples: Sequence[Sample], settings: TrainSettings, resume: bool,
     for _ in range(start_epoch):
         order_rng.permutation(len(samples))
 
-    targets = [sample_targets(s) for s in samples]
     step = start_epoch * max(1, int(np.ceil(len(samples) / settings.batch_size)))
     for epoch in range(start_epoch, settings.epochs):
         lr = optimizers[0].lr = float(lr_at(epoch))
         order = order_rng.permutation(len(samples))
         for lo in range(0, len(order), settings.batch_size):
-            batch = order[lo:lo + settings.batch_size]
+            idx = order[lo:lo + settings.batch_size]
             for opt in optimizers:
                 opt.zero_grad()
             with _working_copies(optimizers):
-                values = _backward_batch([samples[k] for k in batch],
-                                         [targets[k] for k in batch],
-                                         forward, sample_loss, step)
+                batch = [samples[k] for k in idx]
+                values = _backward_batch(
+                    _forward(model, cfg, batch, WORK_DTYPE), batch,
+                    [targets[k] for k in idx], sample_loss, settings.loss,
+                    adaptive, step)
             for opt in optimizers:
                 opt.step()
             trace.append([step, lr, *values])
@@ -459,13 +450,12 @@ def train_unet(samples: Sequence[Sample], settings: TrainSettings,
         optimizers.append(optim.SGD(_adaptive_tensors(adaptive),
                                     settings.adaptive_lr))
 
-    trace = _fit(samples, settings, resume, params, adaptive, optimizers,
+    targets = [unet_sample_target(s, cfg) for s in samples]
+    trace = _fit(samples, targets, settings, resume, params, cfg, adaptive,
+                 optimizers,
                  lambda epoch: optim.cosine_lr(epoch, settings.epochs,
                                                settings.base_lr),
-                 lambda sample: unet_sample_target(sample, cfg),
-                 lambda batch: _forward(params, cfg, batch, WORK_DTYPE),
-                 lambda sample, target, out, parts: unet_sample_loss(
-                     sample, target, out, settings.loss, adaptive, parts))
+                 unet_sample_loss)
     return TrainResult(params, cfg, adaptive, trace, settings.epochs)
 
 
@@ -523,12 +513,9 @@ def hytec_sample_loss(sample: Sample, targets: tuple, out,
     """Distillation loss of one sample on its model outputs ``out``;
     ``targets`` comes from ``hytec_sample_targets``."""
     aux_t, target = targets
-    loss = hytec_total_loss(out.aux, aux_t, out.main.probs, out.main.height,
+    return hytec_total_loss(out.aux, aux_t, out.main.probs, out.main.height,
                             target, sample.target_h, loss_cfg,
                             adaptive_state=adaptive, parts=parts)
-    if parts is not None:
-        parts["height"] = out.main.height.data
-    return loss
 
 
 def train_hytec(samples: Sequence[Sample], teachers: Sequence[Teacher],
@@ -545,15 +532,14 @@ def train_hytec(samples: Sequence[Sample], teachers: Sequence[Teacher],
     registry.update(_adaptive_tensors(adaptive))
     opt = optim.AdamW(registry, lr=settings.lr_peak)
 
-    trace = _fit(samples, settings, resume, params, adaptive, [opt],
+    targets = [hytec_sample_targets(s, cfg, teachers, settings.loss)
+               for s in samples]
+    trace = _fit(samples, targets, settings, resume, params, cfg, adaptive,
+                 [opt],
                  lambda epoch: optim.warmup_cosine_lr(
                      epoch, settings.warmup_epochs, settings.lr_start,
                      settings.lr_peak, settings.epochs),
-                 lambda sample: hytec_sample_targets(
-                     sample, cfg, teachers, settings.loss),
-                 lambda batch: _forward(params, cfg, batch, WORK_DTYPE),
-                 lambda sample, targets, out, parts: hytec_sample_loss(
-                     sample, targets, out, settings.loss, adaptive, parts))
+                 hytec_sample_loss)
     return TrainResult(params, cfg, adaptive, trace, settings.epochs)
 
 

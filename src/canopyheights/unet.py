@@ -221,7 +221,7 @@ def head_single(x: Tensor, p: SingleHeadParams) -> Tensor:
 
 def head_dual(x: Tensor, p: DualHeadParams) -> DualHeadOutput:
     """Classification branch (softmax over K bins) gating a regression branch."""
-    probs = nn.softmax(nn.conv2d(x, p.conv_cls), axis=-1)
+    probs = nn.softmax(nn.conv2d(x, p.conv_cls))
     gated = probs * nn.conv2d(x, p.conv_reg)
     height = nn.softplus(nn.conv2d(gated, p.conv_out))
     return DualHeadOutput(probs=probs,

@@ -84,6 +84,24 @@ class TestSynth:
         assert not np.array_equal(
             same, load_tensor(os.path.join(b, "tile_000.s2.tnsr")))
 
+    def test_rerun_with_fewer_tiles_is_refused(self, tmp_path, monkeypatch,
+                                               caplog):
+        # a tile of the earlier run would join the new dataset unnoticed
+        monkeypatch.delenv("CANOPY_LOG", raising=False)
+        out, cfg = tmp_path / "d", small_cfg()
+        assert run(cfg, ["synth", "--out", str(out)], tmp_path) == 0
+        before = (out / "shots.csv").read_bytes()
+        cfg.set("data", "n_tiles", 2)
+        with caplog.at_level(logging.ERROR, logger="canopyheights"):
+            assert run(cfg, ["synth", "--out", str(out)], tmp_path) == 1
+        assert (f"ValueError: {out / 'tile_002.s2.tnsr'} is not a tile of "
+                "this run's 2") in caplog.text
+        assert (out / "shots.csv").read_bytes() == before
+        for n_tiles in (3, 4):
+            cfg.set("data", "n_tiles", n_tiles)
+            assert run(cfg, ["synth", "--out", str(out)], tmp_path) == 0
+            assert len(cli.read_dataset(str(out))) == n_tiles
+
 
 class TestFilter:
     def test_report_counts_are_consistent(self, workspace, tmp_path):
@@ -154,6 +172,69 @@ class TestComposite:
             header, row = list(csv.reader(fh))
         assert header == ["frames", "missing_pixels"]
         assert int(row[0]) == cli.STACK_FRAMES
+
+    def test_frame_in_the_dataset_path(self, workspace, tmp_path):
+        # only the file name says frame or mask, not the folders above it
+        _, cfg, ds = workspace
+        moved = tmp_path / "frame_runs" / "ds"
+        shutil.copytree(os.path.join(ds, "stack"), moved / "stack")
+        cfg = cfg.copy()
+        cfg.set("data", "dataset_dir", str(moved))
+        assert run(cfg, ["composite", "--out", str(tmp_path / "a")],
+                   tmp_path) == 0
+        cfg.set("data", "dataset_dir", ds)
+        assert run(cfg, ["composite", "--out", str(tmp_path / "b")],
+                   tmp_path) == 0
+        np.testing.assert_array_equal(
+            load_tensor(str(tmp_path / "a" / "composite.tnsr")),
+            load_tensor(str(tmp_path / "b" / "composite.tnsr")))
+
+
+class TestIndexOrder:
+    """Indexed files are read in the order of their index: by name,
+    ``tile_1000`` would sort between ``tile_100`` and ``tile_101``."""
+
+    N_TILES = 1001
+
+    @pytest.fixture(scope="class")
+    def many(self, tmp_path_factory):
+        """A dataset of 1,001 tiles of 8 px and one prediction per tile."""
+        root = tmp_path_factory.mktemp("many")
+        rng = np.random.default_rng(4)
+        s2 = rng.random((self.N_TILES, 8, 8, 10))
+        for i, bands in enumerate(s2):
+            parts = {"s2": bands, "s1": np.zeros((8, 8, 2)),
+                     "heights": np.zeros((8, 8)), "target": np.zeros((8, 8)),
+                     "mask": np.ones((8, 8))}
+            for part, data in parts.items():
+                tn.save_tensor(str(root / f"tile_{i:03d}.{part}.tnsr"), data)
+            tn.save_tensor(str(root / f"pred_{i:03d}.tnsr"),
+                           rng.random((8, 8)))
+        cfg = small_cfg()
+        cfg.set("model", "input_size", 8)
+        cfg.set("data", "dataset_dir", str(root))
+        cfg.set("eval", "pred_dir", str(root))
+        return root, cfg, s2
+
+    def test_read_dataset(self, many):
+        root, _, s2 = many
+        tiles = cli.read_dataset(str(root))
+        assert len(tiles) == self.N_TILES
+        for bands, tile in zip(s2, tiles):
+            np.testing.assert_array_equal(tile.s2, bands)
+
+    def test_gsi_pairs_each_prediction_with_its_tile(self, many, tmp_path):
+        root, cfg, _ = many
+        cli.cmd_gsi(cfg, str(tmp_path))
+        with open(tmp_path / "gsi.csv") as fh:
+            rows = list(csv.reader(fh))[1:-1]
+        samples = cli._samples(cfg)
+        assert len(rows) == len(samples) == self.N_TILES
+        for k in (2, 101, 1000):
+            want = mt.gsi(load_tensor(str(root / f"pred_{k:03d}.tnsr")),
+                          samples[k].s2)
+            assert [float(v) for v in rows[k][1:3]] == [want.si_output,
+                                                        want.si_reference]
 
 
 class TestGrid:
@@ -369,7 +450,8 @@ class TestCrashSafeOutputs:
                               min_shots=1, seed=0)
         rows = {
             "trace": ([[0, 0.1, *range(6)], [1, 0.1, *range(6)]],
-                      tr.write_trace),
+                      lambda items, p: tn.write_csv(p, tr.TRACE_COLUMNS,
+                                                    items)),
             "shots": (shots, dp.shots_to_csv),
             "grid": (cells, dp.grid_to_csv),
             "report": ([((0.0, 10.0), None), ((10.0, 20.0), None)],
@@ -472,6 +554,20 @@ class TestErrors:
                        tmp_path) == 1
         assert f"ValueError: {message}" in caplog.text
         assert not os.path.exists(tmp_path / "t" / "checkpoints")
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_returns_one(self, tmp_path, monkeypatch, caplog,
+                                       where):
+        monkeypatch.delenv("CANOPY_LOG", raising=False)
+        cfg = small_cfg()
+        cfg.set("run", "seed", -1 if where == "config" else 7)
+        flag = ["--seed", "-1"] if where == "flag" else []
+        with caplog.at_level(logging.ERROR, logger="canopyheights"):
+            assert run(cfg, ["synth", *flag, "--out", str(tmp_path / "d")],
+                       tmp_path) == 1
+        assert "ValueError: [run] seed must not be negative, got -1" \
+            in caplog.text
+        assert not os.path.exists(tmp_path / "d")
 
     def test_synth_with_no_tiles_returns_one(self, tmp_path, monkeypatch,
                                               caplog):

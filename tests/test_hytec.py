@@ -94,7 +94,7 @@ class TestReassembleLaws:
         f = Tensor(RNG(6).normal(size=(grid, grid, cfg.embed_dim)))
         expect = {1: grid // 2, 2: grid, 3: 2 * grid, 4: 4 * grid}
         for stage in (1, 2, 3, 4):
-            out = rb_forward(f, stage, params.rbs[stage - 1])
+            out = rb_forward(f, params.rbs[stage - 1])
             assert out.shape == (expect[stage], expect[stage], cfg.l_hat)
 
     def test_decoder_block_law(self):

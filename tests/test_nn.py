@@ -89,7 +89,7 @@ class TestConvLayout:
                           x) < TOL
 
         def fk(kernel):
-            q = nn.ConvT2dParams(kernel, p.bias, stride=k)
+            q = nn.ConvT2dParams(kernel, p.bias)
             return (nn.conv2d_transpose(x, q) * w).sum()
         assert grad_check(fk, p.kernel) < TOL
 

@@ -11,7 +11,7 @@ from canopyheights import tensor as tensor_module
 from canopyheights import train as tr
 from canopyheights.hytec import HyTecConfig, init_hytec
 from canopyheights.losses import AdaptiveLossState, HyTecLossConfig
-from canopyheights.tensor import Tensor
+from canopyheights.tensor import Tensor, write_csv
 from canopyheights.unet import DualHeadOutput, unet_forward
 
 
@@ -133,11 +133,10 @@ class TestUnetTraining:
         params, cfg = tr.make_unet(arch, np.random.default_rng(0), 4)
         adaptive = AdaptiveLossState.create() if arch == "a2mdu" else None
         values = tr._backward_batch(
+            unet_forward(*tr._model_input(samples, cfg), params, cfg,
+                         tiles=len(samples)),
             samples, [tr.unet_sample_target(s, cfg) for s in samples],
-            lambda batch: unet_forward(*tr._model_input(batch, cfg), params,
-                                       cfg, tiles=len(batch)),
-            lambda s, target, out, parts: tr.unet_sample_loss(
-                s, target, out, HyTecLossConfig(), adaptive, parts), 0)
+            tr.unet_sample_loss, HyTecLossConfig(), adaptive, 0)
         assert values[0] == pytest.approx(np.mean(losses), rel=1e-12)
 
     @pytest.mark.parametrize("arch", ["2mou", "a2mdu"])
@@ -353,7 +352,7 @@ class TestCheckpointing:
         samples = tiny_samples()
         res = tr.train_unet(samples, tiny_settings(epochs=1))
         path = tmp_path / "trace.csv"
-        tr.write_trace(res.trace, str(path))
+        write_csv(str(path), tr.TRACE_COLUMNS, res.trace)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ",".join(tr.TRACE_COLUMNS)
         assert len(lines) == len(res.trace) + 1
