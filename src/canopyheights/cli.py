@@ -65,6 +65,18 @@ def _indexed(directory: str, prefix: str, suffix: str) -> list:
     return [p for _, p in sorted((int(m.group(1)), p) for m, p in found if m)]
 
 
+def _refuse_foreign(directory: str, prefix: str, suffix: str, n: int,
+                    what: str) -> None:
+    """``ValueError`` naming a file ``<prefix><N><suffix>`` in ``directory``
+    that a run writing its ``n`` files ``<prefix>000<suffix>`` ... would not
+    overwrite: it would join that run's outputs unnoticed."""
+    ours = {f"{prefix}{i:03d}{suffix}" for i in range(n)}
+    for path in _indexed(directory, prefix, suffix):
+        if os.path.basename(path) not in ours:
+            raise ValueError(f"{path} is not {what} of this run's {n};"
+                             " remove it or choose another --out")
+
+
 def write_dataset(tiles, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     for i, t in enumerate(tiles):
@@ -131,12 +143,7 @@ def cmd_synth(cfg, out_dir: str) -> None:
     if not 0.0 <= violation_rate <= 1.0:      # NaN fails too
         raise ValueError("[data] violation_rate must lie in [0, 1], "
                          f"got {violation_rate}")
-    # a tile this run would not overwrite would join its dataset
-    ours = {f"tile_{i:03d}.s2.tnsr" for i in range(n_tiles)}
-    for path in _indexed(out_dir, "tile_", ".s2.tnsr"):
-        if os.path.basename(path) not in ours:
-            raise ValueError(f"{path} is not a tile of this run's {n_tiles};"
-                             " remove it or choose another --out")
+    _refuse_foreign(out_dir, "tile_", ".s2.tnsr", n_tiles, "a tile")
     tiles = dp.synth_dataset(n_tiles, tile_size, seed,
                              shots_per_tile=shots_per_tile,
                              violation_rate=violation_rate)
@@ -282,6 +289,7 @@ def cmd_eval(cfg, out_dir: str) -> None:
     step = _positive(cfg, "eval", "range_step")
     top = _positive(cfg, "eval", "range_max")
     samples = _samples(cfg)
+    _refuse_foreign(out_dir, "pred_", ".tnsr", len(samples), "a prediction")
     params, mcfg = _restore_model(cfg, cfg.get("run", "arch"),
                                   "eval.checkpoint")
     os.makedirs(out_dir, exist_ok=True)
@@ -315,6 +323,11 @@ def cmd_gsi(cfg, out_dir: str) -> None:
     if len(preds) != len(samples):
         raise ValueError(f"{pred_dir}: {len(preds)} predictions for "
                          f"{len(samples)} dataset tiles")
+    # eval writes pred_000 ...: past a gap, each prediction meets another tile
+    for i, p in enumerate(preds):
+        if os.path.basename(p) != f"pred_{i:03d}.tnsr":
+            raise ValueError(f"{pred_dir}: no pred_{i:03d}.tnsr for dataset "
+                             f"tile {i}")
     os.makedirs(out_dir, exist_ok=True)
     reports = [mt.gsi(load_tensor(p), s.s2) for p, s in zip(preds, samples)]
     mean_gsi = float(np.mean([r.gsi for r in reports]))

@@ -26,6 +26,15 @@ one scale and one shift per channel (the inference fold of Jacob et al.
 inference run changes no model, and training after it is the training
 it would have been without it.
 
+Inside ``no_grad`` every op that reads a parameter reads it in its
+input's dtype (``_param``): ``conv2d``, ``conv2d_transpose`` and
+``linear`` their kernel or weight and bias, ``layer_norm`` its gamma and
+beta, and ``batch_norm`` casts its scale and shift, computed from the
+float64 statistics, to the input's dtype.  So a float32 input runs the
+whole forward in float32 (see ``train.predict_heights``) without a cast
+of the model tree.  While a graph is recorded every op reads
+``Tensor.data`` as it is and numpy's promotion rules decide.
+
 The graph keeps no array that a backward can rebuild from what it holds
 already (Chen et al. 2016, arXiv 1604.06174): ``leaky_relu`` rebuilds its
 mask from its input, a training ``batch_norm`` its normalized input from
@@ -177,6 +186,21 @@ def init_mhsa(rng, d: int, heads: int) -> MhsaParams:
                       init_linear(rng, d, d), init_linear(rng, d, d))
 
 
+# -- parameters at the input's precision ------------------------------
+
+def _param(t: Tensor, x: Tensor) -> np.ndarray:
+    """The array an op on ``x`` reads of the parameter ``t``: ``t.data``
+    while a graph is recorded or where the dtypes agree, else, inside
+    ``no_grad``, a cast of it to ``x``'s dtype.  Nothing is cached on
+    ``t``: its storage may belong to an optimizer's master vector.  The
+    dtypes are compared by identity (numpy's builtin dtypes are
+    singletons): ``==`` on dtypes costs more than the rest of this."""
+    a = t.data
+    if a.dtype is x.data.dtype or grad_enabled():
+        return a
+    return a.astype(x.data.dtype)
+
+
 # -- convolution ------------------------------------------------------
 
 def tile_rows(rows: int, tiles: int) -> int:
@@ -258,8 +282,8 @@ def conv2d(x: Tensor, p: Conv2dParams, tiles: int = 1) -> Tensor:
     c_out = p.kernel.shape[3]
 
     out = _patches(_pad(x.data, pad, tiles), k, s, oh, ow) \
-        @ p.kernel.data.reshape(-1, c_out)
-    out += p.bias.data
+        @ _param(p.kernel, x).reshape(-1, c_out)
+    out += _param(p.bias, x)
 
     def grad_fn(g):
         # the padded tiles and the patch matrix are rebuilt from the input,
@@ -288,10 +312,10 @@ def conv2d_transpose(x: Tensor, p: ConvT2dParams) -> Tensor:
 
     # the stride is k, so every input pixel owns one k x k output block
     x2 = x.data.reshape(h * w, c_in)
-    kmat = p.kernel.data.reshape(k * k * c_out, c_in)
+    kmat = _param(p.kernel, x).reshape(k * k * c_out, c_in)
     blocks = (x2 @ kmat.T).reshape(h, w, k, k, c_out)
     out = blocks.transpose(0, 2, 1, 3, 4).reshape(h * k, w * k, c_out)
-    out += p.bias.data
+    out += _param(p.bias, x)
 
     def grad_fn(g):
         gcols = g.reshape(h, k, w, k, c_out).transpose(0, 2, 1, 3, 4)
@@ -313,15 +337,17 @@ def batch_norm(x: Tensor, s: BatchNormState, tiles: int = 1) -> Tensor:
     While a graph is recorded (training) it normalizes each tile by its own
     population statistics and updates the running estimates once per tile,
     in tile order.  Inside ``tensor.no_grad`` (inference) it is the fixed
-    per-channel affine map of the running statistics, ``x * scale + (beta
-    - running_mean * scale)`` with ``scale = gamma / sqrt(running_var +
-    eps)``, and writes nothing to ``s``.
+    per-channel affine map of the running statistics, ``x * scale + shift``
+    with ``scale = gamma / sqrt(running_var + eps)`` and ``shift = beta -
+    running_mean * scale``, both computed in the statistics' dtype and then
+    cast to the input's, and writes nothing to ``s``.
     """
     tile_rows(x.shape[0], tiles)
     if not grad_enabled():
         scale = s.gamma.data / np.sqrt(s.running_var + BN_EPS)
-        out = x.data * scale
-        out += s.beta.data - s.running_mean * scale
+        shift = s.beta.data - s.running_mean * scale
+        out = x.data * scale.astype(x.dtype, copy=False)
+        out += shift.astype(x.dtype, copy=False)
         return Tensor(out, dtype=out.dtype)
     c = x.shape[-1]
     shape = (tiles, -1, c)
@@ -373,7 +399,7 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (x.data - mu) * inv
-    out = p.gamma.data * xhat + p.beta.data
+    out = _param(p.gamma, x) * xhat + _param(p.beta, x)
 
     def grad_fn(g):
         dgamma = _channel_sum(g * xhat, tuple(range(x.ndim - 1)))
@@ -443,7 +469,10 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:
-    return matmul(x, p.weight) + p.bias
+    w, b = p.weight, p.bias
+    if w.data.dtype is not x.data.dtype and not grad_enabled():  # see _param
+        w, b = (Tensor(_param(t, x), dtype=x.dtype) for t in (w, b))
+    return matmul(x, w) + b
 
 
 # -- attention --------------------------------------------------------

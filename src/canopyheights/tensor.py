@@ -9,10 +9,12 @@ a graph serves one backward, as by default in PyTorch.
 
 Every op computes in the dtype of its inputs, and ``backward`` hands each
 node its adjoint in that node's own dtype.  64-bit floats are the library
-default, so finite-difference checks have enough headroom and inference
-runs in f64.  Training runs its forward and backward on 32-bit working
-copies of 64-bit master parameters (see ``train``): its graph holds f32
-arrays, and the scalar losses on top of it are f64.
+default, so finite-difference checks have enough headroom.  Training runs
+its forward and backward on 32-bit working copies of 64-bit master
+parameters (see ``train``): its graph holds f32 arrays, and the scalar
+losses on top of it are f64.  A U-Net prediction runs in f32 as well,
+its ops reading the f64 parameters in f32 inside ``no_grad`` (see
+``nn``); teacher maps and HyTeC predictions run in f64.
 
 The TNSR/1 writers and the CLI write each output file through
 ``atomic_open``: under a temporary name, renamed into place once complete.

@@ -35,8 +35,15 @@ before the optimizers step, so each f32 gradient updates an f64 master
 (mixed-precision training, Micikevicius et al. 2018, arXiv 1710.03740,
 with f32 as the working precision): an update below f32's spacing at a
 parameter's value still moves it.  Parameters, optimizer state,
-batch-norm running statistics, checkpoints, ``TrainResult.params``,
-targets and all inference stay float64.
+batch-norm running statistics, checkpoints, ``TrainResult.params`` and
+targets stay float64.
+
+A U-Net prediction runs in ``WORK_DTYPE`` too: ``predict_heights`` hands
+the forward float32 inputs inside ``no_grad``, each op reads its
+parameters in its input's dtype (see ``nn``), and the map is widened to
+float64 on return, so prediction files keep their format.  Teacher maps
+and HyTeC predictions stay float64, for the reasons given at
+``teacher_heights`` and ``predict_heights``.
 
 This module alone knows the checkpoint format.  Each epoch is one file,
 ``epoch_NNNN.ckpt``: a ``CKPT/1 <count>`` line, then per array its name on
@@ -185,12 +192,13 @@ def _heights(out) -> Tensor:
     return out.height if isinstance(out, DualHeadOutput) else out
 
 
-def _infer(params, cfg, sample: Sample) -> np.ndarray:
-    """Height map of one sample as a plain array.  It records no graph
-    (``no_grad``), so every batch norm uses its running statistics and
-    the model is left exactly as it was."""
+def _infer(params, cfg, sample: Sample, dtype) -> np.ndarray:
+    """Height map of one sample as a plain array, computed in ``dtype``.
+    It records no graph (``no_grad``), so every batch norm uses its
+    running statistics, every op reads its parameters in ``dtype`` (see
+    ``nn``) and the model is left exactly as it was."""
     with no_grad():
-        return _heights(_forward(params, cfg, [sample], np.float64)).data
+        return _heights(_forward(params, cfg, [sample], dtype)).data
 
 
 def unet_sample_target(sample: Sample, cfg: UNetConfig) -> Optional[ClassTarget]:
@@ -469,8 +477,10 @@ class Teacher:
 
 
 def teacher_heights(teacher: Teacher, sample: Sample) -> np.ndarray:
-    """Frozen-teacher inference as a plain array (no gradient)."""
-    return _infer(teacher.params, teacher.config, sample)
+    """Frozen-teacher inference as a plain float64 array (no gradient).
+    Float64, not ``WORK_DTYPE``: the maps are distillation targets, and
+    float32 maps move the distillation a student trains on."""
+    return _infer(teacher.params, teacher.config, sample, np.float64)
 
 
 def _block_reduce(value: np.ndarray, mask: np.ndarray, factor: int) -> tuple:
@@ -544,5 +554,13 @@ def train_hytec(samples: Sequence[Sample], teachers: Sequence[Teacher],
 
 
 def predict_heights(params, cfg, sample: Sample) -> np.ndarray:
-    """Inference: the model's height map for one sample (see ``_infer``)."""
-    return _infer(params, cfg, sample)
+    """Inference: the model's height map for one sample as a float64 array
+    (see ``_infer``).  A U-Net runs in ``WORK_DTYPE`` and its map is
+    widened on return; a height below float32's smallest subnormal
+    (1.4e-45) would come back as 0, and trained U-Nets stay far above it.
+    HyTeC runs in float64: its desk-scale heads output heights down to
+    ~1e-47 m, which float32 would flush to 0, and float32 buys it no
+    speed."""
+    if isinstance(cfg, HyTecConfig):
+        return _infer(params, cfg, sample, np.float64)
+    return _infer(params, cfg, sample, WORK_DTYPE).astype(np.float64)

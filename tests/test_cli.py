@@ -347,21 +347,50 @@ class TestTrainEvalGsi:
         assert rows[-1][0] == "mean"
         assert float(rows[-1][3]) > 0.0
 
-    @pytest.mark.parametrize("kept,extra", [(2, 0), (3, 1)])
+    @pytest.mark.parametrize("indices,message", [
+        pytest.param([0, 1], "2 predictions for 3 dataset tiles", id="2-0"),
+        pytest.param([0, 1, 2, 3], "4 predictions for 3 dataset tiles",
+                     id="3-1"),
+        # the count agrees, but pred_003 would be scored against tile 2
+        pytest.param([0, 1, 3], "no pred_002.tnsr for dataset tile 2",
+                     id="gap")])
     def test_gsi_needs_one_prediction_per_tile(self, evaluated, tmp_path,
-                                               kept, extra):
+                                               indices, message):
         cfg, pred_dir = evaluated
         preds = tmp_path / "preds"
         preds.mkdir()
-        for i in range(kept + extra):
+        for i in indices:
             shutil.copy(os.path.join(pred_dir, f"pred_{i % 3:03d}.tnsr"),
                         preds / f"pred_{i:03d}.tnsr")
         cfg = cfg.copy()
         cfg.set("eval", "pred_dir", str(preds))
-        with pytest.raises(ValueError, match=re.escape(
-                f"{preds}: {kept + extra} predictions for 3 dataset tiles")):
+        with pytest.raises(ValueError, match=re.escape(f"{preds}: {message}")):
             cli.cmd_gsi(cfg, str(tmp_path / "gsi"))
         assert not os.path.exists(tmp_path / "gsi")
+
+    def test_eval_rerun_with_fewer_tiles_is_refused(
+            self, workspace, trained, tmp_path, monkeypatch, caplog):
+        # a prediction of the earlier eval would outlive the new one's
+        # overall.csv and gsi.csv
+        monkeypatch.delenv("CANOPY_LOG", raising=False)
+        root, cfg, three = workspace
+        four = str(tmp_path / "four")
+        cfg = cfg.copy()
+        cfg.set("data", "n_tiles", 4)
+        assert run(cfg, ["synth", "--out", four], tmp_path) == 0
+        cfg.set("eval", "checkpoint", os.path.join(trained, "checkpoints"))
+        cfg.set("data", "dataset_dir", four)
+        out = tmp_path / "eval"
+        assert run(cfg, ["eval", "--out", str(out)], tmp_path) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        cfg.set("data", "dataset_dir", three)
+        with caplog.at_level(logging.ERROR, logger="canopyheights"):
+            assert run(cfg, ["eval", "--out", str(out)], tmp_path) == 1
+        assert (f"ValueError: {out / 'pred_003.tnsr'} is not a prediction "
+                "of this run's 3") in caplog.text
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        cfg.set("data", "dataset_dir", four)
+        assert run(cfg, ["eval", "--out", str(out)], tmp_path) == 0
 
 
 @pytest.fixture(scope="module")

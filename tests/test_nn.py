@@ -1,5 +1,6 @@
 """Neural-network building blocks: forward semantics and gradients."""
 
+import copy
 import warnings
 
 import numpy as np
@@ -371,15 +372,18 @@ class TestBitIdenticalKernels:
         assert_same_bits(s.beta.grad, dbeta.astype(param_dtype))
 
     def check_bn_inference(self, x, tiles, dtype, param_dtype):
-        """Inside ``no_grad``: the running-statistics affine map, bit for
-        bit, and not one byte of the state written."""
+        """Inside ``no_grad``: the running-statistics affine map in the
+        input's dtype, its scale and shift computed from the f64 statistics
+        and then cast, bit for bit, and not one byte of the state
+        written."""
         s = self.state(x.shape[-1], param_dtype)
         rm, rv = s.running_mean, s.running_var
         before = [a.tobytes() for a in (s.gamma.data, s.beta.data, rm, rv)]
         with no_grad():
             out = nn.batch_norm(Tensor(x, dtype=dtype), s, tiles=tiles)
         scale = s.gamma.data / np.sqrt(rv + nn.BN_EPS)
-        assert_same_bits(out.data, x * scale + (s.beta.data - rm * scale))
+        shift = s.beta.data - rm * scale
+        assert_same_bits(out.data, x * scale.astype(dtype) + shift.astype(dtype))
         assert s.running_mean is rm and s.running_var is rv
         assert [a.tobytes() for a in (s.gamma.data, s.beta.data, rm, rv)] \
             == before
@@ -549,15 +553,18 @@ class TestConvBn:
             return (self.composed(x1, q, bn) * w).sum()
         assert grad_check(fk, conv.kernel) < TOL
 
-    # f32 parameters: the f64 running statistics widen the output
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("tiles", [1, 2])
     def test_eval_mode_without_a_graph_folds(self, dtype, tiles):
-        """Inside ``no_grad``: the conv's output under the running-
-        statistics formula within 1e-12 relative, every state byte kept."""
+        """Inside ``no_grad``: the conv's output times the running-
+        statistics scale plus the shift, both cast to the input's dtype,
+        bit for bit; in f64 within 1e-12 relative of the running-statistics
+        formula; every state byte kept."""
         x = Tensor(RNG(87).normal(size=(tiles * 6, 5, 3)), dtype=dtype)
         conv, bn = self.layer(dtype)
         y = nn.conv2d(x, conv, tiles=tiles).data
+        scale = bn.gamma.data / np.sqrt(bn.running_var + nn.BN_EPS)
+        shift = bn.beta.data - bn.running_mean * scale
         ref = ((y - bn.running_mean) / np.sqrt(bn.running_var + nn.BN_EPS)
                * bn.gamma.data + bn.beta.data)
         arrays = [conv.kernel.data, conv.bias.data, bn.gamma.data,
@@ -565,11 +572,54 @@ class TestConvBn:
         before = [a.tobytes() for a in arrays]
         with no_grad():
             out = self.composed(x, conv, bn, tiles)
-        assert out.dtype == ref.dtype == np.float64
         assert out._grad_fn is None and not out._parents
-        np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=0)
+        assert_same_bits(out.data, y * scale.astype(dtype) + shift.astype(dtype))
+        if dtype == np.float64:
+            np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=0)
         assert [a.tobytes() for a in arrays] == before
         assert arrays[4] is bn.running_mean and arrays[5] is bn.running_var
+
+
+class TestInferencePrecision:
+    """Inside ``no_grad`` an op reads its f64 parameters in its input's
+    dtype: bit for bit the op on parameters cast to f32 up front, and no
+    parameter byte or dtype changes.  With a graph, numpy's promotion
+    still decides: an f32 input meets f64 parameters in f64."""
+
+    @staticmethod
+    def ops():
+        rng = RNG(95)
+        conv = nn.init_conv(rng, 3, 3, 4, padding=1)
+        convt = nn.init_convt(rng, 2, 3, 4)
+        lin = nn.init_linear(rng, 3, 4)
+        ln = nn.init_layernorm(3)
+        for p in (conv, convt, lin, ln):
+            for q in vars(p).values():
+                if isinstance(q, Tensor):
+                    q.data = q.data + rng.normal(size=q.shape)
+        x3 = rng.normal(size=(6, 5, 3)).astype(np.float32)
+        x2 = x3.reshape(30, 3)
+        return [(nn.conv2d, conv, x3), (nn.conv2d_transpose, convt, x3),
+                (nn.linear, lin, x2), (nn.layer_norm, ln, x3)]
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_no_grad_reads_parameters_at_the_input_dtype(self, i):
+        op, p, x = self.ops()[i]
+        tensors = [q for q in vars(p).values() if isinstance(q, Tensor)]
+        before = [(q.data, q.data.tobytes()) for q in tensors]
+        with no_grad():
+            got = op(Tensor(x, dtype=np.float32), p)
+        cast = copy.copy(p)
+        for name, q in vars(p).items():
+            if isinstance(q, Tensor):
+                setattr(cast, name, Tensor(q.data, dtype=np.float32))
+        with no_grad():
+            want = op(Tensor(x, dtype=np.float32), cast)
+        assert got.dtype == np.float32
+        assert_same_bits(got.data, want.data)
+        assert all(q.data is a and q.data.tobytes() == b
+                   for q, (a, b) in zip(tensors, before))
+        assert op(Tensor(x, dtype=np.float32), p).dtype == np.float64
 
 
 class TestPatches:

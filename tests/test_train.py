@@ -1,5 +1,6 @@
 """Training loops: schedules, checkpoints, resume, divergence, distillation."""
 
+import copy
 import os
 
 import numpy as np
@@ -11,7 +12,7 @@ from canopyheights import tensor as tensor_module
 from canopyheights import train as tr
 from canopyheights.hytec import HyTecConfig, init_hytec
 from canopyheights.losses import AdaptiveLossState, HyTecLossConfig
-from canopyheights.tensor import Tensor, write_csv
+from canopyheights.tensor import Tensor, no_grad, write_csv
 from canopyheights.unet import DualHeadOutput, unet_forward
 
 
@@ -451,7 +452,9 @@ class TestDistillation:
             return out
         monkeypatch.setattr(Tensor, "from_op", staticmethod(recording))
         pred = tr.predict_heights(res.params, res.config, s)
-        np.testing.assert_allclose(pred, graph.height.data, rtol=1e-12,
+        # a U-Net predicts in f32 and widens its map to f64 on return
+        assert pred.dtype == np.float64
+        np.testing.assert_allclose(pred, graph.height.data, rtol=1e-4,
                                    atol=0)
         assert nodes and all(n._grad_fn is None and not n._parents
                              for n in nodes)
@@ -490,30 +493,70 @@ class TestDistillation:
             assert (pred > 0).all()
 
 
+def unet_with_bn_stats(arch):
+    """A fresh stem-4 U-Net whose batch norms have non-trivial gamma, beta
+    and running statistics."""
+    params, cfg = tr.make_unet(arch, np.random.default_rng(8), stem_width=4)
+    rng = np.random.default_rng(9)
+    for _, bn in optim._walk(params):
+        if isinstance(bn, nn.BatchNormState):
+            c = bn.gamma.shape[0]
+            bn.gamma.data[...] = rng.uniform(0.5, 1.5, c)
+            bn.beta.data[...] = rng.normal(size=c)
+            bn.running_mean = rng.normal(size=c)
+            bn.running_var = rng.uniform(0.5, 2.0, c)
+    return params, cfg
+
+
 class TestEvalPrediction:
     """``predict_heights`` records no graph, so every batch norm uses its
-    running statistics: within 1e-12 of a graph-recording forward whose
-    batch norms apply the running-statistics formula."""
+    running statistics.  A U-Net predicts in ``WORK_DTYPE`` and returns
+    f64: within 1e-4 relative of an f64 graph-recording forward whose
+    batch norms apply the running-statistics formula.  Teacher maps and
+    HyTeC run in f64: within 1e-12, and bit for bit."""
 
     @pytest.mark.parametrize("arch", tr.UNET_ARCHS)
     def test_unet_prediction_matches_the_graph_forward(self, arch,
                                                        monkeypatch):
         s = tiny_samples(n_tiles=1)[0]
-        params, cfg = tr.make_unet(arch, np.random.default_rng(8),
-                                   stem_width=4)
-        rng = np.random.default_rng(9)
-        for _, bn in optim._walk(params):
-            if isinstance(bn, nn.BatchNormState):
-                c = bn.gamma.shape[0]
-                bn.gamma.data[...] = rng.uniform(0.5, 1.5, c)
-                bn.beta.data[...] = rng.normal(size=c)
-                bn.running_mean = rng.normal(size=c)
-                bn.running_var = rng.uniform(0.5, 2.0, c)
+        params, cfg = unet_with_bn_stats(arch)
         pred = tr.predict_heights(params, cfg, s)
         out = running_stats_forward(monkeypatch, params, cfg, s)
         ref = out.height if isinstance(out, DualHeadOutput) else out
         assert ref._grad_fn is not None
-        np.testing.assert_allclose(pred, ref.data, rtol=1e-12, atol=0)
+        assert pred.dtype == ref.dtype == np.float64
+        np.testing.assert_allclose(pred, ref.data, rtol=1e-4, atol=0)
+
+    @pytest.mark.parametrize("arch", ["teacher_s1", "teacher_s2"])
+    def test_teacher_heights_match_the_graph_forward(self, arch,
+                                                     monkeypatch):
+        s = tiny_samples(n_tiles=1)[0]
+        params, cfg = unet_with_bn_stats(arch)
+        got = tr.teacher_heights(
+            tr.Teacher(params, cfg, arch.split("_")[1]), s)
+        ref = running_stats_forward(monkeypatch, params, cfg, s)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, ref.data, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("arch", tr.UNET_ARCHS)
+    def test_unet_prediction_is_the_f32_model_forward(self, arch):
+        """Bit for bit the ``no_grad`` f32 forward of a copy of the model
+        whose parameters were cast to f32 up front; the batch norms keep
+        f64 gamma and beta, whose scale and shift are cast."""
+        s = tiny_samples(n_tiles=1)[0]
+        params, cfg = unet_with_bn_stats(arch)
+        f32 = copy.deepcopy(params)
+        bn_params = {id(t) for _, bn in optim._walk(f32)
+                     if isinstance(bn, nn.BatchNormState)
+                     for t in (bn.gamma, bn.beta)}
+        for _, t in optim._walk(f32):
+            if isinstance(t, Tensor) and id(t) not in bn_params:
+                t.data = t.data.astype(np.float32)
+        pred = tr.predict_heights(params, cfg, s)
+        with no_grad():
+            ref = tr._heights(tr._forward(f32, cfg, [s], np.float32)).data
+        assert ref.dtype == np.float32
+        assert pred.tobytes() == ref.astype(np.float64).tobytes()
 
     def test_training_after_a_prediction_is_unchanged(self):
         """Two equal models, one of which predicted a tile first: one
