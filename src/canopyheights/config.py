@@ -10,7 +10,6 @@ from __future__ import annotations
 import configparser
 import copy
 import io
-from typing import Optional
 
 from .train import UNET_CONFIGS
 
@@ -81,13 +80,9 @@ def _typed(typ, value, section: str, key: str):
 class RunConfig:
     """Typed view over the schema with attribute-style section access."""
 
-    def __init__(self, values: Optional[dict] = None):
+    def __init__(self):
         self._values = {s: {k: d for k, (_, d) in keys.items()}
                         for s, keys in SCHEMA.items()}
-        if values:
-            for s, kv in values.items():
-                for k, v in kv.items():
-                    self.set(s, k, v)
 
     def get(self, section: str, key: str):
         try:

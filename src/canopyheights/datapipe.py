@@ -33,7 +33,7 @@ import csv
 import dataclasses
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
@@ -109,7 +109,6 @@ class ImageStack:
 
     frames: list          # each W x H x C float array
     masks: list           # each W x H bool array
-    timestamps: list = field(default_factory=list)
 
     def __post_init__(self):
         if not self.frames:
@@ -240,8 +239,7 @@ def filter_gedi(shots, sigma_cover: Optional[float] = None,
 
 # -- rasterization ----------------------------------------------------
 
-def rasterize_targets(shots: Sequence[GediShot], bounds: tuple,
-                      pixel: float = PIXEL_SIZE_M) -> tuple:
+def rasterize_targets(shots: Sequence[GediShot], bounds: tuple) -> tuple:
     """Burn shot heights into a raster; later-timestamped shots win ties.
 
     ``bounds`` is (xmin, ymin, xmax, ymax) in local meters; shot lon/lat
@@ -250,17 +248,17 @@ def rasterize_targets(shots: Sequence[GediShot], bounds: tuple,
     (target, mask).
     """
     xmin, ymin, xmax, ymax = bounds
-    w = int(round((xmax - xmin) / pixel))
-    h = int(round((ymax - ymin) / pixel))
+    w = int(round((xmax - xmin) / PIXEL_SIZE_M))
+    h = int(round((ymax - ymin) / PIXEL_SIZE_M))
     target = np.zeros((w, h))
     mask = np.zeros((w, h), dtype=bool)
     lon, lat, rh98, stamp = (np.array(list(map(attrgetter(name), shots)), float)
                              for name in ("lon", "lat", "rh98", "acquired_at"))
     if not np.all((xmin <= lon) & (lon < xmax) & (ymin <= lat) & (lat < ymax)):
         raise ValueError("shot outside the tile bounds")
-    cell = np.ravel_multi_index((((lon - xmin) // pixel).astype(np.intp),
-                                 ((lat - ymin) // pixel).astype(np.intp)),
-                                (w, h))
+    col = ((lon - xmin) // PIXEL_SIZE_M).astype(np.intp)
+    row = ((lat - ymin) // PIXEL_SIZE_M).astype(np.intp)
+    cell = np.ravel_multi_index((col, row), (w, h))
     # lexsort is stable, so each pixel's last row in (pixel, stamp) order
     # is its latest shot, and of equal stamps the last in input order
     order = np.lexsort((stamp, cell))

@@ -1,10 +1,10 @@
 """Neural network building blocks on top of the tensor engine.
 
-Convolutions, transposed convolutions, normalizations, activations,
-multi-head self-attention, and bilinear resampling.  Every op here carries
-an exact shape contract (asserted on call) and a hand-written backward.
-The tile layout is rows x cols x channels.  Parameters live in plain
-dataclass containers; ``train`` saves and restores them as checkpoints.
+Convolutions, transposed convolutions, normalizations, activations and
+multi-head self-attention.  Every op here carries an exact shape contract
+(asserted on call) and a hand-written backward.  The tile layout is
+rows x cols x channels.  Parameters live in plain dataclass containers;
+``train`` saves and restores them as checkpoints.
 
 A batch of n tiles is one (n*rows) x cols x channels array, the tiles
 stacked along rows: the same bytes as n x rows x cols x channels, and
@@ -499,43 +499,3 @@ def mhsa(tokens: Tensor, p: MhsaParams, tiles: int = 1) -> Tensor:
     merged = concat(outs, axis=2).reshape(rows, d)
     return linear(merged, p.wo)
 
-
-# -- resampling -------------------------------------------------------
-
-def _bilinear_weights(n_in: int, n_out: int):
-    """Source indices and weights for align-corners-false sampling."""
-    src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
-    src = np.clip(src, 0.0, n_in - 1.0)
-    i0 = np.floor(src).astype(int)
-    i1 = np.minimum(i0 + 1, n_in - 1)
-    w = src - i0
-    return i0, i1, w
-
-
-def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Align-corners-false bilinear resampling of a rows x cols x C tile."""
-    if out_h < 1 or out_w < 1:
-        raise ValueError("target extents must be >= 1")
-    h, w, c = x.shape
-    if (out_h, out_w) == (h, w):
-        return Tensor.from_op(x.data.copy(), (x,), lambda g: (g,))
-    r0, r1, wr = _bilinear_weights(h, out_h)
-    c0, c1, wc = _bilinear_weights(w, out_w)
-    wr_ = wr[:, None, None]
-    wc_ = wc[None, :, None]
-
-    def sample(arr):
-        top = arr[r0][:, c0] * (1 - wc_) + arr[r0][:, c1] * wc_
-        bot = arr[r1][:, c0] * (1 - wc_) + arr[r1][:, c1] * wc_
-        return top * (1 - wr_) + bot * wr_
-
-    out = sample(x.data)
-
-    def grad_fn(g):
-        gx = np.zeros_like(x.data)
-        for (ri, rw) in ((r0, 1 - wr_), (r1, wr_)):
-            for (ci, cw) in ((c0, 1 - wc_), (c1, wc_)):
-                np.add.at(gx, (ri[:, None], ci[None, :]), g * rw * cw)
-        return (gx,)
-
-    return Tensor.from_op(out, (x,), grad_fn)

@@ -76,8 +76,6 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
         self.data = np.asarray(data, dtype=dtype or DEFAULT_DTYPE)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
@@ -127,14 +125,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def zero_grad(self):
-        self.grad = None
-
-    def assert_finite(self, where: str = "tensor"):
-        if not np.all(np.isfinite(self.data)):
-            raise FloatingPointError(f"non-finite values in {where}")
-        return self
 
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype)
@@ -205,8 +195,6 @@ class Tensor:
         return Tensor.from_op(-self.data, (self,), lambda g: (-g,))
 
     def __pow__(self, p):
-        if isinstance(p, Tensor):
-            return tpow(self, p)
         p = float(p)
         data = self.data ** p
         return Tensor.from_op(data, (self,), lambda g: (g * p * self.data ** (p - 1.0),))
@@ -230,14 +218,6 @@ class Tensor:
         data = np.maximum(self.data, lo)
         mask = (self.data > lo).astype(self.data.dtype)
         return Tensor.from_op(data, (self,), lambda g: (g * mask,))
-
-    def sqrt(self):
-        if np.any(self.data < 0):
-            raise ValueError("sqrt of negative value")
-        data = np.sqrt(self.data)
-        # 1e-300 is 0 in float32: floor there at the smallest normal
-        floor = max(1e-300, float(np.finfo(data.dtype).tiny))
-        return Tensor.from_op(data, (self,), lambda g: (g * 0.5 / np.maximum(data, floor),))
 
     # -- reductions ---------------------------------------------------
 
@@ -269,24 +249,14 @@ class Tensor:
     # -- structural ops -----------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         old = self.shape  # numpy raises ValueError for a size mismatch
         return Tensor.from_op(self.data.reshape(shape), (self,),
                               lambda g: (g.reshape(old),))
 
     def permute(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         inv = np.argsort(axes)
         return Tensor.from_op(np.ascontiguousarray(self.data.transpose(axes)), (self,),
                               lambda g: (g.transpose(tuple(inv)),))
-
-    @property
-    def T(self):
-        if self.ndim != 2:
-            raise ValueError("T expects a 2-D tensor")
-        return self.permute(1, 0)
 
     def __getitem__(self, key):
         data = self.data[key]
@@ -517,12 +487,13 @@ def read_record(fh, path) -> np.ndarray:
     if code not in _DTYPE_CODES:
         raise ValueError(f"{path}: unknown dtype code {code}")
     dtype = _DTYPE_CODES[code]
-    want = int(np.prod(shape)) * dtype.itemsize
-    payload = fh.read(want)
-    if len(payload) != want:
-        raise ValueError(f"{path}: payload is {len(payload)} bytes, "
-                         f"shape {shape} needs {want}")
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    # exact integers: a header's extents may overflow int64 in a product
+    want = math.prod(shape) * dtype.itemsize
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if want > left:
+        raise ValueError(f"{path}: shape {shape} needs {want} payload "
+                         f"bytes, the file has {left} left")
+    return np.frombuffer(fh.read(want), dtype=dtype).reshape(shape).copy()
 
 
 def save_tensor(path, t) -> None:

@@ -229,7 +229,9 @@ def unet_sample_loss(sample: Sample, target: Optional[ClassTarget], out,
 
 # -- checkpointing ----------------------------------------------------
 
-_EPOCH_RE = re.compile(r"^epoch_(\d{4})\.ckpt$")
+# the names ``epoch_{epoch:04d}`` writes: four digits, or more without a
+# leading zero
+_EPOCH_RE = re.compile(r"^epoch_(\d{4}|[1-9]\d{4,})\.ckpt$")
 _HEADER_RE = re.compile(rb"CKPT/1 (\d+)\n")
 
 
@@ -248,7 +250,9 @@ def _checkpoint_arrays(model, adaptive, extra: Optional[dict] = None) -> dict:
 
 
 def _epoch_files(directory: str) -> list:
-    return sorted(f for f in os.listdir(directory) if _EPOCH_RE.match(f))
+    """The epoch files in ``directory``, oldest epoch first."""
+    return sorted((f for f in os.listdir(directory) if _EPOCH_RE.match(f)),
+                  key=lambda f: int(_EPOCH_RE.match(f).group(1)))
 
 
 def _write_arrays(path: str, arrays: dict) -> None:

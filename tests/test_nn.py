@@ -673,13 +673,3 @@ class TestAttentionAndLinear:
         assert nn.mhsa(x, p).shape == (6, 8)
         assert grad_check(lambda v: nn.mhsa(v, p).sum(), x, max_coords=24) < TOL
 
-
-class TestResizeAndPersistence:
-    def test_bilinear_identity(self):
-        x = RNG(26).normal(size=(5, 7, 2))
-        np.testing.assert_allclose(
-            nn.bilinear_resize(Tensor(x), 5, 7).data, x, atol=1e-12)
-
-    def test_bilinear_grad(self):
-        assert grad_check(lambda v: nn.bilinear_resize(v, 6, 6).sum(),
-                          t((3, 3, 2), seed=27)) < TOL

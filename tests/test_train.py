@@ -211,6 +211,15 @@ class TestCheckpointing:
         with pytest.raises(FileNotFoundError, match="no checkpoint"):
             tr.load_checkpoint(str(tmp_path / "empty"), fresh)
 
+    def test_epochs_past_9999_rotate_and_resume_from_the_newest(self,
+                                                                tmp_path):
+        for epoch in range(9998, 10002):
+            path, _, _, _ = _small_checkpoint(tmp_path, epoch=epoch)
+        assert path == str(tmp_path / "epoch_10001.ckpt")
+        assert sorted(os.listdir(tmp_path)) == [
+            "epoch_10000.ckpt", "epoch_10001.ckpt", "epoch_9999.ckpt"]
+        assert tr.latest_checkpoint(str(tmp_path)) == (10001, path)
+
     def test_truncated_checkpoint_names_the_file(self, tmp_path):
         _small_checkpoint(tmp_path)
         path = tmp_path / "epoch_0000.ckpt"
