@@ -24,7 +24,7 @@ print("=" * 60)
 print("2. Shot quality filtering with per-rule attribution")
 print("=" * 60)
 
-shots = [s for t in tiles for s in t.shots]
+shots = np.concatenate([t.shots for t in tiles]).view(np.recarray)
 retained, counts = dp.filter_gedi(shots)
 print("input shots :", len(shots))
 for rule in dp.FILTER_RULES:
@@ -49,12 +49,11 @@ print("=" * 60)
 print("4. Grid cells are rebalanced by their height-range mix")
 print("=" * 60)
 
-xs = [s.lon for s in shots]
-ys = [s.lat for s in shots]
+xs, ys = shots.lon, shots.lat
 cell = 160.0
-bounds = (min(xs), min(ys),
-          min(xs) + np.ceil((max(xs) - min(xs)) / cell) * cell,
-          min(ys) + np.ceil((max(ys) - min(ys)) / cell) * cell)
+bounds = (xs.min(), ys.min(),
+          xs.min() + np.ceil(np.ptp(xs) / cell) * cell,
+          ys.min() + np.ceil(np.ptp(ys) / cell) * cell)
 cells = dp.build_grid(shots, bounds, cell_size=cell, min_shots=5, seed=2)
 print("cells kept  :", len(cells))
 for c in cells[:4]:

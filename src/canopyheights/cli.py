@@ -83,7 +83,7 @@ def write_dataset(tiles, out_dir: str) -> None:
         for part in TILE_PARTS:
             save_tensor(os.path.join(out_dir, f"tile_{i:03d}.{part}.tnsr"),
                         np.asarray(getattr(t, part), dtype=float))
-    dp.shots_to_csv([s for t in tiles for s in t.shots],
+    dp.shots_to_csv(np.concatenate([t.shots for t in tiles]),
                     os.path.join(out_dir, "shots.csv"))
     write_csv(os.path.join(out_dir, "labels.csv"), ["tile", "shot", "label"],
               ([i, j, lab] for i, t in enumerate(tiles)
@@ -102,9 +102,10 @@ def read_dataset(dataset_dir: str) -> list:
         stem = p[:-len(".s2.tnsr")]
         parts = {part: load_tensor(f"{stem}.{part}.tnsr")
                  for part in TILE_PARTS}
-        tiles.append(dp.SynthTile(parts["s2"], parts["s1"], parts["heights"],
-                                  parts["target"], parts["mask"] > 0,
-                                  shots=[], shot_labels=[], bounds=()))
+        tiles.append(dp.SynthTile(
+            parts["s2"], parts["s1"], parts["heights"], parts["target"],
+            parts["mask"] > 0, np.rec.fromrecords([], dtype=dp.SHOT_DTYPE),
+            shot_labels=[], bounds=()))
     return tiles
 
 
@@ -328,8 +329,13 @@ def cmd_gsi(cfg, out_dir: str) -> None:
         if os.path.basename(p) != f"pred_{i:03d}.tnsr":
             raise ValueError(f"{pred_dir}: no pred_{i:03d}.tnsr for dataset "
                              f"tile {i}")
+    maps = [load_tensor(p) for p in preds]
+    for p, m, s in zip(preds, maps, samples):
+        if m.shape != s.s2.shape[:2]:
+            raise ValueError(f"{p}: shape {m.shape} differs from its dataset "
+                             f"crop's {s.s2.shape[:2]}")
     os.makedirs(out_dir, exist_ok=True)
-    reports = [mt.gsi(load_tensor(p), s.s2) for p, s in zip(preds, samples)]
+    reports = [mt.gsi(m, s.s2) for m, s in zip(maps, samples)]
     mean_gsi = float(np.mean([r.gsi for r in reports]))
     _write_gsi_csv(os.path.join(out_dir, "gsi.csv"), reports,
                    [["mean", None, None, mean_gsi,

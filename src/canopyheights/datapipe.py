@@ -6,16 +6,16 @@ generator.
 All tiles are plain rasters at a 10 m pixel; coordinates are local meters
 (no CRS handling).
 
-LiDAR shots travel as a shot table: a ``np.recarray`` of ``SHOT_DTYPE``,
-one column per ``GediShot`` field in ``SHOT_FIELDS`` order (float64 and
-int64 columns, and an object column of ``str`` for ``beam_kind``).  Its
-rows read like shots (``table[i].lon``), and ``table.lon`` is the whole
-column.  ``shots_from_csv`` returns one; ``filter_gedi`` tests each rule
-on whole columns and returns the retained rows as one; ``build_grid``
-groups cell ids with one stable sort; ``shots_to_csv`` formats whole
-columns.  Each of them also takes a list (or any iterable) of
-``GediShot`` and converts it on entry through ``shot_table``, so code
-that builds shots one at a time, like ``synth_dataset``, keeps doing so.
+LiDAR shots are a shot table: a ``np.recarray`` of ``SHOT_DTYPE``, one
+column per field in ``SHOT_FIELDS`` order (float64 and int64 columns, and
+an object column of ``str`` for ``beam_kind``).  Its rows read like shots
+(``table[i].lon``), and ``table.lon`` is the whole column;
+``np.concatenate`` of tables returns a plain structured array, which
+``.view(np.recarray)`` makes a table again.  ``synth_dataset`` builds one
+per tile and ``shots_from_csv`` parses one; ``filter_gedi`` tests each
+rule on whole columns and returns the retained rows as one;
+``build_grid`` groups cell ids with one stable sort; ``shots_to_csv``
+formats whole columns.
 
 ``synth_dataset`` draws every shot from one generator, value by value in
 a fixed order; the synthetic and acceptance data are that stream, so its
@@ -30,11 +30,8 @@ with the same generator state, in plain Python
 from __future__ import annotations
 
 import csv
-import dataclasses
-import math
 import warnings
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -140,69 +137,47 @@ def median_composite(stack: ImageStack) -> tuple:
 
 # -- LiDAR shot filtering ---------------------------------------------
 
-@dataclass
-class GediShot:
-    """One spaceborne LiDAR shot with its quality variables."""
-
-    lon: float
-    lat: float
-    rh98: float
-    num_detectedmodes: int
-    snr_db: float
-    view_angle: float
-    sensitivity: float
-    elm: float
-    srtm: float
-    rx_sample_count: int
-    search_end: int
-    canopy_cover: float
-    ndvi30: float
-    acquired_at: int
-    beam_kind: str = "full_power"
-
-    def __post_init__(self):
-        for name in _NUMBER_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got "
-                                 f"{getattr(self, name)!r}")
-        if not 0.0 <= self.sensitivity <= 1.0:
-            raise ValueError("sensitivity must lie in [0, 1]")
-        if self.rh98 < 0:
-            raise ValueError("rh98 must be non-negative")
+# one spaceborne LiDAR shot with its quality variables
+SHOT_DTYPE = np.dtype([
+    ("lon", np.float64), ("lat", np.float64), ("rh98", np.float64),
+    ("num_detectedmodes", np.int64), ("snr_db", np.float64),
+    ("view_angle", np.float64), ("sensitivity", np.float64),
+    ("elm", np.float64), ("srtm", np.float64),
+    ("rx_sample_count", np.int64), ("search_end", np.int64),
+    ("canopy_cover", np.float64), ("ndvi30", np.float64),
+    ("acquired_at", np.int64), ("beam_kind", object),
+])
+SHOT_FIELDS = list(SHOT_DTYPE.names)
+# each column's scalar type, which parses its CSV text (np.int64 refuses
+# a value past its range) and picks its CSV formatter
+_PARSERS = [SHOT_DTYPE[name].type for name in SHOT_FIELDS]
+_FLOAT_FIELDS = [n for n in SHOT_FIELDS if SHOT_DTYPE[n].kind == "f"]
 
 
-SHOT_FIELDS = [f.name for f in dataclasses.fields(GediShot)]
-# each field's Python type, which parses its CSV text
-_PARSERS = [{"float": float, "int": int, "str": str}[f.type]
-            for f in dataclasses.fields(GediShot)]
-SHOT_DTYPE = np.dtype([(name, {float: np.float64, int: np.int64,
-                               str: object}[t])
-                       for name, t in zip(SHOT_FIELDS, _PARSERS)])
-_NUMBER_FIELDS = [n for n, t in zip(SHOT_FIELDS, _PARSERS) if t is not str]
-
-
-def shot_table(shots) -> np.recarray:
-    """The shots as a shot table (see the module docstring).
-
-    A table comes back as it is; any other iterable of shots (``GediShot``
-    or table rows) is copied into a new one, in order.
-    """
-    if isinstance(shots, np.ndarray) and shots.dtype == SHOT_DTYPE:
-        return shots.view(np.recarray)
-    shots = list(shots)
-    t = np.empty(len(shots), SHOT_DTYPE).view(np.recarray)
-    for name in SHOT_FIELDS:
-        t[name] = [getattr(s, name) for s in shots]
-    return t
+def _first_bad_shot(t: np.recarray) -> Optional[tuple]:
+    """The shot checks, on every row of a table at once: None when every
+    row passes, else (row, cause) for the first row that fails, its cause
+    the first check it fails in this order: each float finite (an int64
+    column holds nothing else), a sensitivity in [0, 1], rh98 >= 0."""
+    checks = [(f"{name} must be finite", np.isfinite(t[name]))
+              for name in _FLOAT_FIELDS]
+    checks += [("sensitivity must lie in [0, 1]",
+                (t.sensitivity >= 0.0) & (t.sensitivity <= 1.0)),
+               ("rh98 must be non-negative", t.rh98 >= 0.0)]
+    fails = ~np.stack([ok for _, ok in checks])
+    rows = np.flatnonzero(fails.any(axis=0))
+    if not len(rows):
+        return None
+    return int(rows[0]), checks[int(fails[:, rows[0]].argmax())][0]
 
 
 FILTER_RULES = ("modes", "snr_va", "sensitivity", "elevation",
                 "waveform", "ndvi")
 
 
-def filter_gedi(shots, sigma_cover: Optional[float] = None,
+def filter_gedi(shots: np.recarray, sigma_cover: Optional[float] = None,
                 rules: Sequence[str] = FILTER_RULES) -> tuple:
-    """Apply the shot quality filter.
+    """Apply the shot quality filter to a shot table.
 
     Returns (retained shots as a shot table, per-rule rejection counts).
     Each rejected shot is attributed to the first violated rule in the
@@ -214,33 +189,33 @@ def filter_gedi(shots, sigma_cover: Optional[float] = None,
     unknown = set(rules) - set(FILTER_RULES)
     if unknown:
         raise ValueError(f"unknown filter rules {sorted(unknown)}")
-    t = shot_table(shots)
-    gap = np.abs(t.canopy_cover - t.ndvi30)
+    gap = np.abs(shots.canopy_cover - shots.ndvi30)
     if sigma_cover is None:
-        sigma_cover = float(gap.std()) if len(t) else 0.0
+        sigma_cover = float(gap.std()) if len(shots) else 0.0
     broken = {
-        "modes": t.num_detectedmodes == 0,
-        "snr_va": (t.snr_db < 12.0) | (t.view_angle > 5.0),
-        "sensitivity": t.sensitivity < 0.95,
-        "elevation": np.abs(t.elm - t.srtm) > 75.0,
-        "waveform": t.rx_sample_count - t.search_end <= 1,
+        "modes": shots.num_detectedmodes == 0,
+        "snr_va": (shots.snr_db < 12.0) | (shots.view_angle > 5.0),
+        "sensitivity": shots.sensitivity < 0.95,
+        "elevation": np.abs(shots.elm - shots.srtm) > 75.0,
+        "waveform": shots.rx_sample_count - shots.search_end <= 1,
         "ndvi": gap > 1.5 * sigma_cover,
     }
     active = [r for r in FILTER_RULES if r in rules]
     # a last all-true row stands for "no rule broken", so the argmax is
     # each shot's first broken active rule, or len(active) when clean
-    hits = np.stack([broken[r] for r in active] + [np.ones(len(t), bool)])
+    hits = np.stack([broken[r] for r in active] + [np.ones(len(shots), bool)])
     first = hits.argmax(axis=0)
     counts = dict.fromkeys(FILTER_RULES, 0)
     counts.update(zip(active, np.bincount(
         first, minlength=len(active) + 1).tolist()))
-    return t[first == len(active)], counts
+    return shots[first == len(active)], counts
 
 
 # -- rasterization ----------------------------------------------------
 
-def rasterize_targets(shots: Sequence[GediShot], bounds: tuple) -> tuple:
-    """Burn shot heights into a raster; later-timestamped shots win ties.
+def rasterize_targets(shots: np.recarray, bounds: tuple) -> tuple:
+    """Burn a shot table's heights into a raster; later-timestamped shots
+    win ties.
 
     ``bounds`` is (xmin, ymin, xmax, ymax) in local meters; shot lon/lat
     are local meter coordinates.  Each pixel keeps the shot with the
@@ -252,8 +227,7 @@ def rasterize_targets(shots: Sequence[GediShot], bounds: tuple) -> tuple:
     h = int(round((ymax - ymin) / PIXEL_SIZE_M))
     target = np.zeros((w, h))
     mask = np.zeros((w, h), dtype=bool)
-    lon, lat, rh98, stamp = (np.array(list(map(attrgetter(name), shots)), float)
-                             for name in ("lon", "lat", "rh98", "acquired_at"))
+    lon, lat, stamp = shots.lon, shots.lat, shots.acquired_at
     if not np.all((xmin <= lon) & (lon < xmax) & (ymin <= lat) & (lat < ymax)):
         raise ValueError("shot outside the tile bounds")
     col = ((lon - xmin) // PIXEL_SIZE_M).astype(np.intp)
@@ -265,7 +239,7 @@ def rasterize_targets(shots: Sequence[GediShot], bounds: tuple) -> tuple:
     last = np.ones(len(order), dtype=bool)
     last[:-1] = cell[order[1:]] != cell[order[:-1]]
     won = order[last]
-    target.flat[cell[won]] = rh98[won]
+    target.flat[cell[won]] = shots.rh98[won]
     mask.flat[cell[won]] = True
     return target, mask
 
@@ -316,10 +290,11 @@ def assign_set(ratios: np.ndarray) -> int:
     return 1
 
 
-def build_grid(shots, area_bounds: tuple,
+def build_grid(shots: np.recarray, area_bounds: tuple,
                cell_size: float = CELL_SIZE_M,
                min_shots: int = MIN_CELL_SHOTS, seed: int = 0) -> list:
-    """Tile the area, keep well-sampled cells, and rebalance by height.
+    """Tile the area, keep a shot table's well-sampled cells, and rebalance
+    by height.
 
     Cells with fewer than ``min_shots`` shots are dropped.  Each kept cell
     gets a set id from its height-range ratios, a seeded 75/25 train/val
@@ -327,12 +302,11 @@ def build_grid(shots, area_bounds: tuple,
     cells only; a duplicated cell appears 1 + n times in a training list).
     Cells come in (col, row) order and list their shots in input order.
     """
-    t = shot_table(shots)
     xmin, ymin, xmax, ymax = area_bounds
     ncols = int(np.ceil((xmax - xmin) / cell_size))
     nrows = int(np.ceil((ymax - ymin) / cell_size))
-    col = (t.lon - xmin) // cell_size
-    row = (t.lat - ymin) // cell_size
+    col = (shots.lon - xmin) // cell_size
+    row = (shots.lat - ymin) // cell_size
     idx = np.flatnonzero((col >= 0) & (col < ncols)
                          & (row >= 0) & (row < nrows))
     # one id per cell that sorts like (col, row); the stable sort keeps
@@ -348,7 +322,7 @@ def build_grid(shots, area_bounds: tuple,
         if hi - lo < min_shots:
             continue
         members = idx[lo:hi]
-        ratios = height_range_ratios(t.rh98[members])
+        ratios = height_range_ratios(shots.rh98[members])
         set_id = assign_set(ratios)
         c, r = divmod(int(key[lo]), nrows)
         bounds = (xmin + c * cell_size, ymin + r * cell_size,
@@ -439,7 +413,7 @@ class SynthTile:
     heights: np.ndarray       # W x H dense truth
     target: np.ndarray        # W x H sparse raster
     mask: np.ndarray          # W x H bool
-    shots: list
+    shots: np.recarray        # shot table
     shot_labels: list         # "clean" or the violated rule name
     bounds: tuple
 
@@ -534,8 +508,9 @@ def _sign(rng: np.random.Generator) -> float:
     return (-1.0, 1.0)[int(rng.integers(0, 2))]
 
 
-def _make_shot(rng, x, y, rh98, t, violation=None) -> GediShot:
-    """A clean shot, then at most one planted rule violation."""
+def _make_shot(rng, x, y, rh98, t, violation=None) -> tuple:
+    """A clean shot, then at most one planted rule violation, as a row in
+    ``SHOT_FIELDS`` order."""
     elm = _uniform(rng, 100.0, 400.0)
     cover = _clip(rh98 / MAX_HEIGHT_M + rng.normal(0, 0.02), 0.0, 1.0)
     modes = int(rng.integers(1, 5))
@@ -564,9 +539,9 @@ def _make_shot(rng, x, y, rh98, t, violation=None) -> GediShot:
         ndvi30 = cover + 5.0            # cover lies in [0, 1]
     elif violation is not None:
         raise ValueError(f"unknown violation {violation!r}")
-    return GediShot(x, y, max(rh98, 0.0), modes, snr_db, view_angle,
-                    sensitivity, elm, srtm, rx_sample_count, search_end,
-                    cover, ndvi30, t, beam_kind)
+    return (x, y, max(rh98, 0.0), modes, snr_db, view_angle, sensitivity,
+            elm, srtm, rx_sample_count, search_end, cover, ndvi30, t,
+            beam_kind)
 
 
 def synth_dataset(n_tiles: int, size: int, seed: int,
@@ -586,7 +561,7 @@ def synth_dataset(n_tiles: int, size: int, seed: int,
         s2, s1 = bands_from_height(heights, rng)
         x0, y0 = ti * size * PIXEL_SIZE_M, 0.0
         bounds = (x0, y0, x0 + size * PIXEL_SIZE_M, y0 + size * PIXEL_SIZE_M)
-        shots, labels = [], []
+        rows, labels = [], []
         for _ in range(shots_per_tile):
             i = int(rng.integers(0, size))
             j = int(rng.integers(0, size))
@@ -597,9 +572,11 @@ def synth_dataset(n_tiles: int, size: int, seed: int,
             violation = None
             if rng.random() < violation_rate:
                 violation = FILTER_RULES[int(rng.integers(len(FILTER_RULES)))]
-            shots.append(_make_shot(rng, x, y, rh,
-                                    t=int(rng.integers(0, 10000)), violation=violation))
+            rows.append(_make_shot(rng, x, y, rh,
+                                   t=int(rng.integers(0, 10000)),
+                                   violation=violation))
             labels.append(violation or "clean")
+        shots = np.rec.fromrecords(rows, dtype=SHOT_DTYPE)
         target, mask = rasterize_targets(shots, bounds)
         tiles.append(SynthTile(s2, s1, heights, target, mask,
                                shots, labels, bounds))
@@ -616,61 +593,64 @@ def _csv_text(value) -> str:
     return value
 
 
-_FORMATTERS = {float: repr, int: str, str: _csv_text}
+_FORMATTERS = {np.float64: repr, np.int64: str, np.object_: _csv_text}
 _CSV_BLOCK_ROWS = 512
 
 
-def shots_to_csv(shots, path: str) -> None:
-    """Write shots as CSV, formatting a block of rows column by column.
+def shots_to_csv(shots: np.recarray, path: str) -> None:
+    """Write a shot table as CSV, formatting a block of rows column by
+    column.
 
-    The text is what ``csv.writer`` writes for ``GediShot`` rows: a
+    The text is what ``csv.writer`` writes for the rows' Python values: a
     ``SHOT_FIELDS`` header, ``repr`` floats, ``str`` ints and ``\\r\\n``
     line ends.
     """
     with atomic_open(path, "w", newline="") as fh:
-        t = shot_table(shots)
         fh.write(",".join(SHOT_FIELDS) + "\r\n")
         # blocks bound the text held at once to about 100 kB
-        for lo in range(0, len(t), _CSV_BLOCK_ROWS):
-            block = t[lo:lo + _CSV_BLOCK_ROWS]
+        for lo in range(0, len(shots), _CSV_BLOCK_ROWS):
+            block = shots[lo:lo + _CSV_BLOCK_ROWS]
             cols = [map(_FORMATTERS[kind], block[name].tolist())
                     for name, kind in zip(SHOT_FIELDS, _PARSERS)]
             fh.write("".join([",".join(row) + "\r\n" for row in zip(*cols)]))
 
 
-def _valid_rows(t: np.recarray) -> np.ndarray:
-    """``GediShot``'s value checks, on every row of a table at once."""
-    ok = (t.sensitivity >= 0.0) & (t.sensitivity <= 1.0) & (t.rh98 >= 0.0)
-    for name in _NUMBER_FIELDS:
-        ok &= np.isfinite(t[name])
-    return ok
+def _parse_row(row: list, where: str) -> tuple:
+    """One CSV row's values in ``SHOT_FIELDS`` order; a ``ValueError``
+    naming ``where`` for another field count or a value its column's type
+    does not parse."""
+    if len(row) != len(SHOT_FIELDS):
+        raise ValueError(f"{where}: {len(row)} fields, expected "
+                         f"{len(SHOT_FIELDS)}")
+    values = []
+    for name, parse, text in zip(SHOT_FIELDS, _PARSERS, row):
+        try:
+            values.append(parse(text))
+        except (ValueError, OverflowError):
+            raise ValueError(f"{where}: {name} {text!r} is not a valid "
+                             f"{parse.__name__}") from None
+    return tuple(values)
 
 
 def _raise_bad_row(path: str, cause) -> None:
-    """Parse ``path`` one row at a time and raise on the first bad row,
-    naming the file and its line; ``cause`` is the fast parse's error."""
+    """Raise on the first bad row of ``path``, naming the file and its
+    line; ``cause`` is the fast parse's error.  Rows parse one at a time
+    up to the first malformed one, and the shot checks run on all rows
+    before it at once."""
+    lines, values, malformed = [], [], ValueError(f"{path}: {cause}")
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
         next(rows)
-        for row in rows:
-            if not row:
-                continue
-            where = f"{path}, line {rows.line_num}"
-            if len(row) != len(SHOT_FIELDS):
-                raise ValueError(f"{where}: {len(row)} fields, expected "
-                                 f"{len(SHOT_FIELDS)}")
-            values = []
-            for name, parse, text in zip(SHOT_FIELDS, _PARSERS, row):
-                try:
-                    values.append(parse(text))
-                except ValueError:
-                    raise ValueError(f"{where}: {name} {text!r} is not "
-                                     f"a valid {parse.__name__}") from None
-            try:
-                GediShot(*values)
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-    raise ValueError(f"{path}: {cause}")
+        try:
+            for row in filter(None, rows):
+                values.append(_parse_row(row, f"{path}, line {rows.line_num}"))
+                lines.append(rows.line_num)
+        except ValueError as exc:
+            malformed = exc
+    bad = _first_bad_shot(np.rec.fromrecords(values, dtype=SHOT_DTYPE))
+    if bad is not None:
+        raise ValueError(f"{path}, line {lines[bad[0]]}: {bad[1]}")
+    raise malformed
 
 
 def shots_from_csv(path: str) -> np.recarray:
@@ -678,9 +658,9 @@ def shots_from_csv(path: str) -> np.recarray:
 
     A header other than ``SHOT_FIELDS``, a row with too few or too many
     fields, a value its column's type does not parse (``1.5`` or ``1e3``
-    in an integer column) and a row ``GediShot`` would reject (NaN or
-    infinite values included) raise a ``ValueError`` naming the file and
-    the line.
+    in an integer column, or one past int64) and a row the shot checks
+    reject (NaN or infinite values included) raise a ``ValueError`` naming
+    the file and the line.
     """
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), [])
@@ -698,7 +678,7 @@ def shots_from_csv(path: str) -> np.recarray:
         except (ValueError, DeprecationWarning) as exc:
             _raise_bad_row(path, exc)
     t = t.view(np.recarray)
-    if not _valid_rows(t).all():
+    if _first_bad_shot(t) is not None:
         _raise_bad_row(path, "a row fails the shot checks")
     return t
 

@@ -479,9 +479,14 @@ def read_record(fh, path) -> np.ndarray:
         raise ValueError(f"{path}: not a TNSR record")
     try:
         version, code, rank = struct.unpack("<BBI", fh.read(6))
-        shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
     except struct.error:
         raise ValueError(f"{path}: truncated TNSR header") from None
+    size = os.fstat(fh.fileno()).st_size
+    # checked before the read, which would otherwise ask for 4 * rank bytes
+    if 4 * rank > size - fh.tell():
+        raise ValueError(f"{path}: rank {rank} needs {4 * rank} shape bytes, "
+                         f"the file has {size - fh.tell()} left")
+    shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
     if version != 1:
         raise ValueError(f"{path}: unsupported TNSR version {version}")
     if code not in _DTYPE_CODES:
@@ -489,7 +494,7 @@ def read_record(fh, path) -> np.ndarray:
     dtype = _DTYPE_CODES[code]
     # exact integers: a header's extents may overflow int64 in a product
     want = math.prod(shape) * dtype.itemsize
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    left = size - fh.tell()
     if want > left:
         raise ValueError(f"{path}: shape {shape} needs {want} payload "
                          f"bytes, the file has {left} left")

@@ -275,7 +275,13 @@ def _read_arrays(path: str) -> dict:
             if not name.endswith(b"\n"):
                 raise ValueError(f"{path}: truncated after {i} of {count} "
                                  f"arrays")
-            arrays[name[:-1].decode("utf-8")] = read_record(fh, path)
+            name = name[:-1].decode("utf-8")
+            if name in arrays:
+                raise ValueError(f"{path}: array {name!r} appears twice")
+            arrays[name] = read_record(fh, path)
+        extra = os.fstat(fh.fileno()).st_size - fh.tell()
+    if extra:
+        raise ValueError(f"{path}: {extra} bytes after its {count} arrays")
     return arrays
 
 

@@ -411,27 +411,27 @@ class TestDistillation:
 
 
 def clean_shot(**kw):
+    """A shot row, in ``SHOT_FIELDS`` order, that breaks no filter rule."""
     base = dict(lon=5.0, lat=5.0, rh98=10.0, num_detectedmodes=2,
                 snr_db=20.0, view_angle=2.0, sensitivity=0.98,
                 elm=200.0, srtm=205.0, rx_sample_count=800,
                 search_end=300, canopy_cover=0.5, ndvi30=0.5,
                 acquired_at=100, beam_kind="full_power")
     base.update(kw)
-    return dp.GediShot(**base)
+    return tuple(base[f] for f in dp.SHOT_FIELDS)
 
 
 class TestDataQualityPipeline:
     def test_filter_agrees_with_planted_labels_everywhere(self):
         tiles = dp.synth_dataset(4, 32, 42, shots_per_tile=200,
                                  violation_rate=0.35)
-        shots, labels = [], []
-        for tile in tiles:
-            shots.extend(tile.shots)
-            labels.extend(tile.shot_labels)
+        shots = np.concatenate([t.shots for t in tiles]).view(np.recarray)
+        labels = [lab for t in tiles for lab in t.shot_labels]
         diffs = np.array([abs(s.canopy_cover - s.ndvi30) for s in shots])
         sigma = float(diffs.std())
-        for shot, label in zip(shots, labels):
-            retained, counts = dp.filter_gedi([shot], sigma_cover=sigma)
+        for i, label in enumerate(labels):
+            retained, counts = dp.filter_gedi(shots[i:i + 1],
+                                              sigma_cover=sigma)
             if label == "clean":
                 assert len(retained) == 1, "clean shot was rejected"
             else:
@@ -461,7 +461,8 @@ class TestDataQualityPipeline:
                 shots.append(clean_shot(lon=cx + 0.01 * i, lat=cy, rh98=rh))
             expected_sets.append(s)
 
-        cells = dp.build_grid(shots, (0, 0, 100, 50), cell_size=10.0,
+        cells = dp.build_grid(np.rec.fromrecords(shots, dtype=dp.SHOT_DTYPE),
+                              (0, 0, 100, 50), cell_size=10.0,
                               min_shots=10, seed=9)
         assert len(cells) == 50
         by_id = {c.cell_id: c for c in cells}

@@ -19,7 +19,7 @@ from canopyheights import metrics as mt
 from canopyheights import tensor as tn
 from canopyheights import train as tr
 from canopyheights.hytec import HyTecConfig, init_hytec
-from canopyheights.tensor import load_tensor
+from canopyheights.tensor import load_tensor, save_tensor
 
 
 def small_cfg(**overrides):
@@ -123,8 +123,7 @@ def csv_writer_bytes(shots) -> bytes:
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(dp.SHOT_FIELDS)
-    for s in shots:
-        w.writerow([getattr(s, f) for f in dp.SHOT_FIELDS])
+    w.writerows(shots.tolist())
     return buf.getvalue().encode()
 
 
@@ -146,7 +145,7 @@ class TestShotFilesOracle:
         _, cfg, ds = workspace
         tiles = dp.synth_dataset(3, 32, 7, shots_per_tile=60,
                                  violation_rate=0.3)
-        shots = [s for t in tiles for s in t.shots]
+        shots = np.concatenate([t.shots for t in tiles]).view(np.recarray)
         with open(os.path.join(ds, "shots.csv"), "rb") as fh:
             assert fh.read() == csv_writer_bytes(shots)
 
@@ -154,7 +153,7 @@ class TestShotFilesOracle:
         assert run(cfg, ["filter", "--out", out], tmp_path) == 0
         sigma = float(np.std([abs(s.canopy_cover - s.ndvi30)
                               for s in shots]))
-        clean = [s for s in shots if oracle_clean(s, sigma)]
+        clean = shots[[oracle_clean(s, sigma) for s in shots]]
         assert 0 < len(clean) < len(shots)
         with open(os.path.join(out, "retained.csv"), "rb") as fh:
             assert fh.read() == csv_writer_bytes(clean)
@@ -368,6 +367,25 @@ class TestTrainEvalGsi:
             cli.cmd_gsi(cfg, str(tmp_path / "gsi"))
         assert not os.path.exists(tmp_path / "gsi")
 
+    def test_gsi_refuses_a_prediction_of_another_shape(self, evaluated,
+                                                        tmp_path):
+        cfg, pred_dir = evaluated
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        for i in range(3):
+            shutil.copy(os.path.join(pred_dir, f"pred_{i:03d}.tnsr"),
+                        preds / f"pred_{i:03d}.tnsr")
+        bad = str(preds / "pred_001.tnsr")
+        crop = load_tensor(bad)
+        save_tensor(bad, crop[1:])
+        cfg = cfg.copy()
+        cfg.set("eval", "pred_dir", str(preds))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bad}: shape {crop[1:].shape} differs from its dataset "
+                f"crop's {crop.shape}")):
+            cli.cmd_gsi(cfg, str(tmp_path / "gsi"))
+        assert not os.path.exists(tmp_path / "gsi")
+
     def test_eval_rerun_with_fewer_tiles_is_refused(
             self, workspace, trained, tmp_path, monkeypatch, caplog):
         # a prediction of the earlier eval would outlive the new one's
@@ -452,6 +470,13 @@ def _then_fail(items):
     raise OSError("no space left on device")
 
 
+class _FullDisk:
+    """A ``beam_kind`` whose text raises the OSError of a full disk."""
+
+    def __str__(self):
+        raise OSError("no space left on device")
+
+
 class TestCrashSafeOutputs:
     """An output whose write fails part-way leaves the previous complete
     file in place, or none, and no temporary file."""
@@ -499,8 +524,13 @@ class TestCrashSafeOutputs:
             with open(path, "rb") as fh:
                 before = fh.read()
         assert len(items) >= 2
+        if writer == "shots":       # a table: its last row fails to format
+            failing = items.copy()
+            failing.beam_kind[-1] = _FullDisk()
+        else:
+            failing = _then_fail(items[:-1])
         with pytest.raises(OSError):
-            write(_then_fail(items[:-1]), path)
+            write(failing, path)
         self.check_kept(path, before)
 
     def test_interrupted_eval_keeps_the_previous_predictions(

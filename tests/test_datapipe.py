@@ -1,7 +1,6 @@
 """Data pipeline: normalization, gating, compositing, filtering, gridding."""
 
 import csv
-import dataclasses
 import hashlib
 import inspect
 import io
@@ -16,17 +15,24 @@ from canopyheights import datapipe as dp
 
 
 def clean_shot(**kw):
+    """A one-row shot table that breaks no filter rule, with ``kw`` in
+    place of its defaults."""
     base = dict(lon=5.0, lat=5.0, rh98=10.0, num_detectedmodes=2,
                 snr_db=20.0, view_angle=2.0, sensitivity=0.98,
                 elm=200.0, srtm=205.0, rx_sample_count=800,
                 search_end=300, canopy_cover=0.5, ndvi30=0.5,
                 acquired_at=100, beam_kind="full_power")
     base.update(kw)
-    return dp.GediShot(**base)
+    return np.rec.fromrecords([tuple(base[f] for f in dp.SHOT_FIELDS)],
+                              dtype=dp.SHOT_DTYPE)
 
 
-FLOAT_FIELDS = [f for f in dp.SHOT_FIELDS
-                if isinstance(getattr(clean_shot(), f), float)]
+def concat(shots):
+    """The given shot tables as one, in order."""
+    return np.concatenate(shots).view(np.recarray)
+
+
+FLOAT_FIELDS = [f for f in dp.SHOT_FIELDS if dp.SHOT_DTYPE[f].kind == "f"]
 NUMBER_FIELDS = [f for f in dp.SHOT_FIELDS if f != "beam_kind"]
 
 
@@ -160,7 +166,7 @@ class TestFilter:
     def test_each_rule_triggers(self):
         for label, kw in self.VIOLATIONS.items():
             rule = "snr_va" if label.startswith("snr_va") else label
-            shots = [clean_shot(), clean_shot(**kw)]
+            shots = concat([clean_shot(), clean_shot(**kw)])
             retained, counts = dp.filter_gedi(shots, sigma_cover=0.02)
             assert len(retained) == 1, label
             assert counts[rule] == 1, label
@@ -168,29 +174,31 @@ class TestFilter:
     def test_counts_plus_retained_sum_to_input(self):
         shots = [clean_shot() for _ in range(5)]
         shots += [clean_shot(**kw) for kw in self.VIOLATIONS.values()]
+        shots = concat(shots)
         retained, counts = dp.filter_gedi(shots, sigma_cover=0.02)
         assert len(retained) + sum(counts.values()) == len(shots)
 
     def test_multi_violation_attributed_to_first_rule(self):
         shot = clean_shot(num_detectedmodes=0, sensitivity=0.5)
-        _, counts = dp.filter_gedi([clean_shot(), shot], sigma_cover=0.02)
+        _, counts = dp.filter_gedi(concat([clean_shot(), shot]),
+                                   sigma_cover=0.02)
         assert counts["modes"] == 1 and counts["sensitivity"] == 0
 
     def test_rules_toggleable(self):
         shot = clean_shot(sensitivity=0.5)
         retained, counts = dp.filter_gedi(
-            [shot], sigma_cover=0.02,
+            shot, sigma_cover=0.02,
             rules=("modes", "elevation"))
         assert len(retained) == 1 and sum(counts.values()) == 0
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):
-            dp.filter_gedi([clean_shot()], rules=("bogus",))
+            dp.filter_gedi(clean_shot(), rules=("bogus",))
 
     def test_generator_labels_reproduced_per_rule(self):
         tiles = dp.synth_dataset(4, 32, seed=42, shots_per_tile=200,
                                  violation_rate=0.3)
-        shots = [s for t in tiles for s in t.shots]
+        shots = concat([t.shots for t in tiles])
         labels = [l for t in tiles for l in t.shot_labels]
         retained, counts = dp.filter_gedi(shots)
         assert len(retained) == labels.count("clean")
@@ -202,15 +210,15 @@ class TestFilter:
         """Shots whose fields sit around every rule's threshold, so most
         break several rules at once."""
         rng = np.random.default_rng(seed)
-        return [clean_shot(num_detectedmodes=int(rng.integers(0, 3)),
-                           snr_db=rng.uniform(10.0, 14.0),
-                           view_angle=rng.uniform(4.0, 6.0),
-                           sensitivity=rng.uniform(0.9, 1.0),
-                           srtm=200.0 + rng.uniform(-90.0, 90.0),
-                           search_end=800 - int(rng.integers(0, 4)),
-                           canopy_cover=rng.uniform(0.0, 1.0),
-                           ndvi30=rng.uniform(0.0, 1.0))
-                for _ in range(n)]
+        return concat([clean_shot(num_detectedmodes=int(rng.integers(0, 3)),
+                                  snr_db=rng.uniform(10.0, 14.0),
+                                  view_angle=rng.uniform(4.0, 6.0),
+                                  sensitivity=rng.uniform(0.9, 1.0),
+                                  srtm=200.0 + rng.uniform(-90.0, 90.0),
+                                  search_end=800 - int(rng.integers(0, 4)),
+                                  canopy_cover=rng.uniform(0.0, 1.0),
+                                  ndvi30=rng.uniform(0.0, 1.0))
+                       for _ in range(n)])
 
     @pytest.mark.parametrize("rules", [
         dp.FILTER_RULES, ("ndvi",), ("waveform", "modes"),
@@ -222,34 +230,38 @@ class TestFilter:
         broken = [oracle_rules(s, sigma) for s in shots]
         assert sum(len(b) >= 3 for b in broken) > 100
         first = [next((r for r in b if r in rules), None) for b in broken]
-        retained, counts = dp.filter_gedi(dp.shot_table(shots), rules=rules)
+        retained, counts = dp.filter_gedi(shots, rules=rules)
         assert counts == {r: first.count(r) for r in dp.FILTER_RULES}
-        assert retained.tolist() == [dataclasses.astuple(s) for s, f
-                                     in zip(shots, first) if f is None]
+        assert retained.tolist() == [row for row, f in zip(shots.tolist(),
+                                                           first) if f is None]
 
-    def test_list_and_table_inputs_agree(self):
+    def test_whole_table_and_single_rows_agree(self):
         shots = self.borderline_shots(n=60, seed=1)
         a, counts_a = dp.filter_gedi(shots, sigma_cover=0.1)
-        b, counts_b = dp.filter_gedi(dp.shot_table(shots), sigma_cover=0.1)
+        rows = [dp.filter_gedi(shots[i:i + 1], sigma_cover=0.1)
+                for i in range(len(shots))]
+        b = concat([kept for kept, _ in rows])
+        counts_b = {r: sum(c[r] for _, c in rows) for r in dp.FILTER_RULES}
         assert counts_a == counts_b and a.tolist() == b.tolist()
         assert a.dtype == dp.SHOT_DTYPE
 
     def test_empty_input(self):
-        retained, counts = dp.filter_gedi([])
+        retained, counts = dp.filter_gedi(clean_shot()[:0])
         assert len(retained) == 0 and sum(counts.values()) == 0
 
 
 class TestRasterize:
     def test_later_acquisition_wins(self):
         bounds = (0.0, 0.0, 20.0, 20.0)
-        shots = [clean_shot(lon=5.0, lat=5.0, rh98=10.0, acquired_at=1),
-                 clean_shot(lon=6.0, lat=6.0, rh98=30.0, acquired_at=5)]
+        shots = concat([
+            clean_shot(lon=5.0, lat=5.0, rh98=10.0, acquired_at=1),
+            clean_shot(lon=6.0, lat=6.0, rh98=30.0, acquired_at=5)])
         target, mask = dp.rasterize_targets(shots, bounds)
         assert mask[0, 0] and target[0, 0] == 30.0
 
     def test_out_of_bounds_rejected(self):
         with pytest.raises(ValueError):
-            dp.rasterize_targets([clean_shot(lon=25.0)], (0, 0, 20, 20))
+            dp.rasterize_targets(clean_shot(lon=25.0), (0, 0, 20, 20))
 
     def test_matches_a_sequential_burn(self):
         """Many shots per pixel and many equal stamps: each pixel keeps the
@@ -257,23 +269,24 @@ class TestRasterize:
         order that replaces on ``>=`` does."""
         rng = np.random.default_rng(4)
         bounds = (100.0, 50.0, 160.0, 90.0)
-        shots = [clean_shot(lon=float(rng.uniform(100.0, 160.0)),
-                            lat=float(rng.uniform(50.0, 90.0)),
-                            rh98=float(k), acquired_at=int(rng.integers(0, 3)))
-                 for k in range(300)]
+        shots = concat([clean_shot(lon=float(rng.uniform(100.0, 160.0)),
+                                   lat=float(rng.uniform(50.0, 90.0)),
+                                   rh98=float(k),
+                                   acquired_at=int(rng.integers(0, 3)))
+                        for k in range(300)])
         want = np.zeros((6, 4))
         stamp = np.full((6, 4), -np.inf)
         for s in shots:
             i, j = int((s.lon - 100.0) // 10.0), int((s.lat - 50.0) // 10.0)
             if s.acquired_at >= stamp[i, j]:
                 want[i, j], stamp[i, j] = s.rh98, s.acquired_at
-        for given in (shots, dp.shot_table(shots)):
-            target, mask = dp.rasterize_targets(given, bounds)
-            np.testing.assert_array_equal(target, want)
-            assert mask.all()
+        target, mask = dp.rasterize_targets(shots, bounds)
+        np.testing.assert_array_equal(target, want)
+        assert mask.all()
 
     def test_no_shots_burn_nothing(self):
-        target, mask = dp.rasterize_targets([], (0.0, 0.0, 30.0, 20.0))
+        target, mask = dp.rasterize_targets(clean_shot()[:0],
+                                            (0.0, 0.0, 30.0, 20.0))
         assert target.shape == mask.shape == (3, 2)
         assert not target.any() and not mask.any()
 
@@ -310,7 +323,7 @@ class TestGrid:
         for _ in range(3):
             shots.append(clean_shot(lon=rng.uniform(100, 200),
                                     lat=rng.uniform(0, 100)))
-        cells = dp.build_grid(shots, (0, 0, 200, 100), cell_size=100.0,
+        cells = dp.build_grid(concat(shots), (0, 0, 200, 100), cell_size=100.0,
                               min_shots=10, seed=1)
         assert len(cells) == 1
         assert cells[0].set_id == 1 and cells[0].split == "train"
@@ -324,7 +337,7 @@ class TestGrid:
                 shots.append(clean_shot(lon=rng.uniform(c * 50, (c + 1) * 50),
                                         lat=rng.uniform(0, 50),
                                         rh98=rng.uniform(20.5, 24.5)))
-        cells = dp.build_grid(shots, (0, 0, 400, 50), cell_size=50.0,
+        cells = dp.build_grid(concat(shots), (0, 0, 400, 50), cell_size=50.0,
                               min_shots=10, seed=3)
         assert len(cells) == 8
         assert all(c.set_id == 5 for c in cells)
@@ -338,8 +351,10 @@ class TestGrid:
 
     def test_split_is_seed_deterministic(self):
         rng = np.random.default_rng(4)
-        shots = [clean_shot(lon=rng.uniform(0, 400), lat=rng.uniform(0, 50),
-                            rh98=rng.uniform(0, 4)) for _ in range(200)]
+        shots = concat([clean_shot(lon=rng.uniform(0, 400),
+                                   lat=rng.uniform(0, 50),
+                                   rh98=rng.uniform(0, 4))
+                        for _ in range(200)])
         a = dp.build_grid(shots, (0, 0, 400, 50), cell_size=50.0,
                           min_shots=5, seed=7)
         b = dp.build_grid(shots, (0, 0, 400, 50), cell_size=50.0,
@@ -363,21 +378,27 @@ class TestGrid:
                    y0 + rng.uniform(0, 3) * cell) for _ in range(400)]
         spots += [(x0 + 6.5 * cell, y0 + 1.5 * cell)] * 12
         spots += [(x0 + 6.5 * cell, y0 + 2.5 * cell)] * 11
-        shots = [clean_shot(lon=float(x), lat=float(y),
-                            rh98=float(rng.choice([2.0, 7.0, 22.0, 44.0])))
-                 for x, y in spots]
-        return [shots[i] for i in rng.permutation(len(shots))]
+        shots = concat([clean_shot(lon=float(x), lat=float(y),
+                                   rh98=float(rng.choice([2.0, 7.0, 22.0,
+                                                          44.0])))
+                        for x, y in spots])
+        return shots[rng.permutation(len(shots))]
 
     @pytest.mark.parametrize("cell,x0,y0", [(10.0, 0.0, 0.0),
                                             (0.1, 0.3, -0.7),
                                             (160.0, 105.0, 95.0)])
-    @pytest.mark.parametrize("as_table", [False, True])
-    def test_build_grid_matches_per_shot_oracle(self, cell, x0, y0, as_table):
+    @pytest.mark.parametrize("via_csv", [False, True])
+    def test_build_grid_matches_per_shot_oracle(self, tmp_path, cell, x0, y0,
+                                                via_csv):
+        """On the table as built, and on it as read back from its CSV."""
         shots = self.edge_case_shots(cell, x0, y0, seed=5)
         area = (x0, y0, x0 + 7 * cell, y0 + 3 * cell)
         want = oracle_grid(shots, area, cell, min_shots=12, seed=3)
-        cells = dp.build_grid(dp.shot_table(shots) if as_table else shots,
-                              area, cell_size=cell, min_shots=12, seed=3)
+        if via_csv:
+            dp.shots_to_csv(shots, tmp_path / "shots.csv")
+            shots = dp.shots_from_csv(tmp_path / "shots.csv")
+        cells = dp.build_grid(shots, area, cell_size=cell, min_shots=12,
+                              seed=3)
         got = [(c.cell_id, c.bounds, c.shot_indices, c.ratios.tolist(),
                 c.set_id, c.split, c.duplication) for c in cells]
         assert got == want
@@ -447,7 +468,7 @@ class TestSynthetic:
         path = tmp_path / "shots.csv"
         dp.shots_to_csv(tiles[0].shots, path)
         back = dp.shots_from_csv(path)
-        assert [dp.GediShot(*row) for row in back.tolist()] == tiles[0].shots
+        assert back.tolist() == tiles[0].shots.tolist()
 
 
 def synth_digest(tiles) -> str:
@@ -558,8 +579,7 @@ class TestShotCsv:
     @staticmethod
     def rows(n=5):
         tiles = dp.synth_dataset(1, 32, seed=14, shots_per_tile=n)
-        return [[getattr(s, f) for f in dp.SHOT_FIELDS]
-                for s in tiles[0].shots]
+        return [list(row) for row in tiles[0].shots.tolist()]
 
     @staticmethod
     def write(path, rows, header=dp.SHOT_FIELDS):
@@ -573,8 +593,15 @@ class TestShotCsv:
     @pytest.mark.parametrize("field", NUMBER_FIELDS)
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_shot_rejects_non_finite_numbers(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            clean_shot(**{field: value})
+        shots = concat([clean_shot(), clean_shot(), clean_shot()])
+        assert dp._first_bad_shot(shots) is None
+        if field in FLOAT_FIELDS:
+            shots[field][1] = value
+            assert dp._first_bad_shot(shots) == (1, f"{field} must be finite")
+        else:
+            # an int64 column cannot hold one
+            with pytest.raises((ValueError, OverflowError)):
+                shots[field][1] = value
 
     @pytest.mark.parametrize("field", FLOAT_FIELDS)
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -589,7 +616,7 @@ class TestShotCsv:
     def test_one_nan_cover_no_longer_disables_the_ndvi_rule(self, tmp_path):
         tiles = dp.synth_dataset(2, 32, seed=42, shots_per_tile=200,
                                  violation_rate=0.3)
-        shots = [s for t in tiles for s in t.shots]
+        shots = concat([t.shots for t in tiles])
         path = tmp_path / "shots.csv"
         dp.shots_to_csv(shots, path)
         lines = path.read_text().splitlines()
@@ -599,8 +626,8 @@ class TestShotCsv:
         path.write_text("\n".join(lines) + "\n")
         with self.expect_error(path, 8):
             dp.shots_from_csv(path)
-        with pytest.raises(ValueError, match="canopy_cover"):
-            dataclasses.replace(shots[6], canopy_cover=math.nan)
+        shots.canopy_cover[6] = math.nan
+        assert dp._first_bad_shot(shots) == (6, "canopy_cover must be finite")
 
     def test_short_row_names_file_and_line(self, tmp_path):
         rows = self.rows()
@@ -608,6 +635,17 @@ class TestShotCsv:
         path = tmp_path / "shots.csv"
         self.write(path, rows)
         with self.expect_error(path, 3):
+            dp.shots_from_csv(path)
+
+    @pytest.mark.parametrize("short,nan", [(4, 2), (2, 4)])
+    def test_the_first_bad_row_is_named(self, tmp_path, short, nan):
+        # a bad value and a short row: whichever comes first is named
+        rows = self.rows()
+        rows[short - 2] = rows[short - 2][:-1]
+        rows[nan - 2][dp.SHOT_FIELDS.index("elm")] = "nan"
+        path = tmp_path / "shots.csv"
+        self.write(path, rows)
+        with self.expect_error(path, min(short, nan)):
             dp.shots_from_csv(path)
 
     def test_long_row_names_file_and_line(self, tmp_path):
@@ -620,7 +658,9 @@ class TestShotCsv:
 
     @pytest.mark.parametrize("field", [f for f in NUMBER_FIELDS
                                        if f not in FLOAT_FIELDS])
-    @pytest.mark.parametrize("value", ["1.5", "1e3", "2.0", ""])
+    # the last is past int64
+    @pytest.mark.parametrize("value", ["1.5", "1e3", "2.0", "",
+                                       "9223372036854775808"])
     def test_float_text_in_an_integer_column_fails(self, tmp_path, field,
                                                    value):
         rows = self.rows()
@@ -662,11 +702,10 @@ class TestShotCsv:
             monkeypatch.setattr(dp, "_CSV_BLOCK_ROWS", block_rows)
         tiles = dp.synth_dataset(3, 32, seed=15, shots_per_tile=80,
                                  violation_rate=0.4)
-        shots = [s for t in tiles for s in t.shots]
+        shots = concat([t.shots for t in tiles])
         path = tmp_path / "shots.csv"
         dp.shots_to_csv(shots, path)
-        want = csv_writer_text([[getattr(s, f) for f in dp.SHOT_FIELDS]
-                                for s in shots])
+        want = csv_writer_text(shots.tolist())
         assert path.read_bytes() == want.encode()
         table = dp.shots_from_csv(path)
         dp.shots_to_csv(table, path)
@@ -674,7 +713,7 @@ class TestShotCsv:
 
     def test_header_only_file_is_an_empty_table(self, tmp_path):
         path = tmp_path / "shots.csv"
-        dp.shots_to_csv([], path)
+        dp.shots_to_csv(clean_shot()[:0], path)
         assert path.read_bytes() == csv_writer_text([]).encode()
         table = dp.shots_from_csv(path)
         assert len(table) == 0 and table.dtype == dp.SHOT_DTYPE

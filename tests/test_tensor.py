@@ -368,6 +368,14 @@ class TestPersistence:
             load_tensor(p)
         assert f"needs {math.prod(shape) * 8} payload bytes" in str(err.value)
 
+    def test_rank_past_the_file_is_refused_before_the_read(self, tmp_path):
+        # 2**20 extents would be a 4 MiB shape read from a 26-byte file
+        p = tmp_path / "rank.tnsr"
+        p.write_bytes(b"TNSR" + struct.pack("<BBI", 1, 0, 2 ** 20) + bytes(16))
+        with pytest.raises(ValueError, match="rank.tnsr: rank 1048576 needs "
+                           "4194304 shape bytes, the file has 16 left"):
+            load_tensor(p)
+
     def test_trailing_bytes_name_the_file(self, tmp_path):
         p = tmp_path / "t.tnsr"
         save_tensor(p, np.arange(4.0))

@@ -231,6 +231,27 @@ class TestCheckpointing:
                 tr.load_checkpoint(str(path), nn.init_bn(3),
                                    AdaptiveLossState.create())
 
+    def test_bytes_after_the_declared_arrays_are_refused(self, tmp_path):
+        path, _, _, _ = _small_checkpoint(tmp_path)
+        with open(path, "ab") as fh:
+            fh.write(b"adam_t\n")
+        with pytest.raises(ValueError, match=r"epoch_0000.ckpt: 7 bytes "
+                           r"after its \d+ arrays"):
+            tr._read_arrays(path)
+
+    def test_an_array_name_given_twice_is_refused(self, tmp_path):
+        path, _, _, _ = _small_checkpoint(tmp_path)
+        with open(path, "rb") as fh:
+            header, body = fh.read().split(b"\n", 1)
+        # declare one more array: "trace" again, after the last
+        count = int(header.split()[1])
+        with open(path, "wb") as fh:
+            fh.write(b"CKPT/1 %d\n" % (count + 1) + body
+                     + body[body.rindex(b"trace\n"):])
+        with pytest.raises(ValueError, match="epoch_0000.ckpt: array 'trace' "
+                           "appears twice"):
+            tr._read_arrays(path)
+
     def test_checkpoint_of_another_arch_is_rejected(self, tmp_path):
         mou, _ = tr.make_unet("2mou", np.random.default_rng(0), 4)
         path = tr.save_checkpoint(str(tmp_path), 0, mou, None)
