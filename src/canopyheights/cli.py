@@ -243,16 +243,17 @@ def _hytec_config(cfg) -> HyTecConfig:
 
 def _restore_model(cfg, arch: str, key: str) -> tuple:
     """(params, model config) of ``arch``, restored from the checkpoint
-    that the config entry ``key`` ("section.name") names."""
+    that the config entry ``key`` ("section.name") names.  The tree is
+    built without random draws: ``load_checkpoint`` refuses a file that
+    lacks any model array, so it overwrites every value."""
     ckpt = cfg.get(*key.split("."))
     if not ckpt:
         raise FileNotFoundError(f"{key} is not set")
-    rng = np.random.default_rng(0)
     if arch == "hytec":
         mcfg = _hytec_config(cfg)
-        params = init_hytec(rng, mcfg)
+        params = init_hytec(None, mcfg)
     else:
-        params, mcfg = tr.make_unet(arch, rng, cfg.get("model", "stem_width"),
+        params, mcfg = tr.make_unet(arch, None, cfg.get("model", "stem_width"),
                                     _bins_from_config(cfg))
     tr.load_checkpoint(ckpt, params)
     return params, mcfg
@@ -295,8 +296,8 @@ def cmd_eval(cfg, out_dir: str) -> None:
                                   "eval.checkpoint")
     os.makedirs(out_dir, exist_ok=True)
     ys, yhats, reports = [], [], []
-    for i, sample in enumerate(samples):
-        pred = tr.predict_heights(params, mcfg, sample)
+    preds = tr.predict_maps(params, mcfg, samples)
+    for i, (sample, pred) in enumerate(zip(samples, preds)):
         save_tensor(os.path.join(out_dir, f"pred_{i:03d}.tnsr"), pred)
         sel = sample.mask > 0
         ys.append(sample.target_h[sel])

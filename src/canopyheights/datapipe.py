@@ -618,13 +618,18 @@ def shots_to_csv(shots: np.recarray, path: str) -> None:
 def _parse_row(row: list, where: str) -> tuple:
     """One CSV row's values in ``SHOT_FIELDS`` order; a ``ValueError``
     naming ``where`` for another field count or a value its column's type
-    does not parse."""
+    does not parse.  A number with an underscore (``1_000.5``) or a
+    non-ASCII digit parses in Python but not in ``np.loadtxt``, so it is
+    refused here too; whitespace around a number passes in both."""
     if len(row) != len(SHOT_FIELDS):
         raise ValueError(f"{where}: {len(row)} fields, expected "
                          f"{len(SHOT_FIELDS)}")
     values = []
     for name, parse, text in zip(SHOT_FIELDS, _PARSERS, row):
         try:
+            if parse is not np.object_ and (
+                    "_" in text or not text.strip().isascii()):
+                raise ValueError(text)
             values.append(parse(text))
         except (ValueError, OverflowError):
             raise ValueError(f"{where}: {name} {text!r} is not a valid "

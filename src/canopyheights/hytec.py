@@ -109,7 +109,10 @@ class HyTecOutputs:
     aux: list                             # 3 height maps, coarse to fine
 
 
-def init_hytec(rng: np.random.Generator, cfg: HyTecConfig) -> HyTecParams:
+def init_hytec(rng: Optional[np.random.Generator],
+               cfg: HyTecConfig) -> HyTecParams:
+    """Fresh parameters; ``rng`` None draws nothing and leaves every drawn
+    value 0, for a checkpoint to overwrite (see ``nn.he_uniform``)."""
     p, d = cfg.patch, cfg.embed_dim
     n2 = 2 * cfg.tokens_per_group
     blocks = []
@@ -141,7 +144,8 @@ def init_hytec(rng: np.random.Generator, cfg: HyTecConfig) -> HyTecParams:
         conv_out=nn.init_conv(rng, 1, k, 1))
 
     pos_scale = 0.02
-    pos = Tensor(rng.normal(scale=pos_scale, size=(n2, d)), requires_grad=True)
+    pos = Tensor(np.zeros((n2, d)) if rng is None else
+                 rng.normal(scale=pos_scale, size=(n2, d)), requires_grad=True)
     return HyTecParams(
         embed1=nn.init_linear(rng, p * p * GROUP1_BANDS, d),
         embed2=nn.init_linear(rng, p * p * GROUP2_BANDS, d),

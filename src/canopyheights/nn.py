@@ -33,7 +33,11 @@ beta, and ``batch_norm`` casts its scale and shift, computed from the
 float64 statistics, to the input's dtype.  So a float32 input runs the
 whole forward in float32 (see ``train.predict_heights``) without a cast
 of the model tree.  While a graph is recorded every op reads
-``Tensor.data`` as it is and numpy's promotion rules decide.
+``Tensor.data`` as it is and numpy's promotion rules decide.  Inside a
+``fixed_parameters`` block (``train.predict_maps``: one model, many
+tiles) each such cast and each batch norm's scale and shift are made
+once and reused until the block ends; outside one they are made on
+every call.
 
 The graph keeps no array that a backward can rebuild from what it holds
 already (Chen et al. 2016, arXiv 1604.06174): ``leaky_relu`` rebuilds its
@@ -67,8 +71,11 @@ reshape and two GEMMs.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -146,8 +153,12 @@ class MhsaParams:
 
 # -- initialisation ---------------------------------------------------
 
-def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
-    """He-style uniform init, suited to leaky-ReLU nets."""
+def he_uniform(rng: Optional[np.random.Generator], shape,
+               fan_in: int) -> Tensor:
+    """He-style uniform init, suited to leaky-ReLU nets.  ``rng`` None
+    draws nothing and leaves the values 0, for a checkpoint to overwrite."""
+    if rng is None:
+        return Tensor(np.zeros(shape), requires_grad=True)
     bound = np.sqrt(6.0 / max(fan_in, 1))
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
@@ -188,17 +199,51 @@ def init_mhsa(rng, d: int, heads: int) -> MhsaParams:
 
 # -- parameters at the input's precision ------------------------------
 
+# what a ``fixed_parameters`` block has made, by (id of its source, dtype);
+# None outside one
+_made = contextvars.ContextVar("fixed_parameters", default=None)
+
+
+@contextlib.contextmanager
+def fixed_parameters():
+    """Inside the block each parameter cast that ``_param`` makes and each
+    batch norm's inference scale and shift are made once and reused, so
+    many tiles through one model pay for them once.  The parameters and
+    batch-norm states read inside must not change there.  All of it is
+    dropped on exit, on an exception too."""
+    token = _made.set({})
+    try:
+        yield
+    finally:
+        _made.reset(token)
+
+
+def _once(source, dtype, make):
+    """``make(source, dtype)``: once per ``fixed_parameters`` block, on
+    every call outside one.  The value is held next to ``source``, so no
+    other object takes its id while the block lasts.  Callers only read
+    it."""
+    made = _made.get()
+    if made is None:
+        return make(source, dtype)
+    key = (id(source), dtype)
+    if key not in made:
+        made[key] = (source, make(source, dtype))
+    return made[key][1]
+
+
 def _param(t: Tensor, x: Tensor) -> np.ndarray:
     """The array an op on ``x`` reads of the parameter ``t``: ``t.data``
     while a graph is recorded or where the dtypes agree, else, inside
-    ``no_grad``, a cast of it to ``x``'s dtype.  Nothing is cached on
-    ``t``: its storage may belong to an optimizer's master vector.  The
-    dtypes are compared by identity (numpy's builtin dtypes are
-    singletons): ``==`` on dtypes costs more than the rest of this."""
+    ``no_grad``, a cast of it to ``x``'s dtype (``_once``).  Nothing is
+    cached on ``t``: its storage may belong to an optimizer's master
+    vector.  The dtypes are compared by identity (numpy's builtin dtypes
+    are singletons): ``==`` on dtypes costs more than the rest of this."""
     a = t.data
-    if a.dtype is x.data.dtype or grad_enabled():
+    dtype = x.data.dtype
+    if a.dtype is dtype or grad_enabled():
         return a
-    return a.astype(x.data.dtype)
+    return _once(a, dtype, np.ndarray.astype)
 
 
 # -- convolution ------------------------------------------------------
@@ -344,10 +389,9 @@ def batch_norm(x: Tensor, s: BatchNormState, tiles: int = 1) -> Tensor:
     """
     tile_rows(x.shape[0], tiles)
     if not grad_enabled():
-        scale = s.gamma.data / np.sqrt(s.running_var + BN_EPS)
-        shift = s.beta.data - s.running_mean * scale
-        out = x.data * scale.astype(x.dtype, copy=False)
-        out += shift.astype(x.dtype, copy=False)
+        scale, shift = _once(s, x.dtype, _bn_fold)
+        out = x.data * scale
+        out += shift
         return Tensor(out, dtype=out.dtype)
     c = x.shape[-1]
     shape = (tiles, -1, c)
@@ -388,6 +432,14 @@ def batch_norm(x: Tensor, s: BatchNormState, tiles: int = 1) -> Tensor:
                 gsum.sum(axis=(0, 1)))
 
     return Tensor.from_op(out.reshape(x.shape), (x, s.gamma, s.beta), grad_fn)
+
+
+def _bn_fold(s: BatchNormState, dtype) -> tuple:
+    """(scale, shift) of batch norm's inference map, computed from the
+    float64 statistics and cast to ``dtype``."""
+    scale = s.gamma.data / np.sqrt(s.running_var + BN_EPS)
+    shift = s.beta.data - s.running_mean * scale
+    return scale.astype(dtype, copy=False), shift.astype(dtype, copy=False)
 
 
 def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:

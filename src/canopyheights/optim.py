@@ -73,8 +73,13 @@ def check_shapes(targets: dict, arrays: dict, source: str) -> None:
 
 
 def export_arrays(model) -> dict:
-    out = {name: t.data for name, t in collect_tensors(model).items()}
-    out.update(collect_state(model))
+    """``collect_tensors``' arrays and ``collect_state`` in one walk."""
+    out = {}
+    for name, item in _walk(model):
+        if isinstance(item, Tensor) and item.requires_grad:
+            out[name] = item.data
+        elif isinstance(item, np.ndarray):
+            out[name] = item
     return out
 
 

@@ -495,10 +495,14 @@ def read_record(fh, path) -> np.ndarray:
     # exact integers: a header's extents may overflow int64 in a product
     want = math.prod(shape) * dtype.itemsize
     left = size - fh.tell()
-    if want > left:
-        raise ValueError(f"{path}: shape {shape} needs {want} payload "
-                         f"bytes, the file has {left} left")
-    return np.frombuffer(fh.read(want), dtype=dtype).reshape(shape).copy()
+    if want <= left:
+        # straight into the array: no bytes object, no second copy
+        arr = np.empty(shape, dtype)
+        left = fh.readinto(arr)
+        if left == want:
+            return arr
+    raise ValueError(f"{path}: shape {shape} needs {want} payload "
+                     f"bytes, the file has {left} left")
 
 
 def save_tensor(path, t) -> None:

@@ -24,7 +24,11 @@ Each batch is one graph: its tiles are stacked along rows (see ``nn``)
 and run through one forward, each tile's outputs are row slices of the
 batch outputs, each sample's loss is computed on its slices exactly as
 for a lone sample, and one backward runs from the sum of the losses,
-each scaled by 1 / batch size.  Inference runs one tile at a time.
+each scaled by 1 / batch size.  Inference runs one tile at a time;
+``predict_maps`` and ``hytec_sample_targets`` run a model over many
+tiles inside one ``nn.fixed_parameters`` block, so each parameter cast
+and batch-norm fold is made once per call, and each map is the array a
+lone ``predict_heights`` or ``teacher_heights`` call returns.
 
 Precision: the optimizers own float64 master parameters, one contiguous
 vector per optimizer (see ``optim``).  Each training step casts each
@@ -63,7 +67,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import optim
+from . import nn, optim
 from .hytec import HyTecConfig, HyTecOutputs, hytec_forward, init_hytec
 from .losses import (AdaptiveLossState, ClassTarget, HyTecLossConfig,
                      bin_assign_map, combined_cr_loss, huber,
@@ -149,9 +153,10 @@ def samples_from_tiles(tiles) -> list:
                    mask=np.asarray(t.mask, dtype=float)) for t in tiles]
 
 
-def make_unet(arch: str, rng: np.random.Generator,
+def make_unet(arch: str, rng: Optional[np.random.Generator],
               stem_width: int = 16, bins=None) -> tuple:
-    """Fresh parameters and model configuration for a named variant."""
+    """Fresh parameters and model configuration for a named variant;
+    ``rng`` None draws nothing, for a restore (see ``init_unet``)."""
     if arch not in UNET_CONFIGS:
         raise ValueError(f"unknown architecture {arch!r}")
     c_s2, c_s1, head, _ = UNET_CONFIGS[arch]
@@ -240,8 +245,11 @@ def _adaptive_tensors(adaptive: AdaptiveLossState) -> dict:
     return {"adaptive.alpha": adaptive.alpha, "adaptive.c_raw": adaptive.c_raw}
 
 
-def _checkpoint_arrays(model, adaptive, extra: Optional[dict] = None) -> dict:
-    arrays = dict(optim.export_arrays(model))
+def _checkpoint_arrays(model_arrays: dict, adaptive,
+                       extra: Optional[dict] = None) -> dict:
+    """``optim.export_arrays`` of a model, then the adaptive loss's
+    scalars and ``extra``."""
+    arrays = dict(model_arrays)
     if adaptive is not None:
         arrays.update((k, t.data) for k, t in _adaptive_tensors(adaptive).items())
     if extra:
@@ -291,7 +299,8 @@ def save_checkpoint(directory: str, epoch: int, model, adaptive,
     then delete all but the newest ``KEEP_LAST`` epoch files."""
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"epoch_{epoch:04d}.ckpt")
-    _write_arrays(path, _checkpoint_arrays(model, adaptive, extra))
+    _write_arrays(path, _checkpoint_arrays(optim.export_arrays(model),
+                                           adaptive, extra))
     for old in _epoch_files(directory)[:-KEEP_LAST]:
         os.remove(os.path.join(directory, old))
     return path
@@ -320,14 +329,14 @@ def load_checkpoint(path: str, model, adaptive=None) -> dict:
             raise FileNotFoundError(f"no checkpoint under {path}")
         path = found[1]
     extra = _read_arrays(path)
-    model_names = set(optim.export_arrays(model))
-    missing = sorted(model_names - set(extra))
+    model_arrays = optim.export_arrays(model)
+    missing = sorted(model_arrays.keys() - extra.keys())
     if missing:
         raise ValueError(f"{path}: lacks {len(missing)} model arrays: "
                          f"{', '.join(missing)}")
     # every shape, the adaptive loss's too, is checked before any restore;
     # a tensor an optimizer holds is written into its master vector
-    targets = _checkpoint_arrays(model, adaptive)
+    targets = _checkpoint_arrays(model_arrays, adaptive)
     optim.check_shapes(targets, extra, path)
     for name, data in targets.items():
         if name in extra:
@@ -516,15 +525,19 @@ def aux_targets_from_teachers(t1_map: np.ndarray, t2_map: np.ndarray,
     return out
 
 
-def hytec_sample_targets(sample: Sample, cfg: HyTecConfig,
+def hytec_sample_targets(samples: Sequence[Sample], cfg: HyTecConfig,
                          teachers: Sequence[Teacher],
-                         loss_cfg: HyTecLossConfig) -> tuple:
-    """(aux consensus targets, class target) of one sample: the frozen
-    teachers' pooled agreement and the binned LiDAR heights."""
-    t_maps = [teacher_heights(t, sample) for t in teachers]
-    aux_t = aux_targets_from_teachers(t_maps[0], t_maps[1], cfg.patch,
-                                      loss_cfg.consensus_tol)
-    return aux_t, bin_assign_map(sample.target_h, sample.mask > 0, cfg.bins)
+                         loss_cfg: HyTecLossConfig) -> list:
+    """(aux consensus targets, class target) of each sample: the frozen
+    teachers' pooled agreement and the binned LiDAR heights.  The teacher
+    maps are ``teacher_heights`` of each sample, made in one
+    ``nn.fixed_parameters`` block."""
+    with nn.fixed_parameters():
+        t_maps = [[teacher_heights(t, s) for t in teachers] for s in samples]
+    return [(aux_targets_from_teachers(m[0], m[1], cfg.patch,
+                                       loss_cfg.consensus_tol),
+             bin_assign_map(s.target_h, s.mask > 0, cfg.bins))
+            for s, m in zip(samples, t_maps)]
 
 
 def hytec_sample_loss(sample: Sample, targets: tuple, out,
@@ -552,8 +565,7 @@ def train_hytec(samples: Sequence[Sample], teachers: Sequence[Teacher],
     registry.update(_adaptive_tensors(adaptive))
     opt = optim.AdamW(registry, lr=settings.lr_peak)
 
-    targets = [hytec_sample_targets(s, cfg, teachers, settings.loss)
-               for s in samples]
+    targets = hytec_sample_targets(samples, cfg, teachers, settings.loss)
     trace = _fit(samples, targets, settings, resume, params, cfg, adaptive,
                  [opt],
                  lambda epoch: optim.warmup_cosine_lr(
@@ -574,3 +586,12 @@ def predict_heights(params, cfg, sample: Sample) -> np.ndarray:
     if isinstance(cfg, HyTecConfig):
         return _infer(params, cfg, sample, np.float64)
     return _infer(params, cfg, sample, WORK_DTYPE).astype(np.float64)
+
+
+def predict_maps(params, cfg, samples: Sequence[Sample]) -> list:
+    """``predict_heights`` of each sample, in order: each tile runs alone,
+    so each map is the array a lone call returns, and all run in one
+    ``nn.fixed_parameters`` block, so each parameter cast and batch-norm
+    fold is made once for all of them."""
+    with nn.fixed_parameters():
+        return [predict_heights(params, cfg, s) for s in samples]

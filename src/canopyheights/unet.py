@@ -132,7 +132,10 @@ def _init_saa(rng, c: int) -> SaaParams:
         proj_out=nn.init_conv(rng, 1, c, c))
 
 
-def init_unet(rng: np.random.Generator, cfg: UNetConfig) -> UNetParams:
+def init_unet(rng: Optional[np.random.Generator],
+              cfg: UNetConfig) -> UNetParams:
+    """Fresh parameters; ``rng`` None draws nothing and leaves every drawn
+    value 0, for a checkpoint to overwrite (see ``nn.he_uniform``)."""
     f0 = cfg.stem_width
     widths = [f0 * 2 ** i for i in range(DEPTH)]           # per-stage input widths
     bottleneck = f0 * 2 ** DEPTH

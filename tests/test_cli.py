@@ -16,6 +16,7 @@ from canopyheights import cli
 from canopyheights import config as cf
 from canopyheights import datapipe as dp
 from canopyheights import metrics as mt
+from canopyheights import optim
 from canopyheights import tensor as tn
 from canopyheights import train as tr
 from canopyheights.hytec import HyTecConfig, init_hytec
@@ -468,6 +469,48 @@ def _then_fail(items):
     """The items, then an OSError: a disk that fills part-way through."""
     yield from items
     raise OSError("no space left on device")
+
+
+class TestRestore:
+    """``eval`` (its model) and a HyTeC ``train`` (its teachers) restore
+    into a tree built without random draws; every value comes from the
+    checkpoint."""
+
+    @pytest.mark.parametrize("arch", [*tr.UNET_ARCHS, "hytec"])
+    def test_a_restore_without_draws_predicts_as_a_drawn_one(
+            self, arch, tmp_path, monkeypatch):
+        cfg = small_cfg()
+        for key, value in {("model", "patch"): 16, ("model", "embed_dim"): 16,
+                           ("model", "blocks"): 2, ("model", "heads"): 2,
+                           ("model", "l_hat"): 16, ("model", "taps"): "1,1,2,2",
+                           ("eval", "checkpoint"): str(tmp_path)}.items():
+            cfg.set(*key, value)
+
+        def drawn(seed):
+            if arch == "hytec":
+                mcfg = cli._hytec_config(cfg)
+                return init_hytec(np.random.default_rng(seed), mcfg), mcfg
+            return tr.make_unet(arch, np.random.default_rng(seed), 4,
+                                cli._bins_from_config(cfg))
+        trained, mcfg = drawn(5)
+        rng = np.random.default_rng(6)
+        for arr in optim.collect_state(trained).values():
+            arr[...] = rng.uniform(0.5, 2.0, arr.shape)   # running stats
+        tr.save_checkpoint(str(tmp_path), 0, trained, None)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "default_rng", None)     # no generator
+            restored, rcfg = cli._restore_model(cfg, arch, "eval.checkpoint")
+        reference, _ = drawn(0)
+        tr.load_checkpoint(str(tmp_path), reference)
+        samples = tr.samples_from_tiles(dp.synth_dataset(
+            2, 32, seed=3, shots_per_tile=20))
+        for s in samples:
+            assert np.array_equal(tr.predict_heights(restored, rcfg, s),
+                                  tr.predict_heights(reference, mcfg, s))
+        got, want = (optim.export_arrays(p) for p in (restored, reference))
+        assert got.keys() == want.keys()
+        assert all(got[k].tobytes() == want[k].tobytes() for k in got)
 
 
 class _FullDisk:

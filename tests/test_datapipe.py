@@ -656,6 +656,30 @@ class TestShotCsv:
         with self.expect_error(path, 5):
             dp.shots_from_csv(path)
 
+    # Python parses each of these, np.loadtxt none: the line is still named
+    @pytest.mark.parametrize("field,value", [
+        ("snr_db", "1_000.5"), ("search_end", "1_000"),
+        ("snr_db", "\u0661\u0662"), ("rx_sample_count", "\uff11\uff12")])
+    def test_a_number_only_python_parses_names_its_line(self, tmp_path,
+                                                        field, value):
+        rows = self.rows()
+        rows[1][dp.SHOT_FIELDS.index(field)] = value
+        path = tmp_path / "shots.csv"
+        self.write(path, rows)
+        with self.expect_error(path, 3):
+            dp.shots_from_csv(path)
+
+    def test_whitespace_around_a_number_still_reads(self, tmp_path):
+        # np.loadtxt strips it, non-ASCII spaces too; so does the slow parse
+        rows = self.rows()
+        snr = dp.SHOT_FIELDS.index("snr_db")
+        rows[0][snr] = "\u00a0" + str(rows[0][snr])
+        rows[2][dp.SHOT_FIELDS.index("elm")] = "nan"
+        path = tmp_path / "shots.csv"
+        self.write(path, rows)
+        with self.expect_error(path, 4):
+            dp.shots_from_csv(path)
+
     @pytest.mark.parametrize("field", [f for f in NUMBER_FIELDS
                                        if f not in FLOAT_FIELDS])
     # the last is past int64

@@ -621,6 +621,47 @@ class TestInferencePrecision:
                    for q, (a, b) in zip(tensors, before))
         assert op(Tensor(x, dtype=np.float32), p).dtype == np.float64
 
+    @pytest.mark.parametrize("i", range(4))
+    def test_fixed_parameters_reuse_each_cast(self, i):
+        """Inside a ``fixed_parameters`` block the second call reads the
+        same casts as the first and gives the same bits as outside one;
+        outside, each call makes its own casts."""
+        op, p, x = self.ops()[i]
+        tensor = next(q for q in vars(p).values() if isinstance(q, Tensor))
+        x = Tensor(x, dtype=np.float32)
+        with no_grad():
+            want = op(x, p).data
+            outside = [nn._param(tensor, x) for _ in range(2)]
+            with nn.fixed_parameters():
+                got = [op(x, p).data for _ in range(2)]
+                inside = [nn._param(tensor, x) for _ in range(2)]
+        assert outside[0] is not outside[1]
+        assert inside[0] is inside[1]
+        assert_same_bits(inside[0], outside[0])
+        assert all(g.tobytes() == want.tobytes() for g in got)
+
+    def test_fixed_parameters_fold_each_batch_norm_once(self):
+        bn = nn.init_bn(3)
+        bn.running_var = RNG(96).uniform(0.5, 2.0, 3)
+        f32 = np.dtype(np.float32)
+        with nn.fixed_parameters():
+            first, second = (nn._once(bn, f32, nn._bn_fold)
+                             for _ in range(2))
+            assert all(a is b for a, b in zip(first, second))
+            assert first[0].dtype == np.float32
+        outside = nn._once(bn, f32, nn._bn_fold)
+        assert all(a is not b and a.tobytes() == b.tobytes()
+                   for a, b in zip(first, outside))
+
+    def test_fixed_parameters_hold_nothing_after_the_block(self):
+        assert nn._made.get() is None
+        with pytest.raises(KeyError):
+            with nn.fixed_parameters():
+                nn._once(nn.init_bn(2), np.dtype(np.float64), nn._bn_fold)
+                assert len(nn._made.get()) == 1
+                raise KeyError
+        assert nn._made.get() is None
+
 
 class TestPatches:
     """``_patches`` builds its windows as an ``ndarray`` over the padded

@@ -5,6 +5,7 @@ import io
 import math
 import os
 import struct
+import types
 import weakref
 
 import numpy as np
@@ -355,6 +356,24 @@ class TestPersistence:
         p.write_bytes(p.read_bytes()[:keep])
         with pytest.raises(ValueError, match="t.tnsr"):
             load_tensor(p)
+
+    def test_payload_one_byte_short_names_the_file(self, tmp_path,
+                                                   monkeypatch):
+        p = tmp_path / "short.tnsr"
+        save_tensor(p, np.arange(6.0))
+        p.write_bytes(p.read_bytes()[:-1])
+        message = (r"short.tnsr: shape \(6,\) needs 48 payload bytes, the "
+                   r"file has 47 left")
+        with pytest.raises(ValueError, match=message):
+            load_tensor(p)
+        # the size check passes when the file is stat'ed one byte longer
+        # than it reads (say, it shrank in between): readinto comes up short
+        fstat = os.fstat
+        with monkeypatch.context() as m:
+            m.setattr(os, "fstat", lambda fd: types.SimpleNamespace(
+                st_size=fstat(fd).st_size + 1))
+            with pytest.raises(ValueError, match=message):
+                load_tensor(p)
 
     @pytest.mark.parametrize("shape", [(65536,) * 4, (2 ** 32 - 1,) * 2])
     def test_header_whose_size_overflows_int64_names_the_file(self, tmp_path,

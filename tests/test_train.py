@@ -467,6 +467,34 @@ class TestDistillation:
         tr.train_unet(samples, tiny_settings(arch="a2mdu", epochs=3))
         assert calls == {"teacher": 0, "bins": 3}
 
+    def test_targets_are_those_of_lone_teacher_maps(self, monkeypatch):
+        """The teacher maps behind each sample's targets are, bit for bit,
+        ``teacher_heights`` of that sample alone, and so are the targets."""
+        samples = tiny_samples(n_tiles=3)
+        teachers = _make_teachers(samples)
+        cfg = HyTecConfig.desk_scale(image_size=32, patch=8, embed_dim=16,
+                                     blocks=4, heads=2, l_hat=16)
+        loss_cfg = HyTecLossConfig()
+        seen = []
+        aux_targets = tr.aux_targets_from_teachers
+        monkeypatch.setattr(tr, "aux_targets_from_teachers",
+                            lambda *args: seen.append(args[:2])
+                            or aux_targets(*args))
+        got = tr.hytec_sample_targets(samples, cfg, teachers, loss_cfg)
+        monkeypatch.undo()
+        assert len(got) == len(seen) == len(samples)
+        for s, maps, (aux, target) in zip(samples, seen, got):
+            lone = [tr.teacher_heights(t, s) for t in teachers]
+            assert all(np.array_equal(m, w) for m, w in zip(maps, lone))
+            want = tr.aux_targets_from_teachers(*lone, cfg.patch,
+                                                loss_cfg.consensus_tol)
+            assert len(aux) == len(want) == 3
+            for (v, m), (wv, wm) in zip(aux, want):
+                assert np.array_equal(v, wv) and np.array_equal(m, wm)
+            ref = tr.bin_assign_map(s.target_h, s.mask > 0, cfg.bins)
+            assert np.array_equal(target.t, ref.t)
+            assert np.array_equal(target.mask, ref.mask)
+
     def test_inference_builds_no_graph(self, monkeypatch):
         samples = tiny_samples(n_tiles=1)
         s = samples[0]
@@ -611,6 +639,41 @@ class TestEvalPrediction:
         assert g1.keys() == g2.keys() and st1.keys() == st2.keys() and st1
         assert all(g1[k].tobytes() == g2[k].tobytes() for k in g1)
         assert all(st1[k].tobytes() == st2[k].tobytes() for k in st1)
+
+    @pytest.mark.parametrize("arch", [*tr.UNET_ARCHS, "hytec"])
+    def test_predict_maps_are_the_lone_predictions(self, arch):
+        """Bit for bit ``predict_heights`` of each sample, in order, and
+        the model keeps every byte."""
+        samples = tiny_samples(n_tiles=3)
+        if arch == "hytec":
+            cfg = HyTecConfig.desk_scale(image_size=32, patch=8,
+                                         embed_dim=16, blocks=4, heads=2,
+                                         l_hat=16)
+            params = init_hytec(np.random.default_rng(4), cfg)
+        else:
+            params, cfg = unet_with_bn_stats(arch)
+        before = {k: a.tobytes() for k, a in
+                  optim.export_arrays(params).items()}
+        maps = tr.predict_maps(params, cfg, samples)
+        assert {k: a.tobytes() for k, a in
+                optim.export_arrays(params).items()} == before
+        lone = [tr.predict_heights(params, cfg, s) for s in samples]
+        assert len(maps) == len(lone)
+        for got, want in zip(maps, lone):
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got, want)
+
+    def test_predict_maps_run_each_tile_through_predict_heights(
+            self, monkeypatch):
+        samples = tiny_samples(n_tiles=3)
+        params, cfg = unet_with_bn_stats("2mou")
+        seen = []
+        predict = tr.predict_heights
+        monkeypatch.setattr(tr, "predict_heights",
+                            lambda p, c, s: seen.append(s) or predict(p, c, s))
+        tr.predict_maps(params, cfg, samples)
+        assert len(seen) == len(samples)
+        assert all(a is b for a, b in zip(seen, samples))
 
     def test_hytec_prediction_is_the_graph_forward(self):
         s = tiny_samples(n_tiles=1)[0]
