@@ -42,6 +42,11 @@ class HyTecConfig:
     bins: Optional[HeightBinning] = None
 
     def __post_init__(self):
+        for name in ("image_size", "patch", "embed_dim", "blocks", "heads",
+                     "l_hat"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got "
+                                 f"{getattr(self, name)}")
         if self.image_size % self.patch:
             raise ValueError("image size must be divisible by the patch size")
         if self.embed_dim % self.heads:

@@ -51,6 +51,33 @@ BLAS ``ones @ x``: it adds in another order, training amplifies the
 rounding change, and in a prototype it moved the distillation gate's
 last/first loss from 0.474 to 0.548, past its 0.5 threshold.
 
+Multi-head self-attention (``mhsa``) is one graph node over the tokens
+and the eight projection tensors, with one hand-written backward, as
+fused attention kernels are at full scale (Dao et al. 2022, arXiv
+2205.14135).  Its heads are batched: q, k and v are C-contiguous
+(tiles*heads) x N x dh stacks, k's transposed to dh x N, so the scores
+and the weighted values are one stacked product each way.  Its bits are
+those of the per-head composition of ``linear``, slices, ``matmul``,
+``softmax`` and ``concat`` (the reference in ``tests/test_nn.py``): each
+matrix of a stack is the BLAS call the composition makes on its copy of
+one head, and the token gradient is summed as (q part + k part) + v
+part, the order in which the composition's graph adds the three.
+Another order rounds otherwise, and training amplifies that: in a
+prototype a 6-epoch HyTeC run's last loss went from 160.51 to 165.79 or
+153.42.  The 1/sqrt(dh) scale is a 0-d array of the scores' dtype, as
+``Tensor._coerce`` makes it; a float64 one would widen float32 scores.
+The node keeps q, k transposed, v, the attention weights and the merged
+heads.  Where the composition adds the heads' zero-padded slices of a
+gradient, it turns a -0.0 element into +0.0; this backward keeps -0.0,
+equal in value.
+
+``softmax`` and ``mhsa`` share one array-level softmax (``_softmax``).
+Over a last axis of at most ``SHORT_AXIS`` its row max and row sums go
+slice by slice (``_row_max``, ``_row_sum``): numpy makes one inner-loop
+call per row there, ~10x slower at K = 10.  The sums add the slices in
+the order of numpy's pairwise sum, so both are bit-identical to
+``ndarray.max`` and ``ndarray.sum``.
+
 Convolutions are matrix products (im2col + GEMM).  A conv kernel is
 k x k x C_in x C_out, so ``kmat = kernel.reshape(k*k*C_in, C_out)`` has
 its rows in (ki, kj, c) order.  The padded tile is unrolled into an
@@ -79,7 +106,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import Tensor, _channel_sum, concat, grad_enabled, matmul
+from .tensor import Tensor, _channel_sum, grad_enabled, matmul
 
 # batch norm's running-estimate momentum and variance floor, layer norm's
 # variance floor, and leaky ReLU's negative slope
@@ -146,6 +173,8 @@ class MhsaParams:
     wo: LinearParams
 
     def __post_init__(self):
+        if self.heads < 1:
+            raise ValueError(f"heads must be positive, got {self.heads}")
         d = self.wq.weight.shape[0]
         if d % self.heads != 0:
             raise ValueError(f"model width {d} not divisible by {self.heads} heads")
@@ -493,16 +522,68 @@ def softplus(x: Tensor) -> Tensor:
     return Tensor.from_op(out, (x,), lambda g: (g * sig,))
 
 
+# the last-axis extent up to which row maxima and sums go slice by slice
+SHORT_AXIS = 16
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1, keepdims=True)``.  Over a short last axis numpy
+    makes one inner-loop call per row; the maximum of the K slices is the
+    same value, exactly, ~10x faster at K = 10."""
+    k = a.shape[-1]
+    if k > SHORT_AXIS or k < 2:
+        return a.max(axis=-1, keepdims=True)
+    m = np.maximum(a[..., :1], a[..., 1:2])
+    for i in range(2, k):
+        np.maximum(m, a[..., i:i + 1], out=m)
+    return m
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1, keepdims=True)`` bit for bit.  For a short last
+    axis of a C-contiguous float32/float64 array the K slices are added in
+    the order of numpy's pairwise sum: left to right below 8; else eight
+    accumulators that take every eighth slice, added as ((r0+r1)+(r2+r3))
+    + ((r4+r5)+(r6+r7)), then the remaining slices in order.  numpy adds
+    that to the reduction's identity, +0.0, which turns a -0.0 row sum
+    into +0.0; so does the last step here."""
+    k = a.shape[-1]
+    if (k > SHORT_AXIS or k < 2 or a.dtype.char not in "fd"
+            or not a.flags.c_contiguous):
+        return a.sum(axis=-1, keepdims=True)
+    c = [a[..., i:i + 1] for i in range(k)]
+    if k < 8:
+        s = c[0] + c[1]
+        rest = c[2:]
+    else:
+        r = c[:8]
+        for i in range(8, k - k % 8, 8):
+            r = [r[j] + c[i + j] for j in range(8)]
+        s = (r[0] + r[1]) + (r[2] + r[3])
+        s += (r[4] + r[5]) + (r[6] + r[7])
+        rest = c[k - k % 8:]
+    for x in rest:
+        s += x
+    s += 0.0
+    return s
+
+
+def _softmax(a: np.ndarray) -> np.ndarray:
+    """Max-subtracted stable softmax of an array over its last axis."""
+    e = np.exp(a - _row_max(a))
+    e /= _row_sum(e)
+    return e
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Adjoint of ``y = _softmax(x)`` at ``x`` for the output adjoint ``g``."""
+    return (g - _row_sum(g * y)) * y
+
+
 def softmax(x: Tensor) -> Tensor:
     """Max-subtracted stable softmax over the last axis."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def grad_fn(g):
-        return ((g - (g * y).sum(axis=-1, keepdims=True)) * y,)
-
-    return Tensor.from_op(y, (x,), grad_fn)
+    y = _softmax(x.data)
+    return Tensor.from_op(y, (x,), lambda g: (_softmax_grad(g, y),))
 
 
 # Python floats, so that they take the dtype of the array they meet
@@ -529,25 +610,72 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
 
 # -- attention --------------------------------------------------------
 
+# a (tiles*N) x D array seen as tiles x N x heads x dh, in head-major
+# order: one N x dh block per head (queries, values, their adjoints) or
+# one dh x N block (keys); each axis order with its inverse
+_ROWS_FIRST = ((0, 2, 1, 3), (0, 2, 1, 3))
+_DIMS_FIRST = ((0, 2, 3, 1), (0, 3, 1, 2))
+
+
+def _split_heads(y: np.ndarray, tiles: int, heads: int, layout) -> np.ndarray:
+    """(tiles*heads) x N x dh, or x dh x N, C-contiguous stack of the
+    heads of a row-stacked (tiles*N) x D array."""
+    rows, d = y.shape
+    a = y.reshape(tiles, rows // tiles, heads, d // heads).transpose(layout[0])
+    return np.ascontiguousarray(a).reshape((-1,) + a.shape[2:])
+
+
+def _merge_heads(a: np.ndarray, tiles: int, heads: int, layout) -> np.ndarray:
+    """The C-contiguous (tiles*N) x D array that ``_split_heads`` split
+    into ``a``."""
+    a = a.reshape((tiles, heads) + a.shape[1:]).transpose(layout[1])
+    return np.ascontiguousarray(a).reshape(a.shape[0] * a.shape[1], -1)
+
+
 def mhsa(tokens: Tensor, p: MhsaParams, tiles: int = 1) -> Tensor:
     """Scaled dot-product attention per head over an N x D token matrix,
-    or within each tile's N rows of a row-stacked (tiles*N) x D one."""
+    or within each tile's N rows of a row-stacked (tiles*N) x D one: one
+    graph node over the tokens and the eight projection tensors."""
     rows, d = tokens.shape
-    n = tile_rows(rows, tiles)
+    tile_rows(rows, tiles)
     heads = p.heads
-    dh = d // heads
-    scale = 1.0 / np.sqrt(dh)
+    lins = (p.wq, p.wk, p.wv, p.wo)
+    x = tokens.data
 
-    q = linear(tokens, p.wq).reshape(tiles, n, d)
-    k = linear(tokens, p.wk).reshape(tiles, n, d)
-    v = linear(tokens, p.wv).reshape(tiles, n, d)
+    def project(a, lin):
+        return a @ _param(lin.weight, tokens) + _param(lin.bias, tokens)
 
-    outs = []
-    for h in range(heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        qh, kh, vh = q[:, :, sl], k[:, :, sl], v[:, :, sl]
-        attn = softmax(matmul(qh, kh.permute(0, 2, 1)) * scale)
-        outs.append(matmul(attn, vh))
-    merged = concat(outs, axis=2).reshape(rows, d)
-    return linear(merged, p.wo)
+    q = _split_heads(project(x, p.wq), tiles, heads, _ROWS_FIRST)
+    kt = _split_heads(project(x, p.wk), tiles, heads, _DIMS_FIRST)
+    v = _split_heads(project(x, p.wv), tiles, heads, _ROWS_FIRST)
+    scores = q @ kt
+    # a 0-d array of the scores' dtype: a float64 one would widen float32
+    scale = np.asarray(1.0 / math.sqrt(d // heads), dtype=scores.dtype)
+    scores *= scale
+    attn = _softmax(scores)
+    merged = _merge_heads(attn @ v, tiles, heads, _ROWS_FIRST)
+    out = project(merged, p.wo)
 
+    def grad_fn(g):
+        gw = _split_heads(g @ p.wo.weight.data.T, tiles, heads, _ROWS_FIRST)
+        gs = _softmax_grad(gw @ np.swapaxes(v, -1, -2), attn)
+        gs *= scale
+        # each projection's output adjoint as a (tiles*N) x D array
+        gq = _merge_heads(gs @ np.swapaxes(kt, -1, -2), tiles, heads,
+                          _ROWS_FIRST)
+        gk = _merge_heads(np.swapaxes(q, -1, -2) @ gs, tiles, heads,
+                          _DIMS_FIRST)
+        gv = _merge_heads(np.swapaxes(attn, -1, -2) @ gw, tiles, heads,
+                          _ROWS_FIRST)
+        wq, wk, wv = (lin.weight.data for lin in lins[:3])
+        # (q part + k part) + v part, the per-head composition's order
+        gx = gq @ wq.T
+        gx += gk @ wk.T
+        gx += gv @ wv.T
+        grads = [gx]
+        for a, ga in ((x, gq), (x, gk), (x, gv), (merged, g)):
+            grads += [a.T @ ga, _channel_sum(ga, (0,))]
+        return grads
+
+    return Tensor.from_op(out, (tokens,) + tuple(
+        t for lin in lins for t in (lin.weight, lin.bias)), grad_fn)

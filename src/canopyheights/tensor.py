@@ -280,15 +280,13 @@ class Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors, or a stack of them: two 3-D
-    tensors with equal leading extents, one product per leading index."""
-    if a.ndim != b.ndim or a.ndim not in (2, 3):
-        raise ValueError("matmul expects two 2-D or two 3-D tensors")
-    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+    """Matrix product of two 2-D tensors."""
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError("matmul expects two 2-D tensors")
+    if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner extent mismatch: {a.shape} @ {b.shape}")
     data = a.data @ b.data
-    return Tensor.from_op(data, (a, b), lambda g: (
-        g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g))
+    return Tensor.from_op(data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:

@@ -464,6 +464,18 @@ class TestHyTecPipeline:
                        tmp_path) == 1
         assert "data.teacher_s1 is not set" in caplog.text
 
+    def test_zero_heads_returns_one_naming_the_key(
+            self, hytec_run, tmp_path, monkeypatch, caplog):
+        monkeypatch.delenv("CANOPY_LOG", raising=False)
+        _, cfg = hytec_run
+        cfg = cfg.copy()
+        cfg.set("model", "heads", 0)
+        with caplog.at_level(logging.ERROR, logger="canopyheights"):
+            assert run(cfg, ["train", "--out", str(tmp_path / "t")],
+                       tmp_path) == 1
+        assert "ValueError: heads must be positive, got 0" in caplog.text
+        assert not os.path.exists(tmp_path / "t" / "checkpoints")
+
 
 def _then_fail(items):
     """The items, then an OSError: a disk that fills part-way through."""

@@ -40,6 +40,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             HyTecConfig(**bad)
 
+    @pytest.mark.parametrize("field,value", [
+        ("image_size", 0), ("patch", 0), ("embed_dim", 0), ("blocks", 0),
+        ("heads", 0), ("l_hat", 0), ("heads", -2)])
+    def test_non_positive_sizes_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be positive, got {value}$"):
+            mini_cfg(**{field: value})
+
 
 class TestTokenLaws:
     @pytest.mark.parametrize("size,patch", [(32, 8), (64, 16), (256, 16)])

@@ -1,6 +1,7 @@
 """Neural-network building blocks: forward semantics and gradients."""
 
 import copy
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from numpy.lib.stride_tricks import as_strided
 
 from canopyheights import nn
-from canopyheights.tensor import Tensor, grad_check, no_grad
+from canopyheights.tensor import Tensor, concat, grad_check, matmul, no_grad
 
 TOL = 1e-4
 RNG = np.random.default_rng
@@ -184,8 +185,7 @@ class TestTileStacking:
         x = t((3 * 5, 8), seed=60)
         per = [nn.mhsa(Tensor(x.data[5 * i:5 * (i + 1)]), p).data
                for i in range(3)]
-        np.testing.assert_allclose(nn.mhsa(x, p, tiles=3).data,
-                                   np.concatenate(per), rtol=1e-12, atol=1e-14)
+        assert np.array_equal(nn.mhsa(x, p, tiles=3).data, np.concatenate(per))
         w = Tensor(RNG(61).normal(size=(2 * 5, 8)))
         x2 = t((2 * 5, 8), seed=62)
         assert grad_check(lambda v: (nn.mhsa(v, p, tiles=2) * w).sum(),
@@ -714,3 +714,130 @@ class TestAttentionAndLinear:
         assert nn.mhsa(x, p).shape == (6, 8)
         assert grad_check(lambda v: nn.mhsa(v, p).sum(), x, max_coords=24) < TOL
 
+
+
+def reference_mhsa(tokens, p, tiles=1):
+    """``nn.mhsa`` as the composition of public ops it replaces: per tile
+    and per head, a 2-D product each way and a softmax."""
+    rows, d = tokens.shape
+    n, dh = rows // tiles, d // p.heads
+    scale = 1.0 / np.sqrt(dh)
+    q, k, v = (nn.linear(tokens, lin) for lin in (p.wq, p.wk, p.wv))
+    tile_outs = []
+    for i in range(tiles):
+        r = slice(i * n, (i + 1) * n)
+        outs = []
+        for h in range(p.heads):
+            c = slice(h * dh, (h + 1) * dh)
+            attn = nn.softmax(matmul(q[r, c], k[r, c].permute(1, 0)) * scale)
+            outs.append(matmul(attn, v[r, c]))
+        tile_outs.append(concat(outs, axis=1))
+    return nn.linear(concat(tile_outs, axis=0), p.wo)
+
+
+def mhsa_leaves(p):
+    return [t for lin in (p.wq, p.wk, p.wv, p.wo) for t in (lin.weight, lin.bias)]
+
+
+class TestFusedAttention:
+    """``nn.mhsa`` is one graph node whose forward and nine gradients are
+    those of the per-head composition, bit for bit (up to the sign of a
+    zero gradient: the composition adds the heads' zero-padded slices)."""
+
+    @staticmethod
+    def forward_and_grads(f, x, p, w, tiles):
+        for leaf in [x] + mhsa_leaves(p):
+            leaf.grad = None
+        y = f(x, p, tiles)
+        (y * w).sum().backward()
+        return [y.data] + [leaf.grad for leaf in [x] + mhsa_leaves(p)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("tiles", [1, 3])
+    def test_equals_the_per_head_composition(self, dtype, heads, tiles):
+        rng = RNG(70 + heads)
+        p = nn.init_mhsa(rng, 16, heads)
+        for leaf in mhsa_leaves(p):
+            leaf.data = (leaf.data + 0.1 * rng.normal(size=leaf.shape)).astype(dtype)
+        x = Tensor(rng.normal(size=(tiles * 24, 16)), requires_grad=True,
+                   dtype=dtype)
+        w = Tensor(rng.normal(size=x.shape), dtype=dtype)
+        got = self.forward_and_grads(nn.mhsa, x, p, w, tiles)
+        want = self.forward_and_grads(reference_mhsa, x, p, w, tiles)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("tiles", [1, 3])
+    def test_f32_inference_with_f64_parameters(self, tiles):
+        p = nn.init_mhsa(RNG(75), 16, heads=2)
+        x = Tensor(RNG(76).normal(size=(tiles * 24, 16)), dtype=np.float32)
+        with no_grad():
+            got = nn.mhsa(x, p, tiles).data
+            want = reference_mhsa(x, p, tiles).data
+        assert got.dtype == np.float32 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("which", ["tokens"] + [
+        f"{lin}.{part}" for lin in ("wq", "wk", "wv", "wo")
+        for part in ("weight", "bias")])
+    def test_grad_check_on_each_input(self, which):
+        p = nn.init_mhsa(RNG(77), 8, heads=4)
+        x = t((2 * 5, 8), seed=78)
+        w = Tensor(RNG(79).normal(size=x.shape))
+        if which == "tokens":
+            assert grad_check(lambda v: (nn.mhsa(v, p, tiles=2) * w).sum(),
+                              x) < TOL
+            return
+        lin_name, part = which.split(".")
+
+        def f(leaf):
+            lin = dataclasses.replace(getattr(p, lin_name), **{part: leaf})
+            q = dataclasses.replace(p, **{lin_name: lin})
+            return (nn.mhsa(x, q, tiles=2) * w).sum()
+        assert grad_check(f, getattr(getattr(p, lin_name), part)) < TOL
+
+    def test_one_call_records_one_node(self):
+        p = nn.init_mhsa(RNG(80), 8, heads=2)
+        x = t((6, 8), seed=81)
+        out = nn.mhsa(x, p)
+        assert len(out._parents) == 9
+        assert out._parents[0] is x
+        assert all(a is b for a, b in zip(out._parents[1:], mhsa_leaves(p)))
+
+    @pytest.mark.parametrize("heads", [0, -2])
+    def test_non_positive_head_count_rejected(self, heads):
+        with pytest.raises(ValueError, match=f"heads must be positive, got {heads}"):
+            nn.init_mhsa(RNG(82), 8, heads)
+
+
+class TestShortAxisRows:
+    """Row maxima and sums over a short last axis go slice by slice, in
+    the order of ``ndarray.sum``, so ``softmax`` is the plain formula bit
+    for bit; a numpy that sums a short row in another order fails here."""
+
+    @staticmethod
+    def plain_softmax(x, g):
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        y = e / e.sum(axis=-1, keepdims=True)
+        return y, (g - (g * y).sum(axis=-1, keepdims=True)) * y
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", range(2, 17))
+    @pytest.mark.parametrize("lead", [(), (5,), (4, 8)])
+    def test_row_reductions_equal_numpy(self, dtype, k, lead):
+        a = (RNG(k).normal(size=lead + (k,)) * 3).astype(dtype)
+        assert_same_bits(nn._row_sum(a), a.sum(axis=-1, keepdims=True))
+        assert_same_bits(nn._row_sum(a * 0), (a * 0).sum(axis=-1, keepdims=True))
+        assert np.array_equal(nn._row_max(a), a.max(axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_softmax_equals_the_plain_formula(self, dtype, k):
+        x = (RNG(k).normal(size=(6, 4, k)) * 4).astype(dtype)
+        g = RNG(k + 1).normal(size=x.shape).astype(dtype)
+        y_want, gx_want = self.plain_softmax(x, g)
+        v = Tensor(x, requires_grad=True, dtype=dtype)
+        y = nn.softmax(v)
+        y.backward(g)
+        assert y.dtype == v.grad.dtype == dtype
+        assert np.array_equal(y.data, y_want) and np.array_equal(v.grad, gx_want)

@@ -68,17 +68,6 @@ class TestPrimitiveGradients:
             return (a @ x).sum()
         assert grad_check(g, rand((5, 3))) < TOL
 
-    def test_stacked_matmul_both_sides(self):
-        w = Tensor(np.random.default_rng(5).normal(size=(3, 4, 2)))
-        b = rand((3, 5, 2), seed=6)
-        assert grad_check(lambda x: (matmul(x, b) * w).sum(),
-                          rand((3, 4, 5))) < TOL
-        a = rand((3, 4, 5), seed=7)
-        assert grad_check(lambda x: (matmul(a, x) * w).sum(),
-                          rand((3, 5, 2))) < TOL
-        np.testing.assert_allclose(matmul(a, b).data[1],
-                                   a.data[1] @ b.data[1], rtol=1e-14)
-
     def test_matmul_rejects_mixed_or_unequal_stacks(self):
         with pytest.raises(ValueError):
             matmul(rand((3, 4, 5)), rand((5, 2)))
