@@ -275,7 +275,7 @@ def cmd_train(cfg, out_dir: str, resume: bool = False) -> None:
     write_csv(os.path.join(out_dir, "trace.csv"), tr.TRACE_COLUMNS,
               result.trace)
     log.info("trained %s for %d epochs; final loss %.6g", arch,
-             result.epochs_run,
+             settings.epochs,
              result.trace[-1][2] if result.trace else float("nan"))
 
 
@@ -307,10 +307,8 @@ def cmd_eval(cfg, out_dir: str) -> None:
     yhat = np.concatenate(yhats)
 
     overall = mt.summary_stats(y, yhat)
-    write_csv(os.path.join(out_dir, "overall.csv"),
-              ["n", "r", "rmse", "rmspe", "bias", "sdsd", "lcs"],
-              [[overall.n, overall.r, overall.rmse, overall.rmspe,
-                overall.bias, overall.sdsd, overall.lcs]])
+    write_csv(os.path.join(out_dir, "overall.csv"), mt.REPORT_COLUMNS[2:],
+              [mt.report_row(overall)])
     edges = np.arange(0.0, top + step, step)
     mt.report_to_csv(mt.binned_report(y, yhat, edges),
                      os.path.join(out_dir, "binned.csv"))

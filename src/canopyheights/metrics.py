@@ -236,10 +236,13 @@ REPORT_COLUMNS = ["range_lo", "range_hi", "n", "r", "rmse", "rmspe",
                   "bias", "sdsd", "lcs"]
 
 
+def report_row(rep: MetricsReport) -> list:
+    """A report's CSV fields, in the order of ``REPORT_COLUMNS[2:]``."""
+    return [rep.n, rep.r, rep.rmse, rep.rmspe, rep.bias, rep.sdsd, rep.lcs]
+
+
 def report_to_csv(rows: list, path: str) -> None:
     """Emit binned_report rows as CSV (empty buckets keep their range)."""
     write_csv(path, REPORT_COLUMNS,
               ([lo, hi, 0] + [None] * 6 if rep is None else
-               [lo, hi, rep.n, rep.r, rep.rmse, rep.rmspe, rep.bias, rep.sdsd,
-                rep.lcs]
-               for (lo, hi), rep in rows))
+               [lo, hi, *report_row(rep)] for (lo, hi), rep in rows))

@@ -11,10 +11,10 @@ The loop emits a per-step loss trace, checkpoints every epoch with a
 rolling keep-last window (the trace included, so a resumed run keeps its
 history), and aborts on non-finite loss.
 
-``UNET_CONFIGS`` maps each convolutional variant to its ``UNetConfig``,
-``_model_input`` each model config to the inputs it reads, ``_forward``
-runs either model family, ``_heights`` finds the height map in either
-family's output, and ``_infer`` is the one inference behind
+``UNET_CONFIGS`` maps each convolutional variant to its inputs, head and
+loss, ``_model_input`` stacks the modalities a model config names,
+``_forward`` runs either model family, ``_heights`` finds the height map
+in either family's output, and ``_infer`` is the one inference behind
 ``predict_heights`` and ``teacher_heights``.  Batch norm follows
 ``tensor.no_grad`` (see ``nn``): a step's graph-recording forward uses
 batch statistics, and ``_infer``, which records no graph, uses the
@@ -69,21 +69,21 @@ import numpy as np
 
 from . import nn, optim
 from .hytec import HyTecConfig, HyTecOutputs, hytec_forward, init_hytec
-from .losses import (AdaptiveLossState, ClassTarget, HyTecLossConfig,
-                     bin_assign_map, combined_cr_loss, huber,
-                     hytec_total_loss, kd_teacher_consensus)
+from .losses import (AdaptiveLossState, ClassTarget, HeightBinning,
+                     HyTecLossConfig, bin_assign_map, combined_cr_loss,
+                     huber, hytec_total_loss, kd_teacher_consensus)
 from .tensor import Tensor, atomic_open, no_grad, read_record, write_record
 from .unet import (DualHeadOutput, UNetConfig, UNetParams, init_unet,
                    unet_forward)
 
-# each convolutional variant's UNetConfig (in_channels_s2, in_channels_s1,
-# head_kind) and adaptive-loss flag; a teacher's encoder reads one modality
+# each convolutional variant's encoder inputs, dual-head flag and
+# adaptive-loss flag; a teacher's encoder reads one modality
 UNET_CONFIGS = {
-    "2mou": (10, 2, "single", False),
-    "2mdu": (10, 2, "dual", False),
-    "a2mdu": (10, 2, "dual", True),
-    "teacher_s1": (2, None, "single", False),
-    "teacher_s2": (10, None, "single", False),
+    "2mou": (("s2", "s1"), False, False),
+    "2mdu": (("s2", "s1"), True, False),
+    "a2mdu": (("s2", "s1"), True, True),
+    "teacher_s1": (("s1",), False, False),
+    "teacher_s2": (("s2",), False, False),
 }
 UNET_ARCHS = tuple(UNET_CONFIGS)
 TRACE_COLUMNS = ["step", "lr", "total", "aux1", "aux2", "aux3", "ce", "reg"]
@@ -144,7 +144,6 @@ class TrainResult:
     config: object
     adaptive: Optional[AdaptiveLossState]
     trace: list                    # rows matching TRACE_COLUMNS
-    epochs_run: int
 
 
 def samples_from_tiles(tiles) -> list:
@@ -156,31 +155,30 @@ def samples_from_tiles(tiles) -> list:
 def make_unet(arch: str, rng: Optional[np.random.Generator],
               stem_width: int = 16, bins=None) -> tuple:
     """Fresh parameters and model configuration for a named variant;
-    ``rng`` None draws nothing, for a restore (see ``init_unet``)."""
+    ``rng`` None draws nothing, for a restore (see ``init_unet``).  A
+    dual-head variant given no ``bins`` takes the default binning."""
     if arch not in UNET_CONFIGS:
         raise ValueError(f"unknown architecture {arch!r}")
-    c_s2, c_s1, head, _ = UNET_CONFIGS[arch]
-    cfg = UNetConfig(in_channels_s2=c_s2, in_channels_s1=c_s1,
-                     stem_width=stem_width, head_kind=head,
-                     bins=bins if head == "dual" else None)
+    inputs, dual, _ = UNET_CONFIGS[arch]
+    if dual and bins is None:
+        bins = HeightBinning.default()
+    cfg = UNetConfig(inputs, stem_width, bins if dual else None)
     return init_unet(rng, cfg), cfg
 
 
 def _model_input(batch: Sequence[Sample], cfg, dtype=np.float64) -> tuple:
     """The inputs a model takes from a batch of samples, each modality's
     tiles stacked along rows: HyTeC's optical tiles, or a U-Net's
-    (first-encoder, second-encoder) pair.  A single-encoder U-Net reads
-    the modality whose channel count its encoder was built for."""
+    (first-encoder, second-encoder) pair of its config's modalities, None
+    for a lone encoder's second; a sample lacking one is refused by name."""
     def stacked(modality: str) -> Tensor:
-        return Tensor(np.concatenate([getattr(s, modality) for s in batch]),
-                      dtype=dtype)
+        tiles = [getattr(s, modality) for s in batch]
+        if any(t is None for t in tiles):
+            raise ValueError(f"the model reads {modality}; a sample lacks it")
+        return Tensor(np.concatenate(tiles), dtype=dtype)
     if isinstance(cfg, HyTecConfig):
         return (stacked("s2"),)
-    if cfg.dual_modality:
-        return stacked("s2"), stacked("s1")
-    if cfg.in_channels_s2 == batch[0].s2.shape[-1]:
-        return stacked("s2"), None
-    return stacked("s1"), None
+    return (*map(stacked, cfg.inputs), None)[:2]
 
 
 def _forward(params, cfg, batch: Sequence[Sample], dtype):
@@ -209,7 +207,7 @@ def _infer(params, cfg, sample: Sample, dtype) -> np.ndarray:
 def unet_sample_target(sample: Sample, cfg: UNetConfig) -> Optional[ClassTarget]:
     """The class target a dual-head model trains against; None for a
     single head."""
-    if cfg.head_kind != "dual":
+    if cfg.bins is None:
         return None
     return bin_assign_map(sample.target_h, sample.mask > 0, cfg.bins)
 
@@ -469,7 +467,7 @@ def train_unet(samples: Sequence[Sample], settings: TrainSettings,
     rng = np.random.default_rng(settings.seed)
     params, cfg = make_unet(settings.arch, rng, settings.stem_width,
                             settings.bins)
-    adaptive = (AdaptiveLossState.create() if UNET_CONFIGS[settings.arch][3]
+    adaptive = (AdaptiveLossState.create() if UNET_CONFIGS[settings.arch][2]
                 else None)
 
     optimizers = [optim.SGD(optim.collect_tensors(params), settings.base_lr)]
@@ -483,7 +481,7 @@ def train_unet(samples: Sequence[Sample], settings: TrainSettings,
                  lambda epoch: optim.cosine_lr(epoch, settings.epochs,
                                                settings.base_lr),
                  unet_sample_loss)
-    return TrainResult(params, cfg, adaptive, trace, settings.epochs)
+    return TrainResult(params, cfg, adaptive, trace)
 
 
 # -- distillation -----------------------------------------------------
@@ -572,7 +570,7 @@ def train_hytec(samples: Sequence[Sample], teachers: Sequence[Teacher],
                      epoch, settings.warmup_epochs, settings.lr_start,
                      settings.lr_peak, settings.epochs),
                  hytec_sample_loss)
-    return TrainResult(params, cfg, adaptive, trace, settings.epochs)
+    return TrainResult(params, cfg, adaptive, trace)
 
 
 def predict_heights(params, cfg, sample: Sample) -> np.ndarray:

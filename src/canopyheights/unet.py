@@ -6,9 +6,11 @@ an attention bottleneck fusing the encoder paths, four decoder blocks
 encoder, and one of two output heads: a single regression head or a dual
 classification/regression head over overlapping height bins.
 
-``train`` maps each named variant to its config.  A single-encoder model
-(``in_channels_s1=None``, as the distillation teachers are) reads its one
-modality through the first path: ``unet_forward(x, None, ...)``.
+``train`` maps each named variant to its config, which names the
+modalities its encoders read (each takes its ``datapipe`` band count)
+and holds height bins exactly when the head is dual.  A single-encoder
+model (a distillation teacher) reads its one modality through the first
+path: ``unet_forward(x, None, ...)``.
 
 Every forward takes a batch of ``tiles`` tiles stacked along rows (see
 ``nn``) and checks its shape laws per tile.
@@ -22,29 +24,25 @@ from typing import Optional
 import numpy as np
 
 from . import nn
+from .datapipe import S1_BANDS, S2_BANDS
 from .losses import HeightBinning
 from .tensor import Tensor, concat
 
 DEPTH = 4        # encoder (and decoder) blocks per path
+# each modality's channel count, and the encoder inputs a model may read
+BANDS = {"s2": S2_BANDS, "s1": S1_BANDS}
+INPUTS = (("s2", "s1"), ("s2",), ("s1",))
 
 
 @dataclass
 class UNetConfig:
-    in_channels_s2: int = 10
-    in_channels_s1: Optional[int] = 2      # None for a single-modality model
+    inputs: tuple = ("s2", "s1")           # one of INPUTS, first encoder first
     stem_width: int = 16
-    head_kind: str = "single"              # single | dual
-    bins: Optional[HeightBinning] = None
+    bins: Optional[HeightBinning] = None   # set for a dual head
 
     def __post_init__(self):
-        if self.head_kind not in ("single", "dual"):
-            raise ValueError("head_kind must be single or dual")
-        if self.head_kind == "dual" and self.bins is None:
-            self.bins = HeightBinning.default()
-
-    @property
-    def dual_modality(self) -> bool:
-        return self.in_channels_s1 is not None
+        if self.inputs not in INPUTS:
+            raise ValueError(f"inputs {self.inputs!r} is not one of {INPUTS}")
 
 
 # -- block parameter sets ---------------------------------------------
@@ -140,10 +138,12 @@ def init_unet(rng: Optional[np.random.Generator],
     widths = [f0 * 2 ** i for i in range(DEPTH)]           # per-stage input widths
     bottleneck = f0 * 2 ** DEPTH
 
-    stem_s2 = nn.init_conv(rng, 3, cfg.in_channels_s2, f0, stride=1, padding=1)
+    # a lone encoder, s1's too, is stem_s2 and cebs_s2 (its checkpoint names)
+    first, *second = (BANDS[m] for m in cfg.inputs)
+    stem_s2 = nn.init_conv(rng, 3, first, f0, stride=1, padding=1)
     cebs_s2 = [_init_ceb(rng, w) for w in widths]
-    if cfg.dual_modality:
-        stem_s1 = nn.init_conv(rng, 3, cfg.in_channels_s1, f0, stride=1, padding=1)
+    if second:
+        stem_s1 = nn.init_conv(rng, 3, second[0], f0, stride=1, padding=1)
         cebs_s1 = [_init_ceb(rng, w) for w in widths]
         saa = _init_saa(rng, 2 * bottleneck)
         fuse = nn.init_conv(rng, 1, 2 * bottleneck, bottleneck)
@@ -153,7 +153,7 @@ def init_unet(rng: Optional[np.random.Generator],
 
     cdbs = [_init_cdb(rng, bottleneck // 2 ** i) for i in range(DEPTH)]
 
-    if cfg.head_kind == "single":
+    if cfg.bins is None:
         head: object = SingleHeadParams(nn.init_conv(rng, 1, f0, 1))
     else:
         k = cfg.bins.k
@@ -245,13 +245,13 @@ def unet_forward(s2: Tensor, s1: Optional[Tensor], params: UNetParams,
     """Full encoder-decoder forward over ``tiles`` row-stacked tiles.
 
     Returns the height map for a single head, or a DualHeadOutput for the
-    dual head.  Skip connections are taken from the optical (s2) path.
+    dual head.  Skip connections are taken from the first encoder's path.
     """
     rows, w, _ = s2.shape
     if nn.tile_rows(rows, tiles) % 16 or w % 16:
         raise ValueError("spatial extents must be divisible by 16")
     bot_s2, skips = _encode(s2, params.stem_s2, params.cebs_s2, tiles)
-    if cfg.dual_modality:
+    if len(cfg.inputs) == 2:
         if s1 is None:
             raise ValueError("dual-modality model needs an s1 input")
         bot_s1, _ = _encode(s1, params.stem_s1, params.cebs_s1, tiles)
@@ -265,6 +265,6 @@ def unet_forward(s2: Tensor, s1: Optional[Tensor], params: UNetParams,
         y = cdb_forward(y, skip, cdb, tiles)
     assert y.shape[:2] == (rows, w), "decoder failed to restore the input extent"
 
-    if cfg.head_kind == "single":
+    if cfg.bins is None:
         return head_single(y, params.head)
     return head_dual(y, params.head)

@@ -1,6 +1,7 @@
 """Training loops: schedules, checkpoints, resume, divergence, distillation."""
 
 import copy
+import dataclasses
 import os
 
 import numpy as np
@@ -684,6 +685,33 @@ class TestEvalPrediction:
         out = tr._forward(params, cfg, [s], np.float64).main.height
         assert out._grad_fn is not None
         assert np.array_equal(pred, out.data)
+
+
+class TestModelInputs:
+    """A U-Net reads the modalities its config names, whatever the bands
+    of the others, and a sample lacking one is refused by name."""
+
+    def test_teacher_s1_reads_s1_only(self):
+        s = tiny_samples(n_tiles=1)[0]
+        params, cfg = unet_with_bn_stats("teacher_s1")
+        two_band = dataclasses.replace(s, s2=np.random.default_rng(11).normal(
+            size=(*s.s2.shape[:2], 2)))
+        assert (tr.predict_heights(params, cfg, two_band).tobytes()
+                == tr.predict_heights(params, cfg, s).tobytes())
+
+    def test_teacher_s2_refuses_an_s2_of_other_bands(self):
+        s = tiny_samples(n_tiles=1)[0]
+        params, cfg = unet_with_bn_stats("teacher_s2")
+        with pytest.raises(ValueError,
+                           match="channel mismatch: input 4, kernel 10"):
+            tr.predict_heights(params, cfg,
+                               dataclasses.replace(s, s2=s.s2[..., :4]))
+
+    def test_teacher_s1_refuses_a_sample_without_s1(self):
+        s = tiny_samples(n_tiles=1)[0]
+        params, cfg = unet_with_bn_stats("teacher_s1")
+        with pytest.raises(ValueError, match="reads s1; a sample lacks it"):
+            tr.predict_heights(params, cfg, dataclasses.replace(s, s1=None))
 
 
 class TestPrecision:

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from canopyheights import nn, optim
+from canopyheights.losses import HeightBinning
 from canopyheights.tensor import Tape, Tensor, grad_check
 from canopyheights.train import make_unet, UNET_ARCHS
-from canopyheights.unet import (DualHeadOutput, UNetConfig, _init_cdb,
-                                _init_ceb, _init_saa, cdb_forward,
-                                ceb_forward, head_dual, head_single,
-                                init_unet, saa_forward, unet_forward)
+from canopyheights.unet import (BANDS, DualHeadOutput, DualHeadParams,
+                                UNetConfig, _init_cdb, _init_ceb, _init_saa,
+                                cdb_forward, ceb_forward, head_dual,
+                                head_single, init_unet, saa_forward,
+                                unet_forward)
 
 TOL = 1e-4
 RNG = np.random.default_rng
@@ -82,7 +84,6 @@ class TestBlockGradients:
                           max_coords=30) < TOL
 
     def test_dual_head_grad_and_invariants(self):
-        from canopyheights.unet import DualHeadParams
         p = DualHeadParams(conv_cls=nn.init_conv(RNG(21), 1, 4, 10),
                            conv_reg=nn.init_conv(RNG(22), 1, 4, 10),
                            conv_out=nn.init_conv(RNG(23), 1, 10, 1))
@@ -133,6 +134,26 @@ class TestFullModels:
         with pytest.raises(ValueError):
             make_unet("resnet", RNG(32))
 
+    @pytest.mark.parametrize("inputs", [("s1", "s2"), ("s2", "s2"), (),
+                                        ("s3",), "s2"])
+    def test_unnamed_inputs_refused(self, inputs):
+        with pytest.raises(ValueError, match="is not one of"):
+            UNetConfig(inputs=inputs)
+
+    def test_each_encoder_takes_its_modality_bands(self):
+        for arch in UNET_ARCHS:
+            params, cfg = make_unet(arch, RNG(38), stem_width=4)
+            stems = [params.stem_s2, params.stem_s1][:len(cfg.inputs)]
+            assert ([p.kernel.shape[2] for p in stems]
+                    == [BANDS[m] for m in cfg.inputs]), arch
+
+    def test_head_is_dual_exactly_when_bins_are_set(self):
+        assert make_unet("2mou", RNG(39), 4,
+                         HeightBinning.default())[1].bins is None
+        params, cfg = make_unet("2mdu", RNG(39), 4)       # no bins given
+        assert cfg.bins.k == HeightBinning.default().k
+        assert isinstance(params.head, DualHeadParams)
+
     def test_indivisible_extent_rejected(self):
         params, cfg = make_unet("2mou", RNG(33), stem_width=4)
         with pytest.raises(ValueError):
@@ -179,16 +200,14 @@ class TestTileStacking:
     def run(self, arch, tiles, seed=40):
         params, cfg = make_unet(arch, RNG(seed), stem_width=4)
         rng = RNG(seed + 1)
-        s2 = rng.normal(size=(3, 32, 32, cfg.in_channels_s2))
-        s1 = rng.normal(size=(3, 32, 32, 2))
+        xs = [rng.normal(size=(3, 32, 32, BANDS[m])) for m in cfg.inputs]
         w = rng.normal(size=(3, 32, 32))
         maps, total = [], 0.0
         for lo in range(0, 3, tiles):
             rows = slice(lo, lo + tiles)
-            x1 = (Tensor(s1[rows].reshape(-1, 32, 2))
-                  if cfg.dual_modality else None)
-            out = unet_forward(Tensor(s2[rows].reshape(-1, 32, s2.shape[-1])),
-                               x1, params, cfg, tiles=tiles)
+            x1, x2 = [Tensor(x[rows].reshape(-1, 32, x.shape[-1]))
+                      for x in xs] + [None] * (2 - len(xs))
+            out = unet_forward(x1, x2, params, cfg, tiles=tiles)
             height = out.height if isinstance(out, DualHeadOutput) else out
             maps.append([height.data] + ([out.probs.data] if isinstance(
                 out, DualHeadOutput) else []))
