@@ -42,15 +42,6 @@ def _bins_from_config(cfg) -> HeightBinning:
                          overlap=cfg.get("loss", "overlap"))
 
 
-def _positive(cfg, section: str, key: str) -> float:
-    """The config entry ``[section] key``, or a ``ValueError`` naming it
-    unless it is above 0."""
-    value = cfg.get(section, key)
-    if not value > 0:   # NaN fails too
-        raise ValueError(f"[{section}] {key} must be positive, got {value}")
-    return value
-
-
 # -- dataset directory layout -----------------------------------------
 
 TILE_PARTS = ("s2", "s1", "heights", "target", "mask")
@@ -102,6 +93,11 @@ def read_dataset(dataset_dir: str) -> list:
         stem = p[:-len(".s2.tnsr")]
         parts = {part: load_tensor(f"{stem}.{part}.tnsr")
                  for part in TILE_PARTS}
+        extents = parts["s2"].shape[:2]
+        for part, arr in parts.items():
+            if arr.shape[:2] != extents:
+                raise ValueError(f"{stem}.{part}.tnsr: extents {arr.shape[:2]}"
+                                 f" differ from its s2's {extents}")
         tiles.append(dp.SynthTile(
             parts["s2"], parts["s1"], parts["heights"], parts["target"],
             parts["mask"] > 0, np.rec.fromrecords([], dtype=dp.SHOT_DTYPE),
@@ -132,22 +128,10 @@ def _samples(cfg) -> list:
 def cmd_synth(cfg, out_dir: str) -> None:
     seed = cfg.get("run", "seed")
     n_tiles = cfg.get("data", "n_tiles")
-    if n_tiles < 1:
-        # the compositing stack below is drawn over tile 0
-        raise ValueError(f"[data] n_tiles must be at least 1, got {n_tiles}")
-    tile_size = _positive(cfg, "data", "tile_size")
-    shots_per_tile = cfg.get("data", "shots_per_tile")
-    if shots_per_tile < 0:
-        raise ValueError("[data] shots_per_tile must not be negative, "
-                         f"got {shots_per_tile}")
-    violation_rate = cfg.get("data", "violation_rate")
-    if not 0.0 <= violation_rate <= 1.0:      # NaN fails too
-        raise ValueError("[data] violation_rate must lie in [0, 1], "
-                         f"got {violation_rate}")
     _refuse_foreign(out_dir, "tile_", ".s2.tnsr", n_tiles, "a tile")
-    tiles = dp.synth_dataset(n_tiles, tile_size, seed,
-                             shots_per_tile=shots_per_tile,
-                             violation_rate=violation_rate)
+    tiles = dp.synth_dataset(n_tiles, cfg.get("data", "tile_size"), seed,
+                             shots_per_tile=cfg.get("data", "shots_per_tile"),
+                             violation_rate=cfg.get("data", "violation_rate"))
     write_dataset(tiles, out_dir)
     # a small noisy time-series stack over tile 0 for compositing runs
     rng = np.random.default_rng(seed + 1)
@@ -193,7 +177,7 @@ def cmd_composite(cfg, out_dir: str) -> None:
 
 
 def cmd_grid(cfg, out_dir: str) -> None:
-    cell = _positive(cfg, "data", "cell_size_m")
+    cell = cfg.get("data", "cell_size_m")
     path = os.path.join(cfg.get("data", "dataset_dir"), "shots.csv")
     shots, _ = dp.filter_gedi(dp.shots_from_csv(path))
     if not len(shots):
@@ -288,8 +272,6 @@ def _write_gsi_csv(path: str, reports: list, tail=()) -> None:
 
 
 def cmd_eval(cfg, out_dir: str) -> None:
-    step = _positive(cfg, "eval", "range_step")
-    top = _positive(cfg, "eval", "range_max")
     samples = _samples(cfg)
     _refuse_foreign(out_dir, "pred_", ".tnsr", len(samples), "a prediction")
     params, mcfg = _restore_model(cfg, cfg.get("run", "arch"),
@@ -309,7 +291,8 @@ def cmd_eval(cfg, out_dir: str) -> None:
     overall = mt.summary_stats(y, yhat)
     write_csv(os.path.join(out_dir, "overall.csv"), mt.REPORT_COLUMNS[2:],
               [mt.report_row(overall)])
-    edges = np.arange(0.0, top + step, step)
+    step = cfg.get("eval", "range_step")
+    edges = np.arange(0.0, cfg.get("eval", "range_max") + step, step)
     mt.report_to_csv(mt.binned_report(y, yhat, edges),
                      os.path.join(out_dir, "binned.csv"))
     _write_gsi_csv(os.path.join(out_dir, "gsi.csv"), reports)

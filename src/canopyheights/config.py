@@ -2,7 +2,9 @@
 
 Unknown sections or keys, and values of the wrong type, are rejected so
 typos fail loudly; the serialized form is canonical — parse, serialize,
-parse is the identity.
+parse is the identity.  ``RunConfig.validate`` checks every ``SCHEMA`` row's
+rule; an entry a library dataclass checks, or ``[model] input_size``
+(bounded by the dataset's tiles), carries none.
 """
 
 from __future__ import annotations
@@ -13,19 +15,29 @@ import io
 
 from .train import UNET_CONFIGS
 
-# section -> key -> (type, default)
+VALID_ARCHS = (*UNET_CONFIGS, "hytec")
+
+# a rule: (message, test); every test fails on NaN
+POSITIVE = ("must be positive", lambda v: v > 0)
+AT_LEAST_1 = ("must be at least 1", lambda v: v >= 1)
+NOT_NEGATIVE = ("must not be negative", lambda v: v >= 0)
+UNIT = ("must lie in [0, 1]", lambda v: 0 <= v <= 1)
+ARCH = (f"must be one of {', '.join(VALID_ARCHS)}", lambda v: v in VALID_ARCHS)
+
+# section -> key -> (type, default) or (type, default, rule)
 SCHEMA = {
     "run": {
-        "seed": (int, 0),
-        "arch": (str, "2mou"),
+        "seed": (int, 0, NOT_NEGATIVE),
+        "arch": (str, "2mou", ARCH),
     },
     "data": {
         "dataset_dir": (str, ""),
-        "n_tiles": (int, 8),
-        "tile_size": (int, 64),
-        "shots_per_tile": (int, 80),
-        "violation_rate": (float, 0.2),
-        "cell_size_m": (float, 7680.0),
+        # the compositing stack synth writes is drawn over tile 0
+        "n_tiles": (int, 8, AT_LEAST_1),
+        "tile_size": (int, 64, POSITIVE),
+        "shots_per_tile": (int, 80, NOT_NEGATIVE),
+        "violation_rate": (float, 0.2, UNIT),
+        "cell_size_m": (float, 7680.0, POSITIVE),
         "min_cell_shots": (int, 600),
         "teacher_s1": (str, ""),
         "teacher_s2": (str, ""),
@@ -60,12 +72,10 @@ SCHEMA = {
     "eval": {
         "checkpoint": (str, ""),
         "pred_dir": (str, ""),
-        "range_step": (float, 5.0),
-        "range_max": (float, 55.0),
+        "range_step": (float, 5.0, POSITIVE),
+        "range_max": (float, 55.0, POSITIVE),
     },
 }
-
-VALID_ARCHS = (*UNET_CONFIGS, "hytec")
 
 
 def _typed(typ, value, section: str, key: str):
@@ -81,7 +91,7 @@ class RunConfig:
     """Typed view over the schema with attribute-style section access."""
 
     def __init__(self):
-        self._values = {s: {k: d for k, (_, d) in keys.items()}
+        self._values = {s: {k: row[1] for k, row in keys.items()}
                         for s, keys in SCHEMA.items()}
 
     def get(self, section: str, key: str):
@@ -114,11 +124,13 @@ class RunConfig:
                 for v in str(self.get(section, key)).split(",") if v]
 
     def validate(self) -> "RunConfig":
-        if self.get("run", "arch") not in VALID_ARCHS:
-            raise ValueError(f"unknown arch {self.get('run', 'arch')!r}")
-        if self.get("run", "seed") < 0:
-            raise ValueError("[run] seed must not be negative, got "
-                             f"{self.get('run', 'seed')}")
+        """``ValueError`` naming the first entry outside its row's rule."""
+        for section, values in self._values.items():
+            for key, value in values.items():
+                for message, test in SCHEMA[section][key][2:]:
+                    if not test(value):
+                        raise ValueError(f"[{section}] {key} {message}, "
+                                         f"got {value}")
         return self
 
 
@@ -133,10 +145,11 @@ def serialize(cfg: RunConfig) -> str:
     return out.getvalue()
 
 
-def parse(text: str) -> RunConfig:
-    """Parse INI text, rejecting anything outside the schema."""
+def parse(text: str, source: str = "<string>") -> RunConfig:
+    """Parse INI text, rejecting anything outside the schema; configparser's
+    errors name ``source``."""
     cp = configparser.ConfigParser()
-    cp.read_string(text)
+    cp.read_string(text, source)
     cfg = RunConfig()
     for section in cp.sections():
         if section not in SCHEMA:
@@ -147,10 +160,17 @@ def parse(text: str) -> RunConfig:
 
 
 def load(path: str) -> RunConfig:
-    with open(path) as fh:
-        return parse(fh.read())
+    """The config in the UTF-8 INI file ``path``; anything ``parse``
+    refuses, and text that is not UTF-8, raises a ``ValueError`` naming
+    the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read(), str(path))
+    except (configparser.Error, KeyError, ValueError) as exc:
+        cause = exc.args[0] if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: {cause}") from None
 
 
 def save(cfg: RunConfig, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize(cfg))

@@ -605,7 +605,7 @@ def shots_to_csv(shots: np.recarray, path: str) -> None:
     ``SHOT_FIELDS`` header, ``repr`` floats, ``str`` ints and ``\\r\\n``
     line ends.
     """
-    with atomic_open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(SHOT_FIELDS) + "\r\n")
         # blocks bound the text held at once to about 100 kB
         for lo in range(0, len(shots), _CSV_BLOCK_ROWS):
@@ -643,14 +643,14 @@ def _raise_bad_row(path: str, cause) -> None:
     up to the first malformed one, and the shot checks run on all rows
     before it at once."""
     lines, values, malformed = [], [], ValueError(f"{path}: {cause}")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
         next(rows)
         try:
             for row in filter(None, rows):
                 values.append(_parse_row(row, f"{path}, line {rows.line_num}"))
                 lines.append(rows.line_num)
-        except ValueError as exc:
+        except (ValueError, csv.Error) as exc:
             malformed = exc
     bad = _first_bad_shot(np.rec.fromrecords(values, dtype=SHOT_DTYPE))
     if bad is not None:
@@ -665,23 +665,29 @@ def shots_from_csv(path: str) -> np.recarray:
     fields, a value its column's type does not parse (``1.5`` or ``1e3``
     in an integer column, or one past int64) and a row the shot checks
     reject (NaN or infinite values included) raise a ``ValueError`` naming
-    the file and the line.
+    the file and the line; text that is not UTF-8, or that ``csv`` cannot
+    split, raises one naming the file.
     """
-    with open(path, newline="") as fh:
-        header = next(csv.reader([fh.readline()]), [])
-        if header != SHOT_FIELDS:
-            raise ValueError(f"{path}: shot CSV header {header} differs "
-                             f"from {SHOT_FIELDS}")
-        try:
-            with warnings.catch_warnings():
-                # some numpy releases parse "1.5" in an integer column
-                # with only a DeprecationWarning: make it an error
-                warnings.simplefilter("error", DeprecationWarning)
-                warnings.filterwarnings("ignore", "loadtxt: input contained")
-                t = np.loadtxt(fh, delimiter=",", quotechar='"',
-                               comments=None, dtype=SHOT_DTYPE, ndmin=1)
-        except (ValueError, DeprecationWarning) as exc:
-            _raise_bad_row(path, exc)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader([fh.readline()]), [])
+            if header != SHOT_FIELDS:
+                raise ValueError(f"{path}: shot CSV header {header} differs "
+                                 f"from {SHOT_FIELDS}")
+            try:
+                with warnings.catch_warnings():
+                    # some numpy releases parse "1.5" in an integer column
+                    # with only a DeprecationWarning: make it an error
+                    warnings.simplefilter("error", DeprecationWarning)
+                    warnings.filterwarnings("ignore",
+                                            "loadtxt: input contained")
+                    t = np.loadtxt(fh, delimiter=",", quotechar='"',
+                                   comments=None, dtype=SHOT_DTYPE, ndmin=1)
+            except (ValueError, DeprecationWarning) as exc:
+                _raise_bad_row(path, exc)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        # text that does not decode, or a field past csv's size limit
+        raise ValueError(f"{path}: {exc}") from None
     t = t.view(np.recarray)
     if _first_bad_shot(t) is not None:
         _raise_bad_row(path, "a row fails the shot checks")

@@ -281,7 +281,11 @@ def _read_arrays(path: str) -> dict:
             if not name.endswith(b"\n"):
                 raise ValueError(f"{path}: truncated after {i} of {count} "
                                  f"arrays")
-            name = name[:-1].decode("utf-8")
+            try:
+                name = name[:-1].decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: the name of array {i} is not "
+                                 f"UTF-8") from None
             if name in arrays:
                 raise ValueError(f"{path}: array {name!r} appears twice")
             arrays[name] = read_record(fh, path)

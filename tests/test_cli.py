@@ -773,6 +773,29 @@ class TestErrors:
         cfg.set("run", "arch", "nonesuch")
         assert run(cfg, ["synth", "--out", str(tmp_path)], tmp_path) == 1
 
+    def test_a_command_refuses_an_entry_it_does_not_read(
+            self, workspace, tmp_path, monkeypatch, caplog):
+        # filter reads no [eval] entry, yet the config is checked whole
+        monkeypatch.delenv("CANOPY_LOG", raising=False)
+        _, cfg, _ = workspace
+        cfg = cfg.copy()
+        cfg.set("eval", "range_step", 0)
+        out = tmp_path / "f"
+        with caplog.at_level(logging.ERROR, logger="canopyheights"):
+            assert run(cfg, ["filter", "--out", str(out)], tmp_path) == 1
+        assert ("ValueError: [eval] range_step must be positive, got 0.0"
+                in caplog.text)
+        assert not os.path.exists(out)
+
+    def test_a_tile_part_of_other_extents_is_named(self, workspace, tmp_path):
+        _, _, ds = workspace
+        shutil.copytree(ds, tmp_path / "ds")
+        mask = tmp_path / "ds" / "tile_001.mask.tnsr"
+        save_tensor(str(mask), np.ones((16, 32)))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{mask}: extents (16, 32) differ from its s2's (32, 32)")):
+            cli.read_dataset(str(tmp_path / "ds"))
+
 
 # A U-Net run end to end, then one GELU: prints the scipy modules loaded
 # before the GELU, then whether scipy.special is loaded after it.

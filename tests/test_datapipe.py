@@ -705,6 +705,30 @@ class TestShotCsv:
         assert str(header) in str(info.value)
         assert str(dp.SHOT_FIELDS) in str(info.value)
 
+    @pytest.mark.parametrize("where", ["header", "last row"])
+    def test_text_that_is_not_utf8_names_the_file(self, tmp_path, where):
+        # the rows fill several read buffers, so a byte in the last row is
+        # decoded by the fast parse, not with the header
+        path = tmp_path / "shots.csv"
+        self.write(path, self.rows(n=120))
+        text = path.read_bytes()
+        assert len(text) > 2 * io.DEFAULT_BUFFER_SIZE
+        at = 3 if where == "header" else text.rindex(b"\n", 0, -2) + 3
+        path.write_bytes(text[:at] + b"\xff" + text[at:])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: 'utf-8' codec can't decode byte 0xff")):
+            dp.shots_from_csv(path)
+
+    def test_a_quote_open_past_the_csv_field_limit_names_the_file(
+            self, tmp_path):
+        path = tmp_path / "shots.csv"
+        self.write(path, self.rows())
+        with open(path, "a", newline="") as fh:
+            fh.write('"' + "x" * (csv.field_size_limit() + 1) + "\r\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: field larger than field limit")):
+            dp.shots_from_csv(path)
+
     def test_beam_kind_round_trips_whole(self, tmp_path):
         rows = self.rows(n=4)
         kinds = ["x" * 500, 'odd, "quoted" kind', "", "coverage"]

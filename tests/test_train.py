@@ -253,6 +253,17 @@ class TestCheckpointing:
                            "appears twice"):
             tr._read_arrays(path)
 
+    def test_an_array_name_that_is_not_utf8_names_the_file(self, tmp_path):
+        path, _, _, _ = _small_checkpoint(tmp_path)
+        with open(path, "rb") as fh:
+            header, body = fh.read().split(b"\n", 1)
+        # the first array's name starts with a byte UTF-8 never holds
+        with open(path, "wb") as fh:
+            fh.write(header + b"\n\xff" + body[1:])
+        with pytest.raises(ValueError, match="epoch_0000.ckpt: the name of "
+                           "array 0 is not UTF-8"):
+            tr.load_checkpoint(path, nn.init_bn(3), AdaptiveLossState.create())
+
     def test_checkpoint_of_another_arch_is_rejected(self, tmp_path):
         mou, _ = tr.make_unet("2mou", np.random.default_rng(0), 4)
         path = tr.save_checkpoint(str(tmp_path), 0, mou, None)
