@@ -147,8 +147,9 @@ def serialize(cfg: RunConfig) -> str:
 
 def parse(text: str, source: str = "<string>") -> RunConfig:
     """Parse INI text, rejecting anything outside the schema; configparser's
-    errors name ``source``."""
-    cp = configparser.ConfigParser()
+    errors name ``source``.  Values are read as written: no ``%``
+    interpolation, so every value ``serialize`` writes reads back."""
+    cp = configparser.ConfigParser(interpolation=None)
     cp.read_string(text, source)
     cfg = RunConfig()
     for section in cp.sections():

@@ -40,9 +40,17 @@ once and reused until the block ends; outside one they are made on
 every call.
 
 The graph keeps no array that a backward can rebuild from what it holds
-already (Chen et al. 2016, arXiv 1604.06174): ``leaky_relu`` rebuilds its
-mask from its input, a training ``batch_norm`` its normalized input from
-the input and the statistics, and ``conv2d`` its padded tiles.
+already (Chen et al. 2016, arXiv 1604.06174), and a forward makes only
+what it returns or its node keeps, so inside ``no_grad`` it makes no
+derivative at all: ``leaky_relu`` rebuilds its mask from its input,
+``gelu`` the normal pdf and ``softplus`` its sigmoid, a training
+``batch_norm`` its normalized input from the input and the statistics,
+and ``conv2d`` its padded tiles.  ``layer_norm`` takes its mean and
+variance each from one sum, divided as ``ndarray.mean``/``var`` divide
+(``_row_mean``), so they are numpy's bits without the second mean that
+``var`` takes; the input is centred once, and that array becomes the
+normalized input its node keeps.  ``linear`` is one node, ``x @ weight
++ bias``, with the bits and gradients of ``matmul`` then ``+``.
 
 Per-channel sums over pixels or rows (batch-norm statistics, bias and
 affine gradients) use ``tensor._channel_sum``: numpy's own summation
@@ -106,7 +114,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import Tensor, _channel_sum, grad_enabled, matmul
+from .tensor import Tensor, _channel_sum, grad_enabled
 
 # batch norm's running-estimate momentum and variance floor, layer norm's
 # variance floor, and leaky ReLU's negative slope
@@ -471,23 +479,29 @@ def _bn_fold(s: BatchNormState, dtype) -> tuple:
     return scale.astype(dtype, copy=False), shift.astype(dtype, copy=False)
 
 
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=-1, keepdims=True)`` without numpy's Python-level
+    ``_mean``: one sum, divided in place by the count as an ``intp``, as
+    ``_mean`` divides (for float32 in float64, rounded back)."""
+    s = a.sum(axis=-1, keepdims=True)
+    return np.true_divide(s, np.intp(a.shape[-1]), out=s, casting="unsafe")
+
+
 def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
     """Normalization over the last axis with affine rescale."""
     d = x.shape[-1]
     if d < 2:
         raise ValueError("layer_norm needs last extent >= 2")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x.data - mu) * inv
+    xhat = x.data - _row_mean(x.data)
+    inv = 1.0 / np.sqrt(_row_mean(xhat * xhat) + LN_EPS)
+    xhat *= inv
     out = _param(p.gamma, x) * xhat + _param(p.beta, x)
 
     def grad_fn(g):
         dgamma = _channel_sum(g * xhat, tuple(range(x.ndim - 1)))
         dbeta = _channel_sum(g, tuple(range(x.ndim - 1)))
         gg = g * p.gamma.data
-        dx = inv * (gg - gg.mean(axis=-1, keepdims=True)
-                    - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+        dx = inv * (gg - _row_mean(gg) - xhat * _row_mean(gg * xhat))
         return (dx, dgamma, dbeta)
 
     return Tensor.from_op(out, (x, p.gamma, p.beta), grad_fn)
@@ -513,13 +527,17 @@ def leaky_relu(x: Tensor) -> Tensor:
 
 
 def softplus(x: Tensor) -> Tensor:
-    """log(1 + exp(x)) with an overflow-safe branch; strictly positive."""
+    """log(1 + exp(x)) with an overflow-safe branch; strictly positive.
+    The backward rebuilds the sigmoid from the input."""
     out = np.where(x.data > 30.0, x.data + np.log1p(np.exp(-np.abs(x.data))),
                    np.log1p(np.exp(np.minimum(x.data, 30.0))))
-    # f32 overflows past exp(88.7); other dtypes keep the f64 clip
-    lim = 80.0 if x.dtype == np.float32 else 500.0
-    sig = 1.0 / (1.0 + np.exp(-np.clip(x.data, -lim, lim)))
-    return Tensor.from_op(out, (x,), lambda g: (g * sig,))
+
+    def grad_fn(g):
+        # f32 overflows past exp(88.7); other dtypes keep the f64 clip
+        lim = 80.0 if x.dtype == np.float32 else 500.0
+        return (g * (1.0 / (1.0 + np.exp(-np.clip(x.data, -lim, lim)))),)
+
+    return Tensor.from_op(out, (x,), grad_fn)
 
 
 # the last-axis extent up to which row maxima and sums go slice by slice
@@ -592,20 +610,26 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
+    """x * Phi(x) with the exact normal cdf; the backward keeps the cdf
+    and rebuilds the pdf from the input."""
     # imported here, not at the top: only HyTeC runs GELU, and scipy is
     # most of the package's import time and memory
     from scipy.special import erf
     cdf = 0.5 * (1.0 + erf(x.data / _SQRT2))
     out = x.data * cdf
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data ** 2)
-    return Tensor.from_op(out, (x,), lambda g: (g * (cdf + x.data * pdf),))
+
+    def grad_fn(g):
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data ** 2)
+        return (g * (cdf + x.data * pdf),)
+
+    return Tensor.from_op(out, (x,), grad_fn)
 
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:
-    w, b = p.weight, p.bias
-    if w.data.dtype is not x.data.dtype and not grad_enabled():  # see _param
-        w, b = (Tensor(_param(t, x), dtype=x.dtype) for t in (w, b))
-    return matmul(x, w) + b
+    """``x @ weight + bias`` as one graph node."""
+    w, b = _param(p.weight, x), _param(p.bias, x)
+    return Tensor.from_op(x.data @ w + b, (x, p.weight, p.bias), lambda g: (
+        g @ w.T, x.data.T @ g, Tensor._unbroadcast(g, b.shape)))
 
 
 # -- attention --------------------------------------------------------
@@ -657,25 +681,31 @@ def mhsa(tokens: Tensor, p: MhsaParams, tiles: int = 1) -> Tensor:
     out = project(merged, p.wo)
 
     def grad_fn(g):
-        gw = _split_heads(g @ p.wo.weight.data.T, tiles, heads, _ROWS_FIRST)
+        wq, wk, wv, wo = (lin.weight.data for lin in lins)
+        gw = _split_heads(g @ wo.T, tiles, heads, _ROWS_FIRST)
         gs = _softmax_grad(gw @ np.swapaxes(v, -1, -2), attn)
         gs *= scale
-        # each projection's output adjoint as a (tiles*N) x D array
-        gq = _merge_heads(gs @ np.swapaxes(kt, -1, -2), tiles, heads,
+        # each projection's output adjoint as a (tiles*N) x D array, turned
+        # into its weight and bias gradients and its token-gradient term,
+        # then dropped; the token gradient is (q part + k part) + v part,
+        # the per-head composition's order
+        ga = _merge_heads(gs @ np.swapaxes(kt, -1, -2), tiles, heads,
                           _ROWS_FIRST)
-        gk = _merge_heads(np.swapaxes(q, -1, -2) @ gs, tiles, heads,
+        gx = ga @ wq.T
+        grads = [x.T @ ga, _channel_sum(ga, (0,))]
+        del ga
+        ga = _merge_heads(np.swapaxes(q, -1, -2) @ gs, tiles, heads,
                           _DIMS_FIRST)
-        gv = _merge_heads(np.swapaxes(attn, -1, -2) @ gw, tiles, heads,
+        del gs
+        gx += ga @ wk.T
+        grads += [x.T @ ga, _channel_sum(ga, (0,))]
+        del ga
+        ga = _merge_heads(np.swapaxes(attn, -1, -2) @ gw, tiles, heads,
                           _ROWS_FIRST)
-        wq, wk, wv = (lin.weight.data for lin in lins[:3])
-        # (q part + k part) + v part, the per-head composition's order
-        gx = gq @ wq.T
-        gx += gk @ wk.T
-        gx += gv @ wv.T
-        grads = [gx]
-        for a, ga in ((x, gq), (x, gk), (x, gv), (merged, g)):
-            grads += [a.T @ ga, _channel_sum(ga, (0,))]
-        return grads
+        del gw
+        gx += ga @ wv.T
+        grads += [x.T @ ga, _channel_sum(ga, (0,))]
+        return [gx] + grads + [merged.T @ g, _channel_sum(g, (0,))]
 
     return Tensor.from_op(out, (tokens,) + tuple(
         t for lin in lins for t in (lin.weight, lin.bias)), grad_fn)

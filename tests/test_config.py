@@ -79,6 +79,18 @@ class TestSerialization:
         cf.save(cfg, p)
         assert cf.load(p) == cfg
 
+    def test_a_value_with_percent_signs_reads_back(self, tmp_path):
+        """Values are read as written: no ``%`` interpolation."""
+        cfg = cf.RunConfig()
+        cfg.set("data", "dataset_dir", "runs/50%_cover")
+        cfg.set("eval", "pred_dir", "preds/%%(x)s")
+        p = tmp_path / "run.ini"
+        cf.save(cfg, p)
+        again = cf.load(p)
+        assert again == cfg
+        assert again.get("data", "dataset_dir") == "runs/50%_cover"
+        assert again.get("eval", "pred_dir") == "preds/%%(x)s"
+
 
 class TestLoad:
     """``load`` names the file in every error; ``parse`` and ``set`` keep
@@ -91,9 +103,7 @@ class TestLoad:
         (b"[mystery]\nx = 1\n", "unknown config section [mystery]"),
         (b"[run]\nbogus = 1\n", "unknown config entry [run] bogus"),
         (b"[run]\nseed = one\n", "[run] seed: 'one' is not of type int"),
-        (b"[data]\ndataset_dir = 50%\n", "'%' must be followed by"),
-    ], ids=["no_section", "twice", "not_utf8", "section", "key", "type",
-            "interpolation"])
+    ], ids=["no_section", "twice", "not_utf8", "section", "key", "type"])
     def test_every_error_names_the_file(self, tmp_path, text, cause):
         path = tmp_path / "run.ini"
         path.write_bytes(text)

@@ -1,7 +1,9 @@
 """Neural-network building blocks: forward semantics and gradients."""
 
+import contextlib
 import copy
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -9,7 +11,8 @@ import pytest
 from numpy.lib.stride_tricks import as_strided
 
 from canopyheights import nn
-from canopyheights.tensor import Tensor, concat, grad_check, matmul, no_grad
+from canopyheights.tensor import (Tensor, concat, grad_check, grad_enabled,
+                                  matmul, no_grad)
 
 TOL = 1e-4
 RNG = np.random.default_rng
@@ -716,13 +719,73 @@ class TestAttentionAndLinear:
 
 
 
+# -- oracles: the formulas the one-node ops replaced ----------------------
+
+def _read(t, x):
+    """A parameter as the oracles read it: cast to the input's dtype
+    inside ``no_grad``, as it is while a graph is recorded."""
+    return t.data if grad_enabled() else t.data.astype(x.dtype)
+
+
+def reference_linear(x, p):
+    """``nn.linear`` as two graph nodes: ``matmul(x, weight) + bias``."""
+    w, b = p.weight, p.bias
+    if not grad_enabled():
+        w, b = (Tensor(_read(t, x), dtype=x.dtype) for t in (w, b))
+    return matmul(x, w) + b
+
+
+def reference_layer_norm(x, p):
+    """``nn.layer_norm`` through ``ndarray.mean`` and ``ndarray.var``."""
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + nn.LN_EPS)
+    xhat = (x.data - mu) * inv
+    out = _read(p.gamma, x) * xhat + _read(p.beta, x)
+
+    def grad_fn(g):
+        axes = tuple(range(x.ndim - 1))
+        gg = g * p.gamma.data
+        dx = inv * (gg - gg.mean(axis=-1, keepdims=True)
+                    - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+        return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+    return Tensor.from_op(out, (x, p.gamma, p.beta), grad_fn)
+
+
+def reference_gelu(x):
+    """``nn.gelu`` with its derivative made eagerly in the forward; its
+    constants are Python floats, which take the input's dtype."""
+    from scipy.special import erf
+    cdf = 0.5 * (1.0 + erf(x.data / math.sqrt(2.0)))
+    pdf = 1.0 / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * x.data ** 2)
+    return Tensor.from_op(x.data * cdf, (x,),
+                          lambda g: (g * (cdf + x.data * pdf),))
+
+
+def reference_softplus(x):
+    """``nn.softplus`` with its sigmoid made eagerly in the forward."""
+    out = np.where(x.data > 30.0, x.data + np.log1p(np.exp(-np.abs(x.data))),
+                   np.log1p(np.exp(np.minimum(x.data, 30.0))))
+    lim = 80.0 if x.dtype == np.float32 else 500.0
+    sig = 1.0 / (1.0 + np.exp(-np.clip(x.data, -lim, lim)))
+    return Tensor.from_op(out, (x,), lambda g: (g * sig,))
+
+
+# op name -> (nn op, oracle)
+ONE_NODE_OPS = {"layer_norm": (nn.layer_norm, reference_layer_norm),
+                "linear": (nn.linear, reference_linear),
+                "gelu": (nn.gelu, reference_gelu),
+                "softplus": (nn.softplus, reference_softplus)}
+
+
 def reference_mhsa(tokens, p, tiles=1):
     """``nn.mhsa`` as the composition of public ops it replaces: per tile
     and per head, a 2-D product each way and a softmax."""
     rows, d = tokens.shape
     n, dh = rows // tiles, d // p.heads
     scale = 1.0 / np.sqrt(dh)
-    q, k, v = (nn.linear(tokens, lin) for lin in (p.wq, p.wk, p.wv))
+    q, k, v = (reference_linear(tokens, lin) for lin in (p.wq, p.wk, p.wv))
     tile_outs = []
     for i in range(tiles):
         r = slice(i * n, (i + 1) * n)
@@ -732,7 +795,7 @@ def reference_mhsa(tokens, p, tiles=1):
             attn = nn.softmax(matmul(q[r, c], k[r, c].permute(1, 0)) * scale)
             outs.append(matmul(attn, v[r, c]))
         tile_outs.append(concat(outs, axis=1))
-    return nn.linear(concat(tile_outs, axis=0), p.wo)
+    return reference_linear(concat(tile_outs, axis=0), p.wo)
 
 
 def mhsa_leaves(p):
@@ -808,6 +871,94 @@ class TestFusedAttention:
     def test_non_positive_head_count_rejected(self, heads):
         with pytest.raises(ValueError, match=f"heads must be positive, got {heads}"):
             nn.init_mhsa(RNG(82), 8, heads)
+
+
+def one_node_case(op, d, dtype, seed=0):
+    """(input, parameters or None, leaves) for ``op`` at last extent ``d``:
+    an input with values in every branch of the activations, and
+    parameters moved off their initial values."""
+    rng = RNG(seed + d)
+    x = rng.normal(size=(15, d) if op == "linear" else (3, 5, d)) * 4
+    x.flat[:len(TestActivationDtypes.X)] = TestActivationDtypes.X
+    x = Tensor(x, requires_grad=True, dtype=dtype)
+    p = {"layer_norm": lambda: nn.init_layernorm(d),
+         "linear": lambda: nn.init_linear(rng, d, 6)}.get(op, lambda: None)()
+    params = [] if p is None else [v for v in vars(p).values()]
+    for leaf in params:
+        leaf.data = (leaf.data + rng.normal(size=leaf.shape)).astype(dtype)
+    return x, p, [x] + params
+
+
+def call(f, x, p):
+    return f(x) if p is None else f(x, p)
+
+
+class TestOneNodeOps:
+    """``layer_norm``, ``linear``, ``gelu`` and ``softplus`` against the
+    formulas they replaced (the oracles above): outputs and every gradient
+    bit for bit, in f32 and f64, at short and long last axes."""
+
+    @staticmethod
+    def forward_and_grads(f, x, p, leaves, g):
+        for leaf in leaves:
+            leaf.grad = None
+        y = call(f, x, p)
+        y.backward(g)
+        return [y.data] + [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [2, 7, 8, 16, 17, 32, 128])
+    @pytest.mark.parametrize("op", list(ONE_NODE_OPS))
+    def test_equals_the_oracle(self, op, d, dtype):
+        new, oracle = ONE_NODE_OPS[op]
+        x, p, leaves = one_node_case(op, d, dtype)
+        g = RNG(d).normal(size=call(new, x, p).shape).astype(dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self.forward_and_grads(new, x, p, leaves, g)
+        want = self.forward_and_grads(oracle, x, p, leaves, g)
+        assert len(got) == len(want) == len(leaves) + 1
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("op", ["layer_norm", "linear"])
+    def test_f32_inference_with_f64_parameters(self, op, fixed):
+        new, oracle = ONE_NODE_OPS[op]
+        x, p, _ = one_node_case(op, 17, np.float64)
+        x = Tensor(x.data, dtype=np.float32)
+        before = {k: (v.data.dtype, v.data.tobytes()) for k, v in vars(p).items()}
+        with no_grad(), (nn.fixed_parameters() if fixed
+                         else contextlib.nullcontext()):
+            got = [new(x, p).data for _ in range(2)]
+            want = oracle(x, p).data
+        assert all(a.dtype == np.float32 and np.array_equal(a, want)
+                   for a in got)
+        assert {k: (v.data.dtype, v.data.tobytes())
+                for k, v in vars(p).items()} == before
+
+    @pytest.mark.parametrize("op,which", [
+        ("layer_norm", 0), ("layer_norm", 1), ("layer_norm", 2),
+        ("linear", 0), ("linear", 1), ("linear", 2),
+        ("gelu", 0), ("softplus", 0)])
+    def test_grad_check_on_each_input(self, op, which):
+        new, _ = ONE_NODE_OPS[op]
+        x, p, leaves = one_node_case(op, 7, np.float64, seed=90)
+        if op in ("gelu", "softplus"):   # inside the branches' smooth parts
+            x.data = RNG(91).normal(size=x.shape) * 3
+        w = Tensor(RNG(92).normal(size=call(new, x, p).shape))
+        if which == 0:
+            assert grad_check(lambda v: (call(new, v, p) * w).sum(), x) < TOL
+            return
+        name = list(vars(p))[which - 1]
+        assert grad_check(lambda v: (new(x, dataclasses.replace(
+            p, **{name: v})) * w).sum(), leaves[which]) < TOL
+
+    def test_linear_records_one_node(self):
+        x, p, leaves = one_node_case("linear", 8, np.float64)
+        out = nn.linear(x, p)
+        assert len(out._parents) == 3
+        assert all(a is b for a, b in zip(out._parents, leaves))
 
 
 class TestShortAxisRows:

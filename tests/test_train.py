@@ -553,6 +553,31 @@ class TestDistillation:
                  for params, _ in models]
         assert after == before
 
+    def test_one_node_ops_train_as_their_oracles(self, monkeypatch):
+        """A mini distillation with the formulas ``layer_norm``, ``linear``,
+        ``gelu`` and ``softplus`` replaced (``test_nn``'s oracles) runs to
+        the same parameter bytes, trace and predictions."""
+        from test_nn import ONE_NODE_OPS
+        samples = tiny_samples(n_tiles=2)
+        teachers = _make_teachers(samples)
+        cfg = HyTecConfig.desk_scale(image_size=32, patch=8, embed_dim=16,
+                                     blocks=4, heads=2, l_hat=16)
+        st = tr.TrainSettings(arch="hytec", epochs=2, batch_size=2, seed=3,
+                              warmup_epochs=1, lr_peak=1e-3)
+
+        def run():
+            res = tr.train_hytec(samples, teachers, st, cfg=cfg)
+            arrays = {k: a.tobytes()
+                      for k, a in optim.export_arrays(res.params).items()}
+            preds = [tr.predict_heights(res.params, res.config, s).tobytes()
+                     for s in samples]
+            return arrays, np.asarray(res.trace).tobytes(), preds
+
+        fast = run()
+        for name, (_, oracle) in ONE_NODE_OPS.items():
+            monkeypatch.setattr(nn, name, oracle)
+        assert run() == fast
+
     def test_predict_heights_positive_for_all_models(self):
         samples = tiny_samples(n_tiles=1)
         s = samples[0]
