@@ -84,6 +84,15 @@ def write_dataset(tiles, out_dir: str) -> None:
               ([i, *t.bounds, len(t.shots)] for i, t in enumerate(tiles)))
 
 
+def _entry_path(cfg, key: str) -> str:
+    """The path that the config entry ``key`` ("section.name") names; an
+    unset one raises rather than read the working directory."""
+    path = cfg.get(*key.split("."))
+    if not path:
+        raise FileNotFoundError(f"{key} is not set")
+    return path
+
+
 def read_dataset(dataset_dir: str) -> list:
     paths = _indexed(dataset_dir, "tile_", ".s2.tnsr")
     if not paths:
@@ -111,7 +120,7 @@ def _samples(cfg) -> list:
     size = cfg.get("model", "input_size")
     rng = np.random.default_rng(cfg.get("run", "seed") + 17)
     out = []
-    for t in read_dataset(cfg.get("data", "dataset_dir")):
+    for t in read_dataset(_entry_path(cfg, "data.dataset_dir")):
         w, h = t.s2.shape[:2]
         if not 1 <= size <= min(w, h):
             raise ValueError(f"[model] input_size must lie in [1, {min(w, h)}]"
@@ -149,7 +158,7 @@ def cmd_synth(cfg, out_dir: str) -> None:
 
 def cmd_filter(cfg, out_dir: str) -> None:
     shots = dp.shots_from_csv(
-        os.path.join(cfg.get("data", "dataset_dir"), "shots.csv"))
+        os.path.join(_entry_path(cfg, "data.dataset_dir"), "shots.csv"))
     retained, counts = dp.filter_gedi(shots)
     os.makedirs(out_dir, exist_ok=True)
     dp.shots_to_csv(retained, os.path.join(out_dir, "retained.csv"))
@@ -160,7 +169,7 @@ def cmd_filter(cfg, out_dir: str) -> None:
 
 
 def cmd_composite(cfg, out_dir: str) -> None:
-    stack_dir = os.path.join(cfg.get("data", "dataset_dir"), "stack")
+    stack_dir = os.path.join(_entry_path(cfg, "data.dataset_dir"), "stack")
     frames = _indexed(stack_dir, "frame_", ".tnsr")
     if not frames:
         raise FileNotFoundError(f"no frames under {stack_dir}")
@@ -178,7 +187,7 @@ def cmd_composite(cfg, out_dir: str) -> None:
 
 def cmd_grid(cfg, out_dir: str) -> None:
     cell = cfg.get("data", "cell_size_m")
-    path = os.path.join(cfg.get("data", "dataset_dir"), "shots.csv")
+    path = os.path.join(_entry_path(cfg, "data.dataset_dir"), "shots.csv")
     shots, _ = dp.filter_gedi(dp.shots_from_csv(path))
     if not len(shots):
         raise ValueError(f"{path}: no shot passes the quality filter")
@@ -230,9 +239,7 @@ def _restore_model(cfg, arch: str, key: str) -> tuple:
     that the config entry ``key`` ("section.name") names.  The tree is
     built without random draws: ``load_checkpoint`` refuses a file that
     lacks any model array, so it overwrites every value."""
-    ckpt = cfg.get(*key.split("."))
-    if not ckpt:
-        raise FileNotFoundError(f"{key} is not set")
+    ckpt = _entry_path(cfg, key)
     if arch == "hytec":
         mcfg = _hytec_config(cfg)
         params = init_hytec(None, mcfg)
@@ -300,9 +307,9 @@ def cmd_eval(cfg, out_dir: str) -> None:
 
 
 def cmd_gsi(cfg, out_dir: str) -> None:
-    pred_dir = cfg.get("eval", "pred_dir")
-    preds = _indexed(pred_dir, "pred_", ".tnsr")
     samples = _samples(cfg)
+    pred_dir = _entry_path(cfg, "eval.pred_dir")
+    preds = _indexed(pred_dir, "pred_", ".tnsr")
     if len(preds) != len(samples):
         raise ValueError(f"{pred_dir}: {len(preds)} predictions for "
                          f"{len(samples)} dataset tiles")

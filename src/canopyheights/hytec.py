@@ -23,7 +23,7 @@ import numpy as np
 from . import nn
 from .losses import HeightBinning
 from .tensor import Tensor, concat
-from .unet import DualHeadParams, head_dual
+from .unet import head_dual, init_dual_head
 
 MLP_RATIO = 4        # transformer MLP width over the embedding width
 GROUP1_BANDS = 4     # R, G, B, NIR
@@ -142,11 +142,7 @@ def init_hytec(rng: Optional[np.random.Generator],
 
     final_up = cfg.patch // 4             # x4 for the 16-pixel patch
     db_up = nn.init_convt(rng, final_up, lhat, lhat // 8)
-    k = cfg.bins.k
-    head = DualHeadParams(
-        conv_cls=nn.init_conv(rng, 1, lhat // 8, k),
-        conv_reg=nn.init_conv(rng, 1, lhat // 8, k),
-        conv_out=nn.init_conv(rng, 1, k, 1))
+    head = init_dual_head(rng, lhat // 8, cfg.bins.k)
 
     pos_scale = 0.02
     pos = Tensor(np.zeros((n2, d)) if rng is None else
@@ -207,37 +203,24 @@ def spatial_concat(tokens: Tensor, grid: int, tiles: int = 1) -> Tensor:
     return tokens.reshape(tiles * grid, grid, d)
 
 
-def rb_forward(f: Tensor, p: RbParams, tiles: int = 1) -> Tensor:
+def rb_forward(f: Tensor, p: RbParams) -> Tensor:
     """Reproject a G x G x D grid to l_hat channels at the resolution its
     resample parameter sets: none keeps the grid, a strided conv divides
     it by its stride, a transposed conv multiplies it by its kernel size."""
     y = nn.conv2d(f, p.proj)
-    g = f.shape[1]
     if p.resample is None:
-        expect = g
-    elif isinstance(p.resample, nn.ConvT2dParams):
-        y = nn.conv2d_transpose(y, p.resample)
-        expect = g * p.resample.kernel.shape[0]
-    else:
-        y = nn.conv2d(y, p.resample)
-        expect = g // p.resample.stride
-    assert y.shape[:2] == (tiles * expect, expect), \
-        f"reprojection shape law violated: {y.shape}"
-    return y
+        return y
+    if isinstance(p.resample, nn.ConvT2dParams):
+        return nn.conv2d_transpose(y, p.resample)
+    return nn.conv2d(y, p.resample)
 
 
 def db_forward(f: Tensor, conv1: nn.Conv2dParams, conv2: nn.Conv2dParams,
                up: nn.ConvT2dParams, tiles: int = 1) -> Tensor:
     """Decoder block: two 3x3 convs then a transpose conv that multiplies the
-    spatial extent by its kernel size and divides the channels by eight."""
-    h, w, c = f.shape
-    if c % 8:
-        raise ValueError("decoder block needs channels divisible by 8")
+    spatial extent by its kernel size (``init_hytec``'s: channels / 8)."""
     y = nn.conv2d(nn.conv2d(f, conv1, tiles=tiles), conv2, tiles=tiles)
-    y = nn.conv2d_transpose(y, up)
-    s = up.kernel.shape[0]
-    assert y.shape == (s * h, s * w, c // 8), f"decoder shape law violated: {y.shape}"
-    return y
+    return nn.conv2d_transpose(y, up)
 
 
 def hytec_forward(s2: Tensor, params: HyTecParams, cfg: HyTecConfig,
@@ -256,7 +239,6 @@ def hytec_forward(s2: Tensor, params: HyTecParams, cfg: HyTecConfig,
                          f"{cfg.image_size} px")
 
     n, d = cfg.tokens_per_group, cfg.embed_dim
-    g = h // cfg.patch
     b1 = GROUP1_BANDS
     t1 = patch_embed(s2[:, :, :b1], params.embed1, params.pos[:n], cfg.patch, tiles)
     t2 = patch_embed(s2[:, :, b1:], params.embed2, params.pos[n:2 * n], cfg.patch, tiles)
@@ -269,8 +251,8 @@ def hytec_forward(s2: Tensor, params: HyTecParams, cfg: HyTecConfig,
     reproj = []
     for tap, rb in zip(cfg.taps, params.rbs):
         tapped = layer_outs[tap - 1].reshape(tiles, 2 * n, d)[:, :n]
-        grid = spatial_concat(tapped.reshape(tiles * n, d), g, tiles)
-        reproj.append(rb_forward(grid, rb, tiles))
+        grid = spatial_concat(tapped.reshape(tiles * n, d), cfg.grid, tiles)
+        reproj.append(rb_forward(grid, rb))
 
     # fusion pathway: upsample each level by 2 and add the next reprojection
     aux = []
@@ -281,6 +263,5 @@ def hytec_forward(s2: Tensor, params: HyTecParams, cfg: HyTecConfig,
         aux.append(aux_map.reshape(aux_map.shape[0], aux_map.shape[1]))
 
     full = db_forward(fused, params.db_conv1, params.db_conv2, params.db_up, tiles)
-    assert full.shape[:2] == (rows, w), "main output must match the input extent"
     main = head_dual(full, params.head)
     return HyTecOutputs(main=main, aux=aux)

@@ -494,7 +494,13 @@ def train_unet(samples: Sequence[Sample], settings: TrainSettings,
 class Teacher:
     params: UNetParams
     config: UNetConfig
-    modality: str                  # s1 | s2
+    modality: str                  # s1 | s2, the one input its config reads
+
+    def __post_init__(self):
+        if self.config.inputs != (self.modality,):
+            raise ValueError(f"a {self.modality} teacher needs a config that "
+                             f"reads {self.modality} alone, got inputs "
+                             f"{self.config.inputs}")
 
 
 def teacher_heights(teacher: Teacher, sample: Sample) -> np.ndarray:

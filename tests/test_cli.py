@@ -615,6 +615,37 @@ class TestCrashSafeOutputs:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("command", ["filter", "composite", "grid",
+                                         "train", "eval", "gsi"])
+    def test_unset_dataset_dir_is_named_not_read_from_the_working_folder(
+            self, workspace, evaluated, tmp_path, monkeypatch, caplog,
+            command):
+        monkeypatch.delenv("CANOPY_LOG", raising=False)
+        _, _, ds = workspace
+        cfg, pred_dir = evaluated
+        cfg = cfg.copy()
+        cfg.set("eval", "pred_dir", pred_dir)
+        cfg.set("data", "dataset_dir", "")
+        monkeypatch.chdir(ds)           # a whole dataset the stage must not read
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="canopyheights"):
+            assert run(cfg, [command, "--out", str(out)], tmp_path) == 1
+        assert "FileNotFoundError: data.dataset_dir is not set" in caplog.text
+        assert not out.exists()
+
+    def test_unset_pred_dir_is_named_not_read_from_the_working_folder(
+            self, evaluated, tmp_path, monkeypatch, caplog):
+        monkeypatch.delenv("CANOPY_LOG", raising=False)
+        cfg, pred_dir = evaluated
+        cfg = cfg.copy()
+        cfg.set("eval", "pred_dir", "")
+        monkeypatch.chdir(pred_dir)     # every prediction gsi would read
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="canopyheights"):
+            assert run(cfg, ["gsi", "--out", str(out)], tmp_path) == 1
+        assert "FileNotFoundError: eval.pred_dir is not set" in caplog.text
+        assert not out.exists()
+
     def test_missing_dataset_returns_one(self, tmp_path, monkeypatch):
         monkeypatch.delenv("CANOPY_LOG", raising=False)
         cfg = small_cfg()

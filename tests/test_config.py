@@ -1,10 +1,52 @@
 """Configuration: schema typing, canonical serialization, validation."""
 
+import inspect
 import re
 
+import numpy as np
 import pytest
 
 from canopyheights import config as cf
+from canopyheights import datapipe as dp
+from canopyheights.hytec import HyTecConfig
+from canopyheights.losses import HeightBinning, HyTecLossConfig
+from canopyheights.train import TrainSettings
+
+
+def library_defaults() -> dict:
+    """Each config entry that stands for a library default, and that
+    default."""
+    ts, hc = TrainSettings(arch="2mou"), HyTecConfig()
+    lc, bins = HyTecLossConfig(), HeightBinning.default()
+    synth = inspect.signature(dp.synth_dataset).parameters
+    return {
+        ("run", "seed"): ts.seed,
+        ("model", "stem_width"): ts.stem_width,
+        ("optimizer", "max_epochs"): ts.epochs,
+        ("optimizer", "batch_size"): ts.batch_size,
+        ("optimizer", "lr"): ts.base_lr,
+        ("optimizer", "lr_adaptive"): ts.adaptive_lr,
+        ("optimizer", "warmup_epochs"): ts.warmup_epochs,
+        ("optimizer", "lr_start"): ts.lr_start,
+        ("optimizer", "lr_peak"): ts.lr_peak,
+        ("model", "input_size"): hc.image_size,
+        ("model", "patch"): hc.patch,
+        ("model", "embed_dim"): hc.embed_dim,
+        ("model", "blocks"): hc.blocks,
+        ("model", "heads"): hc.heads,
+        ("model", "l_hat"): hc.l_hat,
+        ("model", "taps"): hc.taps,
+        ("loss", "betas"): lc.betas,
+        ("loss", "alpha_cr"): lc.alpha_cr,
+        ("loss", "delta"): lc.delta,
+        ("loss", "consensus_tol"): lc.consensus_tol,
+        ("loss", "bin_edges"): bins.base_edges,
+        ("loss", "overlap"): bins.overlap,
+        ("data", "shots_per_tile"): synth["shots_per_tile"].default,
+        ("data", "violation_rate"): synth["violation_rate"].default,
+        ("data", "cell_size_m"): dp.CELL_SIZE_M,
+        ("data", "min_cell_shots"): dp.MIN_CELL_SHOTS,
+    }
 
 
 class TestSchema:
@@ -14,6 +56,16 @@ class TestSchema:
         assert cfg.get("optimizer", "max_epochs") == 250
         assert cfg.get("optimizer", "batch_size") == 12
         assert cfg.get("model", "embed_dim") == 1536
+
+    @pytest.mark.parametrize("entry", library_defaults())
+    def test_default_equals_the_library_default(self, entry):
+        expected = library_defaults()[entry]
+        cfg = cf.RunConfig()
+        if isinstance(expected, (tuple, np.ndarray)):
+            assert cfg.floats(*entry) == list(expected)
+        else:
+            actual = cfg.get(*entry)
+            assert (type(actual), actual) == (type(expected), expected)
 
     def test_set_coerces_types(self):
         cfg = cf.RunConfig()

@@ -432,6 +432,12 @@ class TestDistillation:
         assert [v.shape for v, _ in levels] == [(4, 4), (8, 8), (16, 16)]
         assert all(m.max() <= 1.0 for _, m in levels)
 
+    def test_teacher_refuses_a_modality_its_config_does_not_read(self):
+        params, cfg = tr.make_unet("teacher_s1", None, stem_width=4)
+        with pytest.raises(ValueError, match=r"s2 teacher .* \('s1',\)"):
+            tr.Teacher(params, cfg, "s2")
+        assert tr.Teacher(params, cfg, "s1").modality == "s1"
+
     def test_hytec_training_decreases_loss(self):
         samples = tiny_samples(n_tiles=2)
         teachers = _make_teachers(samples)
